@@ -10,20 +10,20 @@ traces are exactly reproducible.
 from .world import (Position, RobotState, Task, EnergyModel, EnergyLedger,
                     ChargeKind, euclidean, polygon_vertices)
 from .comms import COMPLETE, CommGraph, KnowledgeSet, build_graph, gossip
-from .priority import (NeedLevel, PriorityLaw, Criterion, NeedsOrderQueue,
+from .priority import (PriorityLaw, Criterion, NeedsOrderQueue,
                        compile_law, sort_queue, ExhaustedCriteriaError,
                        LOW_BATTERY_WITHDRAWAL)
 from .selection import (SelectionPlan, estimate_cost, select, selection_oracle,
                         InsufficientRobotsError)
 from .formation import (DistanceMatrix, FormationPlan, formation_assign,
                         hungarian_oracle)
-from .routing import (MotionAction, ConflictQueue, next_step, detect_conflicts,
-                      cluster_conflicts, resolve_cluster, UnionFind)
+from .routing import (ConflictQueue, next_step, detect_conflicts,
+                      cluster_conflicts, UnionFind)
 from .negotiation import (Phase, Proposal, AgreementOutcome, agreement,
                           negotiate, NegotiationResult)
 from .cata import CataWeights, collision_penalty, utility, cata_select
 from .scenario import Scenario, RobotSpec, generate, InvalidScenarioError
-from .engine import Engine, RunMetrics, TraceEvent, RobotPhase, run
+from .engine import Engine, RunMetrics, TraceEvent, run
 from .sweep import SweepSpec, run_sweep, summarize, CSV_COLUMNS
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,8 +10,7 @@ the scenario: identical inputs give byte-identical metrics and traces.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import cata as cata_mod
@@ -20,7 +19,8 @@ from .formation import DistanceMatrix, formation_assign
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
-from .routing import cluster_conflicts, detect_conflicts, next_step
+from .routing import (Geometry, cluster_conflicts, detect_conflicts,
+                      next_step, resolve, track_progress, yield_steps)
 from .scenario import Scenario
 from .selection import InsufficientRobotsError, SelectionPlan, select
 from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
@@ -28,24 +28,10 @@ from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
 
 _ARRIVAL_TOLERANCE = 0.1
 _UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
-# ticks without progress toward a goal before a robot escalates its
-# conflict-avoidance (full-circle detours, winner preference)
-_STALL_ESCAPE = 12
-_DETOUR_ANGLES = (30, 60, 90, 120, 150)
-_ESCAPE_ANGLES = (30, 60, 90, 120, 150, 180, 210, 240, 270, 300, 330)
 # per conflict cluster, each member shares the priority queue (one gossip
 # round over the cluster) and then exchanges proposals once per agreement
 # iteration (at most two with asymmetric knowledge)
 _CLUSTER_COMM_ROUNDS = 3
-
-
-class RobotPhase(Enum):
-    IDLE = "idle"
-    SELECTING = "selecting"
-    FORMING = "forming"
-    ROUTING = "routing"
-    AT_SLOT = "at_slot"
-    DEAD = "dead"
 
 
 class EventKind(Enum):
@@ -122,7 +108,9 @@ class Engine:
         self.known_tasks: dict[int, frozenset[int]] = {
             rid: frozenset() for rid in self.robots
         }
-        self.phase: dict[int, RobotPhase] = {rid: RobotPhase.IDLE for rid in self.robots}
+        self.at_slot: set[int] = set()  # robots standing on their formation vertex
+        self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
+                                 scenario.world_size)
         self.ledger = EnergyLedger()
         for r in self.robots.values():
             self.ledger.register(r)
@@ -173,13 +161,30 @@ class Engine:
     def _charge_comm(self, robot_ids: list[int], rounds: int, *,
                      negotiation: bool, task_of: dict[int, int | None] | None = None) -> None:
         for rid in sorted(robot_ids):
-            robot = self.robots[rid]
             task = None
             if task_of is not None:
                 task = task_of.get(rid)
-            for _ in range(rounds):
-                self.ledger.charge(robot, ChargeKind.COMM_ROUND, self.scenario.energy,
-                                   negotiation=negotiation, task=task)
+            self._charge(self.robots[rid], ChargeKind.COMM_ROUND, rounds,
+                         negotiation, task)
+
+    def _charge(self, robot: RobotState, kind: ChargeKind, times: int = 1,
+                negotiation: bool = False, task: int | None = None) -> None:
+        """Charge ``times`` actions of one kind; every robot dies here, when
+        a charge empties its battery."""
+        was_alive = robot.alive
+        for _ in range(times):
+            self.ledger.charge(robot, kind, self.scenario.energy,
+                               negotiation=negotiation, task=task)
+        if was_alive and not robot.alive:
+            self._release(robot.id)
+            self._emit(EventKind.ROBOT_DEAD, (robot.id,))
+
+    def _release(self, rid: int) -> None:
+        robot = self.robots[rid]
+        robot.group = None
+        robot.slot = None
+        robot.goal = None
+        self.at_slot.discard(rid)
 
     # ------------------------------------------------------------------ tick
 
@@ -215,11 +220,8 @@ class Engine:
     def _preempt(self) -> None:
         """New work arrived: everyone not already holding a slot re-selects."""
         for r in self._alive():
-            if self.phase[r.id] is not RobotPhase.AT_SLOT and r.group is not None:
-                r.group = None
-                r.slot = None
-                r.goal = None
-                self.phase[r.id] = RobotPhase.SELECTING
+            if r.id not in self.at_slot and r.group is not None:
+                self._release(r.id)
 
     # phase 2: gossip all robot state to equilibrium over the full graph
     def _phase_gossip(self) -> CommGraph | None:
@@ -294,16 +296,11 @@ class Engine:
         self.max_negotiation_iterations = max(self.max_negotiation_iterations,
                                               iterations)
 
-        assigned = []
-        for rid in free_ids:
-            tid = plan.assignment.get(rid)
-            if tid is not None:
-                robot = self.robots[rid]
-                robot.group = tid
-                self.phase[rid] = RobotPhase.FORMING
-                assigned.append(rid)
-            else:
-                self.phase[rid] = RobotPhase.IDLE
+        # a robot that died negotiating takes no task
+        assigned = [rid for rid in free_ids
+                    if plan.assignment.get(rid) is not None and self.robots[rid].alive]
+        for rid in assigned:
+            self.robots[rid].group = plan.assignment[rid]
         if assigned:
             self._emit(EventKind.AGREE, tuple(assigned), "phase=selection")
 
@@ -370,12 +367,10 @@ class Engine:
             self.max_negotiation_iterations = max(self.max_negotiation_iterations,
                                                   iterations)
             for rid, col in plan.slot_of.items():
-                vertex = open_vertices[col]
                 robot = self.robots[rid]
-                robot.slot = vertex
-                robot.goal = verts[vertex]
-                robot.path = [verts[vertex]]
-                self.phase[rid] = RobotPhase.ROUTING
+                if robot.alive:  # a robot that died negotiating takes no slot
+                    robot.slot = open_vertices[col]
+                    robot.goal = verts[robot.slot]
             self._emit(EventKind.AGREE, tuple(free), f"phase=formation task={tid}")
         self._rebalance_slots()
 
@@ -401,7 +396,7 @@ class Engine:
             verts = self.vertices[tid]
             en_route = [rid for rid in self._members(tid)
                         if self.robots[rid].slot is not None
-                        and self.phase[rid] is not RobotPhase.AT_SLOT]
+                        and rid not in self.at_slot]
             improved = True
             while improved:
                 improved = False
@@ -414,8 +409,7 @@ class Engine:
                                    + euclidean(rb.pos, verts[ra.slot]))
                         if swapped < now - 1e-9:
                             ra.slot, rb.slot = rb.slot, ra.slot
-                            ra.goal, ra.path = verts[ra.slot], [verts[ra.slot]]
-                            rb.goal, rb.path = verts[rb.slot], [verts[rb.slot]]
+                            ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
                             self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
                             improved = True
 
@@ -424,270 +418,41 @@ class Engine:
         """Decide final positions for this tick; returns executed targets."""
         alive = self._alive()
         current = {r.id: r.pos for r in alive}
-        intents: dict[int, Position] = {}
-        wants_move: set[int] = set()
-        for r in alive:
-            if r.goal is not None and euclidean(r.pos, r.goal) > 0.0:
-                intents[r.id] = next_step(r, r.goal, self.scenario.step_length)
-                wants_move.add(r.id)
-        for r in alive:
-            if r.id in wants_move:
-                continue
-            yield_step = self._yield_step(r, intents, wants_move)
-            if yield_step is not None:
-                intents[r.id] = yield_step
-                wants_move.add(r.id)
-            else:
-                intents[r.id] = r.pos
-
-        context = self._context()
-        order = compile_law(self.scenario.law)
-
-        if not self.scenario.conflict_negotiation:
-            return intents
-
-        if len(alive) >= 2:
-            pairs = detect_conflicts(current, intents, self.scenario.safety_radius)
-            clusters = cluster_conflicts(pairs, tick=self.tick_no)
-            for cluster in clusters:
-                self.conflict_frequency += 1
-                members = sorted(cluster.members)
-                self._emit(EventKind.CONFLICT_DETECTED, tuple(members))
-                queue = sort_queue(members, context, order)
-                # the cluster's single mover is its highest-priority member
-                # that wants to move and is not boxed in by the members that
-                # will hold place; stationary members never move
-                moving = [rid for rid in queue if rid in wants_move]
-                winner = None
-                limit = 2.0 * self.scenario.safety_radius + 1e-6
-
-                def _blocked(rid: int) -> bool:
-                    return any(other != rid and
-                               euclidean(intents[rid], current[other]) < limit
-                               for other in members)
-
-                def _pinned(rid: int) -> bool:
-                    # a mover whose goal is held by a stopped cluster-mate can
-                    # only orbit it; someone who can finish should move instead
-                    goal = self.robots[rid].goal
-                    return goal is not None and any(
-                        other != rid and euclidean(goal, current[other]) < limit
-                        for other in members)
-
-                def _can_step(rid: int) -> bool:
-                    # a winner who can neither step directly nor detour just
-                    # freezes the whole cluster for the tick
-                    robot = self.robots[rid]
-                    candidates = [intents[rid]]
-                    toward = (robot.goal if robot.goal is not None
-                              else intents[rid])
-                    for degrees in self._detour_angles(rid):
-                        cand = self._rotated_step(robot, math.radians(degrees),
-                                                  toward)
-                        if cand is not None:
-                            candidates.append(cand)
-                    return any(
-                        all(euclidean(cand, current[other]) >= limit
-                            for other in current if other != rid)
-                        for cand in candidates)
-
-                # a tightly packed stalled cluster cannot advance one robot
-                # at a time: nobody can step until neighbors make room. Relax
-                # to all-movers; separation enforcement still guarantees the
-                # executed positions keep the safety distance
-                if moving and max(self._stall.get(rid, 0)
-                                  for rid in moving) >= _STALL_ESCAPE:
-                    task_of = {rid: self.robots[rid].group for rid in members}
-                    self._charge_comm(members, _CLUSTER_COMM_ROUNDS,
-                                      negotiation=True, task_of=task_of)
-                    continue
-
-                for rid in moving:
-                    if not _blocked(rid) and not _pinned(rid):
-                        winner = rid
-                        break
-                if winner is None:
-                    # blocked movers may still escape through a detour
-                    # rotation, so prefer any unpinned mover with an
-                    # executable step over an orbiter or a frozen robot
-                    winner = next((rid for rid in moving
-                                   if not _pinned(rid) and _can_step(rid)),
-                                  None)
-                if winner is None:
-                    winner = next((rid for rid in moving if _can_step(rid)),
-                                  None)
-                if winner is None and moving:
-                    winner = moving[0]
-                for rid in moving:
-                    if rid != winner:
-                        intents[rid] = current[rid]
-                        wants_move.discard(rid)
-                        self._emit(EventKind.STOP, (rid,), "conflict")
-                task_of = {rid: self.robots[rid].group for rid in members}
-                self._charge_comm(members, _CLUSTER_COMM_ROUNDS,
-                                  negotiation=True, task_of=task_of)
-
-        return self._enforce_separation(current, intents, wants_move, context, order)
-
-    def _enforce_separation(self, current, intents, wants_move, context, order):
-        """Finalize targets so executed positions keep the safety distance.
-
-        Movers are processed in priority order; a mover whose endpoint
-        would crowd another robot tries rotated step directions and falls
-        back to staying put. Staying is always safe because last tick's
-        positions already satisfied separation.
-        """
-        # enforce slightly above the detection threshold so robots never
-        # settle inside the band that would re-trigger detection forever
-        limit = 2.0 * self.scenario.safety_radius + 1e-6
-        movers = sort_queue(sorted(wants_move), context, order) if wants_move else []
-        final = dict(intents)
-        pending = set(movers)
-        for rid in movers:
-            pending.discard(rid)
-            robot = self.robots[rid]
-
-            def safe(p: Position) -> bool:
-                for other in final:
-                    if other == rid:
-                        continue
-                    ref = current[other] if other in pending else final[other]
-                    if euclidean(p, ref) < limit:
-                        return False
-                return True
-
-            if safe(final[rid]):
-                continue
-            placed = False
-            # one-sided (counterclockwise) detours: symmetric avoidance can
-            # oscillate forever between two head-on robots
-            toward = robot.goal if robot.goal is not None else intents[rid]
-            safe_candidates = []
-            for degrees in self._detour_angles(rid):
-                candidate = self._rotated_step(robot, math.radians(degrees),
-                                               toward)
-                if candidate is not None and safe(candidate):
-                    safe_candidates.append(candidate)
-                    if self._stall.get(rid, 0) < _STALL_ESCAPE:
-                        break
-            if safe_candidates:
-                if self._stall.get(rid, 0) >= _STALL_ESCAPE and robot.goal is not None:
-                    # a stalled robot stops circulating and takes whichever
-                    # safe detour regains the most ground toward its goal
-                    final[rid] = min(safe_candidates,
-                                     key=lambda p: euclidean(p, robot.goal))
-                else:
-                    final[rid] = safe_candidates[0]
-                placed = True
-            if not placed:
-                final[rid] = current[rid]
-                self._emit(EventKind.STOP, (rid,), "separation")
-        return final
-
-    def _yield_step(self, robot: RobotState,
-                    intents: dict[int, Position],
-                    movers: set[int]) -> Position | None:
-        """Goal-less robots step out of the way instead of standing firm.
-
-        A parked robot yields when it sits on an active formation vertex or
-        in the path of an approaching mover. Without this, surplus robots
-        form static walls that starve routing progress forever.
-        """
-        if robot.group is not None:
-            return None
-        clearance = 2.0 * self.scenario.safety_radius + 0.2
-        threat = None
-        threat_d = clearance
-        for tid in sorted(self.tasks):
-            if self.status[tid] is not _TaskStatus.ACTIVE:
-                continue
-            for vertex in self.vertices[tid]:
-                d = euclidean(robot.pos, vertex)
-                if d < threat_d:
-                    threat, threat_d = vertex, d
-        if threat is None:
-            band = 2.0 * self.scenario.safety_radius + 2.0 * self.scenario.step_length
-            for rid in sorted(movers):
-                mover = self.robots[rid]
-                d = euclidean(robot.pos, mover.pos)
-                if d >= band:
-                    continue
-                # only yield to movers actually closing in
-                approach = (euclidean(intents[rid], robot.pos) < d)
-                if approach and (threat is None or d < threat_d):
-                    threat, threat_d = mover.pos, d
-        if threat is None:
-            return None
-        dx, dy = robot.pos.x - threat.x, robot.pos.y - threat.y
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            dx, dy, norm = 1.0, 0.0, 1.0
-        ux, uy = dx / norm, dy / norm
-        step = self.scenario.step_length
-        world = self.scenario.world_size
-        limit = 2.0 * self.scenario.safety_radius + 1e-6
-
-        def endpoint(angle: float) -> Position:
-            cos_a, sin_a = math.cos(angle), math.sin(angle)
-            rx, ry = ux * cos_a - uy * sin_a, ux * sin_a + uy * cos_a
-            return Position(min(world, max(0.0, robot.pos.x + step * rx)),
-                            min(world, max(0.0, robot.pos.y + step * ry)))
-
-        # yielding straight away from the threat can run into another robot
-        # or onto a formation vertex someone still needs; try rotated escapes
-        # and take the first one with clear ground
+        moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
+                 for r in alive
+                 if r.goal is not None and euclidean(r.pos, r.goal) > 0.0}
         active_vertices = [v for tid in sorted(self.tasks)
                            if self.status[tid] is _TaskStatus.ACTIVE
                            for v in self.vertices[tid]]
+        moves = yield_steps(current, moves,
+                            [r.id for r in alive if r.id not in moves and r.group is None],
+                            active_vertices, self.geometry)
+        intents = {rid: moves.get(rid, pos) for rid, pos in current.items()}
+        if not self.scenario.conflict_negotiation:
+            return intents
 
-        def robot_gap(p: Position) -> float:
-            return min((euclidean(p, other.pos)
-                        for other in self.robots.values()
-                        if other.id != robot.id and other.alive),
-                       default=math.inf)
-
-        def clear(p: Position) -> bool:
-            if robot_gap(p) < limit:
-                return False
-            return all(euclidean(p, v) >= clearance for v in active_vertices)
-
-        candidates = [endpoint(math.radians(deg))
-                      for deg in (0, 45, -45, 90, -90, 135, -135)]
-        candidates = [c for c in candidates
-                      if euclidean(c, robot.pos) > 1e-9]
-        for candidate in candidates:
-            if clear(candidate):
-                return candidate
-        # nothing fully clears the vertex zone in one step (it may hug a
-        # world boundary); keep escaping via the step with the most room
-        safe_vs_robots = [c for c in candidates if robot_gap(c) >= limit]
-        if safe_vs_robots:
-            return max(safe_vs_robots, key=robot_gap)
-        if candidates:
-            return candidates[0]
-        return None
-
-    def _rotated_step(self, robot: RobotState, angle: float,
-                      toward: Position | None = None) -> Position | None:
-        toward = toward if toward is not None else robot.goal
-        if toward is None:
-            return None
-        dx, dy = toward.x - robot.pos.x, toward.y - robot.pos.y
-        d = math.hypot(dx, dy)
-        if d == 0.0:
-            return None
-        step = min(self.scenario.step_length, d)
-        cos_a, sin_a = math.cos(angle), math.sin(angle)
-        ux, uy = dx / d, dy / d
-        rx, ry = ux * cos_a - uy * sin_a, ux * sin_a + uy * cos_a
-        world = self.scenario.world_size
-        candidate = Position(min(world, max(0.0, robot.pos.x + step * rx)),
-                             min(world, max(0.0, robot.pos.y + step * ry)))
-        # boundary clamping can collapse a rotation into standing still;
-        # such a candidate wastes the robot's turn without being safe ground
-        if euclidean(candidate, robot.pos) <= 1e-9:
-            return None
-        return candidate
+        clusters = []
+        if len(alive) >= 2:
+            pairs = detect_conflicts(current, intents, self.scenario.safety_radius)
+            clusters = cluster_conflicts(pairs, tick=self.tick_no)
+        # one strict total order serves every cluster and the separation pass
+        involved = set(moves).union(*(c.members for c in clusters))
+        priority = (sort_queue(involved, self._context(), compile_law(self.scenario.law))
+                    if involved else [])
+        goals = {r.id: r.goal for r in alive if r.goal is not None}
+        final, decisions, stopped = resolve(current, intents, moves, clusters,
+                                            priority, goals, self._stall, self.geometry)
+        for decision in decisions:
+            self.conflict_frequency += 1
+            self._emit(EventKind.CONFLICT_DETECTED, decision.members)
+            for rid in decision.losers:
+                self._emit(EventKind.STOP, (rid,), "conflict")
+            task_of = {rid: self.robots[rid].group for rid in decision.members}
+            self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS,
+                              negotiation=True, task_of=task_of)
+        for rid in stopped:
+            self._emit(EventKind.STOP, (rid,), "separation")
+        return final
 
     # phase 6: execute motion and charge energy
     def _phase_charge(self, final: dict[int, Position]) -> None:
@@ -698,42 +463,15 @@ class Engine:
             if moved > 0.0:
                 robot.pos = target
                 self.total_distance += moved
-                self.ledger.charge(robot, ChargeKind.MOVE, self.scenario.energy)
                 self._emit(EventKind.MOVE, (rid,),
                            f"to=({target.x:.3f},{target.y:.3f})")
+                self._charge(robot, ChargeKind.MOVE)
             else:
-                self.ledger.charge(robot, ChargeKind.IDLE, self.scenario.energy)
+                self._charge(robot, ChargeKind.IDLE)
             if robot.goal is not None and robot.pos == robot.goal:
-                self.phase[rid] = RobotPhase.AT_SLOT
-            self._update_stall(robot)
-            if not robot.alive and self.phase[rid] is not RobotPhase.DEAD:
-                self.phase[rid] = RobotPhase.DEAD
-                robot.group = None
-                robot.slot = None
-                robot.goal = None
-                self._emit(EventKind.ROBOT_DEAD, (rid,))
-
-    def _update_stall(self, robot: RobotState) -> None:
-        """Track ticks without progress so livelocked robots can escalate."""
-        rid = robot.id
-        if robot.goal is None or not robot.alive:
-            self._stall[rid] = 0
-            self._goal_mark[rid] = None
-            return
-        gd = euclidean(robot.pos, robot.goal)
-        mark = self._goal_mark[rid]
-        if mark is None or mark[0] != robot.goal or gd < mark[1] - 1e-9:
-            self._goal_mark[rid] = (robot.goal, gd)
-            self._stall[rid] = 0
-        else:
-            self._stall[rid] += 1
-
-    def _detour_angles(self, rid: int) -> tuple[int, ...]:
-        # one-sided detours by default (symmetric avoidance oscillates);
-        # a stalled robot may search the whole circle to break a livelock
-        if self._stall.get(rid, 0) >= _STALL_ESCAPE:
-            return _ESCAPE_ANGLES
-        return _DETOUR_ANGLES
+                self.at_slot.add(rid)
+            self._goal_mark[rid], self._stall[rid] = track_progress(
+                self._goal_mark[rid], self._stall[rid], robot.pos, robot.goal)
 
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:
@@ -757,22 +495,14 @@ class Engine:
             if self.hold[tid] >= task.duration:
                 self.status[tid] = _TaskStatus.COMPLETED
                 self._emit(EventKind.TASK_COMPLETED, tuple(members))
-                self._release(members)
+                for rid in members:
+                    self._release(rid)
                 continue
             if self.tick_no - task.arrival_tick + 1 >= task.timeout:
                 self.status[tid] = _TaskStatus.TIMED_OUT
                 self._emit(EventKind.TASK_TIMED_OUT, tuple(members), f"task={tid}")
-                self._release(members)
-
-    def _release(self, members: list[int]) -> None:
-        for rid in members:
-            robot = self.robots[rid]
-            robot.group = None
-            robot.slot = None
-            robot.goal = None
-            robot.path = []
-            if robot.alive:
-                self.phase[rid] = RobotPhase.IDLE
+                for rid in members:
+                    self._release(rid)
 
     # ------------------------------------------------------------------- run
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .world import Position, RobotState, euclidean
 
@@ -70,6 +69,9 @@ def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
 
 def hungarian_oracle(matrix: DistanceMatrix) -> tuple[dict[int, int], float]:
     """Exact minimum total-distance assignment (test oracle, <= 20x20)."""
+    # imported here: scipy dominates ``import swarmplan`` and only the
+    # oracle needs it
+    from scipy.optimize import linear_sum_assignment
     n_rows, n_cols = matrix.entries.shape
     if n_rows != n_cols:
         raise ValueError("matrix must be square")

@@ -22,7 +22,6 @@ from .priority import ExhaustedCriteriaError, NeedsOrderQueue
 class Phase(Enum):
     SELECTION = "selection"
     FORMATION = "formation"
-    ROUTING = "routing"
 
 
 class PhaseMismatchError(Exception):
@@ -39,7 +38,6 @@ class Proposal:
     phase: Phase
     proposer: int
     payload: object
-    criterion_depth: int = 0
 
 
 def canonical(payload: object) -> str:
@@ -120,8 +118,7 @@ def negotiate(
         iterations += 1
         proposals = {
             i: Proposal(phase=phase, proposer=i,
-                        payload=planner(i, know[i], depth),
-                        criterion_depth=depth)
+                        payload=planner(i, know[i], depth))
             for i in members
         }
         payloads = {i: (canonical(proposals[i].payload), know[i]) for i in members}

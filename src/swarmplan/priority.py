@@ -3,28 +3,18 @@
 A law turns per-robot key data (battery, task rank, utility) into a total
 order over robot ids. Safety is not a sort key: plans that would breach
 the separation distance are vetoed before prioritization ever runs (see
-the routing resolution in the engine). A robot below the low-battery
+the conflict resolution in :mod:`routing`). A robot below the low-battery
 threshold withdraws from task selection entirely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Iterable, Mapping
 
 #: Battery percentage below which a robot withdraws from selection.
 LOW_BATTERY_WITHDRAWAL = 5.0
-
-
-class NeedLevel(IntEnum):
-    """Prioritization levels, lowest gates the rest."""
-
-    SAFETY = 1
-    BASIC = 2
-    CAPABILITY = 3
-    TEAM = 4
-    SELF_UPGRADE = 5
 
 
 class PriorityLaw(Enum):

@@ -1,24 +1,46 @@
-"""Per-tick motion: straight-line steps, conflict detection, clustering.
+"""Per-tick motion: straight-line steps, conflict detection and resolution.
 
 The world is obstacle-free, so a robot's path is the straight segment to
 its goal, advanced ``step_length`` per tick. Two robots conflict when
 their intended motion segments for the tick pass within twice the safety
 radius. Conflicting pairs are merged into clusters with union-find; each
-cluster is resolved by letting only its highest-priority member move.
+cluster lets one mover step and stops the rest. Separation enforcement
+then turns crowding steps into one-sided detours or stops, and robots
+without a goal step out of the way. These are pure functions of plain
+data; the engine replays their decisions as events and energy charges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .world import Position, RobotState, euclidean
 
+#: Ticks without progress toward a goal before a robot escalates its
+#: conflict avoidance (full-circle detours, cluster relaxation).
+STALL_ESCAPE = 12
+_DETOUR_ANGLES = (30, 60, 90, 120, 150)
+_ESCAPE_ANGLES = (30, 60, 90, 120, 150, 180, 210, 240, 270, 300, 330)
+_YIELD_ANGLES = (0, 45, -45, 90, -90, 135, -135)
 
-class MotionAction(Enum):
-    MOVE_STEP = "move"
-    STOP = "stop"
+
+@dataclass(frozen=True)
+class Geometry:
+    """The scenario lengths motion is planned with, in meters."""
+
+    safety_radius: float
+    step_length: float
+    world_size: float
+
+    @property
+    def limit(self) -> float:
+        """Separation enforced between executed positions: slightly above
+        the detection threshold, so robots never settle inside the band
+        that would re-trigger detection forever."""
+        return 2.0 * self.safety_radius + 1e-6
 
 
 @dataclass(frozen=True)
@@ -141,10 +163,266 @@ def cluster_conflicts(pairs: Iterable[tuple[int, int]],
             for root in sorted(groups)]
 
 
-def resolve_cluster(cluster: ConflictQueue,
-                    order: Sequence[int]) -> dict[int, MotionAction]:
-    """Only the highest-priority member moves this tick; the rest stop."""
-    if set(order) != set(cluster.members):
-        raise ValueError("order must cover exactly the cluster members")
-    return {rid: (MotionAction.MOVE_STEP if rid == order[0] else MotionAction.STOP)
-            for rid in order}
+@dataclass(frozen=True)
+class ClusterDecision:
+    """One resolved conflict cluster: its members, the movers told to stop
+    (in priority order), and whether a stalled mover relaxed it so that
+    every mover may step."""
+
+    members: tuple[int, ...]
+    losers: tuple[int, ...]
+    relaxed: bool
+
+
+def _turned(pos: Position, ux: float, uy: float, length: float,
+            degrees: float, world: float) -> Position:
+    """``pos`` moved ``length`` along unit (ux, uy) rotated counterclockwise
+    by ``degrees``, clamped to the world."""
+    angle = math.radians(degrees)
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
+    rx, ry = ux * cos_a - uy * sin_a, ux * sin_a + uy * cos_a
+    return Position(min(world, max(0.0, pos.x + length * rx)),
+                    min(world, max(0.0, pos.y + length * ry)))
+
+
+def detours(pos: Position, toward: Position, stall: int,
+            geometry: Geometry) -> Iterator[Position]:
+    """Rotated steps from ``pos`` toward ``toward``, in the order to try them.
+
+    A step is at most ``step_length`` and never overshoots ``toward``.
+    Rotations are one-sided (counterclockwise), because symmetric avoidance
+    oscillates between two head-on robots; a robot stalled for
+    ``STALL_ESCAPE`` ticks searches the whole circle to break a livelock.
+    A step that boundary clamping collapses into standing still is
+    skipped: it wastes the robot's turn without being safe ground.
+    """
+    dx, dy = toward.x - pos.x, toward.y - pos.y
+    d = math.hypot(dx, dy)
+    if d == 0.0:
+        return
+    for degrees in _ESCAPE_ANGLES if stall >= STALL_ESCAPE else _DETOUR_ANGLES:
+        candidate = _turned(pos, dx / d, dy / d, min(geometry.step_length, d),
+                            degrees, geometry.world_size)
+        if euclidean(candidate, pos) > 1e-9:
+            yield candidate
+
+
+def _crowds(point: Position, rid: int, others: Iterable[int],
+            positions: Mapping[int, Position], limit: float) -> bool:
+    """Whether ``point`` comes within ``limit`` of any robot but ``rid``."""
+    return any(other != rid and euclidean(point, positions[other]) < limit
+               for other in others)
+
+
+def yield_steps(current: Mapping[int, Position], moves: Mapping[int, Position],
+                idle: Sequence[int], vertices: Sequence[Position],
+                geometry: Geometry) -> dict[int, Position]:
+    """``moves`` plus the :func:`yield_step` of each robot in ``idle``.
+
+    The goal-less robots of ``idle`` decide in order, each seeing the
+    yields before it as moves. Without yielding, surplus robots form
+    static walls that starve routing progress forever.
+    """
+    moves = dict(moves)
+    for rid in idle:
+        step = yield_step(rid, current, moves, vertices, geometry)
+        if step is not None:
+            moves[rid] = step
+    return moves
+
+
+def yield_step(rid: int, current: Mapping[int, Position],
+               moves: Mapping[int, Position], vertices: Sequence[Position],
+               geometry: Geometry) -> Position | None:
+    """Where goal-less robot ``rid`` steps to make way, or None to stay.
+
+    ``current`` holds every robot's position, ``moves`` each mover's
+    intended position and ``vertices`` the active formation vertices. The
+    robot steps away from the nearest vertex it sits on or, failing that,
+    from the nearest mover closing in on it.
+    """
+    pos = current[rid]
+    clearance = 2.0 * geometry.safety_radius + 0.2
+    threat = None
+    threat_d = clearance
+    for vertex in vertices:
+        d = euclidean(pos, vertex)
+        if d < threat_d:
+            threat, threat_d = vertex, d
+    if threat is None:
+        band = 2.0 * geometry.safety_radius + 2.0 * geometry.step_length
+        for mid in sorted(moves):
+            d = euclidean(pos, current[mid])
+            if d >= band:
+                continue
+            # only yield to movers actually closing in
+            approach = (euclidean(moves[mid], pos) < d)
+            if approach and (threat is None or d < threat_d):
+                threat, threat_d = current[mid], d
+    if threat is None:
+        return None
+    dx, dy = pos.x - threat.x, pos.y - threat.y
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        dx, dy, norm = 1.0, 0.0, 1.0
+    limit = geometry.limit
+
+    def robot_gap(p: Position) -> float:
+        return min((euclidean(p, q) for other, q in current.items() if other != rid),
+                   default=math.inf)
+
+    # yielding straight away from the threat can run into another robot
+    # or onto a formation vertex someone still needs; try rotated escapes
+    # and take the first one with clear ground
+    candidates = [_turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
+                          geometry.world_size) for degrees in _YIELD_ANGLES]
+    candidates = [c for c in candidates if euclidean(c, pos) > 1e-9]
+    for candidate in candidates:
+        if robot_gap(candidate) >= limit and all(
+                euclidean(candidate, v) >= clearance for v in vertices):
+            return candidate
+    # nothing fully clears the vertex zone in one step (it may hug a
+    # world boundary); keep escaping via the step with the most room
+    safe_vs_robots = [c for c in candidates if robot_gap(c) >= limit]
+    if safe_vs_robots:
+        return max(safe_vs_robots, key=robot_gap)
+    return candidates[0] if candidates else None
+
+
+def settle_cluster(members: Sequence[int], moving: Sequence[int],
+                   current: Mapping[int, Position], intents: Mapping[int, Position],
+                   goals: Mapping[int, Position], stall: Mapping[int, int],
+                   geometry: Geometry) -> ClusterDecision:
+    """Let one mover of a conflict cluster step; the other movers stop.
+
+    ``moving`` lists the members that want to move, highest priority
+    first; stationary members never move. The winner is the first mover
+    neither blocked (its step crowds a member) nor pinned (a member holds
+    its goal, so it could only orbit); failing that, the first unpinned
+    mover with a safe step or detour, then the first mover with one. A
+    cluster holding a stalled mover cannot advance one robot at a time, so
+    it relaxes to all movers; separation enforcement still keeps the
+    executed positions apart.
+    """
+    if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
+        return ClusterDecision(tuple(members), (), True)
+    limit = geometry.limit
+
+    def blocked(rid: int) -> bool:
+        return _crowds(intents[rid], rid, members, current, limit)
+
+    def pinned(rid: int) -> bool:
+        goal = goals.get(rid)
+        return goal is not None and _crowds(goal, rid, members, current, limit)
+
+    def can_step(rid: int) -> bool:
+        steps = chain([intents[rid]], detours(current[rid], goals.get(rid, intents[rid]),
+                                              stall.get(rid, 0), geometry))
+        return any(not _crowds(p, rid, current, current, limit) for p in steps)
+
+    winner = next((rid for rid in moving if not blocked(rid) and not pinned(rid)),
+                  None)
+    if winner is None:
+        winner = next((rid for rid in moving if not pinned(rid) and can_step(rid)),
+                      None)
+    if winner is None:
+        # a winner who can neither step nor detour freezes the cluster
+        winner = next((rid for rid in moving if can_step(rid)),
+                      moving[0] if moving else None)
+    return ClusterDecision(tuple(members),
+                           tuple(rid for rid in moving if rid != winner), False)
+
+
+def enforce_separation(current: Mapping[int, Position],
+                       intents: Mapping[int, Position], movers: Sequence[int],
+                       goals: Mapping[int, Position], stall: Mapping[int, int],
+                       geometry: Geometry) -> tuple[dict[int, Position], list[int]]:
+    """Final positions that keep the safety distance, and the movers stopped.
+
+    ``movers`` go highest priority first, each checked against the final
+    positions of those before it and the current positions of the rest. A
+    mover whose endpoint crowds another robot takes the first safe detour,
+    or, when stalled with a goal, the safe detour that regains the most
+    ground. With none safe it stays put, which is safe because current
+    positions already keep the distance.
+    """
+    limit = geometry.limit
+    final = dict(intents)
+    pending = set(movers)
+    stopped: list[int] = []
+
+    def safe(rid: int, p: Position) -> bool:
+        for other in final:
+            if other != rid and euclidean(
+                    p, current[other] if other in pending else final[other]) < limit:
+                return False
+        return True
+
+    for rid in movers:
+        pending.discard(rid)
+        if safe(rid, final[rid]):
+            continue
+        goal = goals.get(rid)
+        stalled = stall.get(rid, 0) >= STALL_ESCAPE
+        safe_steps = []
+        for step in detours(current[rid], goals.get(rid, intents[rid]),
+                            stall.get(rid, 0), geometry):
+            if safe(rid, step):
+                safe_steps.append(step)
+                if not stalled:
+                    break
+        if not safe_steps:
+            final[rid] = current[rid]
+            stopped.append(rid)
+        elif stalled and goal is not None:
+            final[rid] = min(safe_steps, key=lambda p: euclidean(p, goal))
+        else:
+            final[rid] = safe_steps[0]
+    return final, stopped
+
+
+def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
+            movers: Iterable[int], clusters: Sequence[ConflictQueue],
+            priority: Sequence[int], goals: Mapping[int, Position],
+            stall: Mapping[int, int], geometry: Geometry,
+            ) -> tuple[dict[int, Position], list[ClusterDecision], list[int]]:
+    """Final positions for the tick, one decision per cluster, and the
+    robots that separation stopped, in priority order.
+
+    ``current`` and ``intents`` cover every robot (one standing still
+    intends its current position); ``movers`` intend to move. ``priority``
+    orders every mover and cluster member, highest first. ``goals`` holds
+    each formation goal and ``stall`` the ticks each robot has made no
+    progress.
+    """
+    intents = dict(intents)
+    movers = set(movers)
+    decisions = []
+    for cluster in clusters:
+        moving = [rid for rid in priority if rid in cluster.members and rid in movers]
+        decision = settle_cluster(sorted(cluster.members), moving, current,
+                                  intents, goals, stall, geometry)
+        for rid in decision.losers:
+            intents[rid] = current[rid]
+            movers.discard(rid)
+        decisions.append(decision)
+    final, stopped = enforce_separation(
+        current, intents, [rid for rid in priority if rid in movers],
+        goals, stall, geometry)
+    return final, decisions, stopped
+
+
+def track_progress(mark: tuple[Position, float] | None, stall: int,
+                   pos: Position, goal: Position | None,
+                   ) -> tuple[tuple[Position, float] | None, int]:
+    """Next (goal mark, stall count) after a robot's move.
+
+    The mark holds the goal and the closest distance to it so far; the
+    count is the ticks since that distance last shrank or the goal changed.
+    """
+    if goal is None:
+        return None, 0
+    gd = euclidean(pos, goal)
+    if mark is None or mark[0] != goal or gd < mark[1] - 1e-9:
+        return (goal, gd), 0
+    return mark, stall + 1

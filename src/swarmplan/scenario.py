@@ -124,26 +124,9 @@ class Scenario:
                 robots=[RobotSpec(id=int(r["id"]), x=float(r["x"]),
                                   y=float(r["y"]), battery=float(r["battery"]))
                         for r in doc["robots"]],
-                tasks=[Task(id=int(t["id"]),
-                            center=Position(float(t["x"]), float(t["y"])),
-                            required=int(t["required"]),
-                            duration=int(t["duration"]),
-                            timeout=int(t["timeout"]),
-                            arrival_tick=int(t.get("arrival_tick", 0)))
-                       for t in doc["tasks"]],
-                law=PriorityLaw(doc.get("law", "t_low_e")),
-                task_priority_order=doc.get("task_priority_order"),
-                comm_range=(doc.get("comm_range", COMPLETE)
-                            if doc.get("comm_range", COMPLETE) == COMPLETE
-                            else float(doc["comm_range"])),
-                energy=EnergyModel(**doc.get("energy", {})),
-                step_length=float(doc.get("step_length", 1.0)),
-                safety_radius=float(doc.get("safety_radius", 0.5)),
-                formation_radius=float(doc.get("formation_radius", 5.0)),
+                tasks=[_task(t) for t in doc["tasks"]],
                 seed=int(doc.get("seed", 0)),
-                max_ticks=int(doc.get("max_ticks", 10_000)),
-                cata=CataWeights(**doc.get("cata", {})),
-                conflict_negotiation=bool(doc.get("conflict_negotiation", True)),
+                **_settings(doc),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidScenarioError(f"bad scenario field: {exc}") from exc
@@ -153,6 +136,30 @@ class Scenario:
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
         return cls.from_json(Path(path).read_text())
+
+
+def _task(doc: dict) -> Task:
+    return Task(id=int(doc["id"]), center=Position(float(doc["x"]), float(doc["y"])),
+                required=int(doc["required"]), duration=int(doc["duration"]),
+                timeout=int(doc["timeout"]), arrival_tick=int(doc.get("arrival_tick", 0)))
+
+
+def _settings(doc: dict) -> dict:
+    """The optional scenario fields of a scenario or template document,
+    parsed, with their defaults."""
+    comm_range = doc.get("comm_range", COMPLETE)
+    return {
+        "law": PriorityLaw(doc.get("law", "t_low_e")),
+        "task_priority_order": doc.get("task_priority_order"),
+        "comm_range": comm_range if comm_range == COMPLETE else float(comm_range),
+        "energy": EnergyModel(**doc.get("energy", {})),
+        "step_length": float(doc.get("step_length", 1.0)),
+        "safety_radius": float(doc.get("safety_radius", 0.5)),
+        "formation_radius": float(doc.get("formation_radius", 5.0)),
+        "max_ticks": int(doc.get("max_ticks", 10_000)),
+        "cata": CataWeights(**doc.get("cata", {})),
+        "conflict_negotiation": bool(doc.get("conflict_negotiation", True)),
+    }
 
 
 def generate(template: dict, seed: int) -> Scenario:
@@ -170,7 +177,8 @@ def generate(template: dict, seed: int) -> Scenario:
         n_robots = int(template["n_robots"])
         mean = float(template.get("battery_mean", 90.0))
         sd = float(template.get("battery_sd", 10.0))
-        task_docs = template["tasks"]
+        tasks = [_task(t) for t in template["tasks"]]
+        settings = _settings(template)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
@@ -179,39 +187,18 @@ def generate(template: dict, seed: int) -> Scenario:
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]
 
-    safety_radius = float(template.get("safety_radius", 0.5))
     if "positions" in template:
         positions = [(float(x), float(y)) for x, y in template["positions"]]
         if len(positions) != n_robots:
             raise InvalidTemplateError("positions length != n_robots")
     else:
-        positions = _sample_positions(rng, n_robots, world, 2.0 * safety_radius)
+        positions = _sample_positions(rng, n_robots, world,
+                                      2.0 * settings["safety_radius"])
 
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]
-    tasks = [Task(id=int(t["id"]), center=Position(float(t["x"]), float(t["y"])),
-                  required=int(t["required"]), duration=int(t["duration"]),
-                  timeout=int(t["timeout"]), arrival_tick=int(t.get("arrival_tick", 0)))
-             for t in task_docs]
-
-    scenario = Scenario(
-        world_size=world,
-        robots=robots,
-        tasks=tasks,
-        law=PriorityLaw(template.get("law", "t_low_e")),
-        task_priority_order=template.get("task_priority_order"),
-        comm_range=(template.get("comm_range", COMPLETE)
-                    if template.get("comm_range", COMPLETE) == COMPLETE
-                    else float(template["comm_range"])),
-        energy=EnergyModel(**template.get("energy", {})),
-        step_length=float(template.get("step_length", 1.0)),
-        safety_radius=safety_radius,
-        formation_radius=float(template.get("formation_radius", 5.0)),
-        seed=seed,
-        max_ticks=int(template.get("max_ticks", 10_000)),
-        cata=CataWeights(**template.get("cata", {})),
-        conflict_negotiation=bool(template.get("conflict_negotiation", True)),
-    )
+    scenario = Scenario(world_size=world, robots=robots,
+                        tasks=tasks, seed=seed, **settings)
     scenario.validate()
     return scenario
 

@@ -9,7 +9,7 @@ ledger sum, per robot) can be checked exactly after any run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -63,7 +63,6 @@ class RobotState:
     group: int | None = None
     slot: int | None = None
     goal: Position | None = None
-    path: list[Position] = field(default_factory=list)
 
     @property
     def alive(self) -> bool:

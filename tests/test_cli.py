@@ -50,6 +50,11 @@ class TestGenerate:
     def test_missing_template_exits_2(self, tmp_path):
         assert main(["generate", "--template", str(tmp_path / "nope.json")]) == 2
 
+    def test_bad_law_exits_2(self, template_file, capsys):
+        assert main(["generate", "--template", str(template_file),
+                     "--law", "bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
 
 class TestRun:
     def test_metrics_and_trace(self, tmp_path, scenario_file, capsys):

@@ -1,9 +1,9 @@
 import pytest
 
-from swarmplan.engine import Engine, EventKind, RobotPhase, run
+from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
-from swarmplan.world import Position, Task
+from swarmplan.world import EnergyModel, Position, Task
 from helpers import suite_scenario
 
 
@@ -38,7 +38,7 @@ class TestSingleRobot:
         for _ in range(3):
             engine.tick()
         assert engine.robots[1].pos == Position(5.0, 6.0)
-        assert engine.phase[1] is RobotPhase.AT_SLOT
+        assert engine.at_slot == {1}
         for _ in range(2):
             engine.tick()
         metrics = engine.metrics()
@@ -106,6 +106,34 @@ class TestTermination:
         metrics, events = run(s)
         dead = [e for e in events if e.kind is EventKind.ROBOT_DEAD]
         assert len(dead) == 1 and dead[0].subjects == (1,)
+
+    def test_death_in_gossip_charge_is_reported(self):
+        # robot 1 can pay for one gossip round and no more
+        s = scenario([RobotSpec(1, 5.0, 9.0, 0.01),
+                      RobotSpec(2, 10.0, 9.0, 90.0)],
+                     [task(1, 7.0, 2.0, timeout=60)])
+        _, events = run(s)
+        dead = [(e.tick, e.subjects) for e in events
+                if e.kind is EventKind.ROBOT_DEAD]
+        assert dead == [(0, (1,))]
+
+    def test_death_in_comm_charge_releases_assignment(self):
+        # costly gossip drains robot 1 en route to its slot at tick 2
+        s = scenario([RobotSpec(1, 5.0, 9.0, 8.0),
+                      RobotSpec(2, 10.0, 9.0, 90.0)],
+                     [task(1, 7.0, 2.0, timeout=60)],
+                     energy=EnergyModel(comm_cost=2.5))
+        engine = Engine(s)
+        engine.tick()
+        assert engine.robots[1].group == 1
+        while engine.robots[1].alive:
+            engine.tick()
+        dead = [(e.tick, e.subjects) for e in engine.events
+                if e.kind is EventKind.ROBOT_DEAD]
+        assert dead == [(2, (1,))]
+        robot = engine.robots[1]
+        assert (robot.group, robot.slot, robot.goal) == (None, None, None)
+        assert engine.robots[2].group == 1
 
     def test_all_dead_terminates(self):
         s = scenario([RobotSpec(1, 5.0, 5.0, 0.1)], [task(1, 20.0, 20.0)],

@@ -1,9 +1,13 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmplan
 from swarmplan.formation import (DistanceMatrix, FormationPlan,
                                  formation_assign, hungarian_oracle,
                                  plan_total)
@@ -67,6 +71,16 @@ class TestFormationAssign:
 
 
 class TestHungarianOracle:
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy costs most of the import time and only the oracle needs it
+        src = str(Path(swarmplan.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import swarmplan; "
+             "print('scipy' in sys.modules)", src],
+            capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_examples(self):
         _, total = hungarian_oracle(matrix([[1, 5], [2, 1]]))
         assert total == pytest.approx(2.0)

@@ -108,9 +108,9 @@ class TestNegotiate:
             return sorted(know, key=repr)
 
         graph = complete_graph(range(5))
-        a = negotiate(Phase.ROUTING, set(range(5)), graph, ORDER, planner,
+        a = negotiate(Phase.SELECTION, set(range(5)), graph, ORDER, planner,
                       knowledge)
-        b = negotiate(Phase.ROUTING, frozenset(range(5)), graph, ORDER,
+        b = negotiate(Phase.SELECTION, frozenset(range(5)), graph, ORDER,
                       planner, knowledge)
         assert canonical(a.payload) == canonical(b.payload)
         assert a.iterations == b.iterations <= 2

@@ -1,10 +1,14 @@
+import math
 import random
 
 import pytest
 
-from swarmplan.routing import (ConflictQueue, MotionAction, UnionFind,
+from swarmplan.routing import (STALL_ESCAPE, ClusterDecision, ConflictQueue,
+                               Geometry, UnionFind,
                                _segment_distance, cluster_conflicts,
-                               detect_conflicts, next_step, resolve_cluster)
+                               detect_conflicts, enforce_separation, next_step,
+                               resolve, settle_cluster, track_progress,
+                               yield_step)
 from swarmplan.world import Position
 from helpers import make_robot
 
@@ -87,28 +91,100 @@ class TestClusterConflicts:
         b = cluster_conflicts(set(pairs))
         assert [c.members for c in a] == [c.members for c in b]
 
-
-class TestResolveCluster:
-    def test_two_members(self):
-        cluster = ConflictQueue(members=frozenset({1, 2}))
-        actions = resolve_cluster(cluster, [2, 1])
-        assert actions == {2: MotionAction.MOVE_STEP, 1: MotionAction.STOP}
-
-    def test_three_members(self):
-        cluster = ConflictQueue(members=frozenset({1, 2, 3}))
-        actions = resolve_cluster(cluster, [3, 1, 2])
-        assert actions[3] is MotionAction.MOVE_STEP
-        assert actions[1] is MotionAction.STOP
-        assert actions[2] is MotionAction.STOP
-
     def test_singleton_cluster_invalid(self):
         with pytest.raises(ValueError):
             ConflictQueue(members=frozenset({1}))
 
-    def test_order_must_cover_members(self):
-        cluster = ConflictQueue(members=frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            resolve_cluster(cluster, [1, 2, 3])
+
+#: safety radius 0.5 (separation just over 1 m), 1 m steps, 20 m world
+GEO = Geometry(safety_radius=0.5, step_length=1.0, world_size=20.0)
+
+
+def head_on():
+    """Robots 1 and 2 stepping toward each other along y = 5."""
+    current = {1: Position(5, 5), 2: Position(7.5, 5)}
+    intents = {1: Position(6, 5), 2: Position(6.5, 5)}
+    goals = {1: Position(10, 5), 2: Position(3, 5)}
+    return current, intents, goals
+
+
+class TestClusterResolution:
+    def test_head_on_higher_priority_moves(self):
+        current, intents, goals = head_on()
+        clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
+        final, decisions, stopped = resolve(current, intents, {1, 2}, clusters,
+                                            [2, 1], goals, {}, GEO)
+        assert decisions == [ClusterDecision((1, 2), (1,), False)]
+        assert stopped == []
+        assert final == {1: current[1], 2: intents[2]}
+
+    def test_pinned_mover_skipped_for_one_that_can_finish(self):
+        # robot 2 ranks first and its step is clear, but its goal sits on
+        # stationary robot 3
+        current = {1: Position(12, 12), 2: Position(7, 10), 3: Position(10, 10)}
+        intents = {1: Position(12, 13), 2: Position(8, 10), 3: Position(10, 10)}
+        goals = {1: Position(12, 15), 2: Position(10, 10.5)}
+        decision = settle_cluster([1, 2, 3], [2, 1], current, intents, goals,
+                                  {}, GEO)
+        assert decision == ClusterDecision((1, 2, 3), (2,), False)
+
+    def test_stalled_cluster_relaxes_to_all_movers(self):
+        current, intents, goals = head_on()
+        clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
+        _, decisions, _ = resolve(current, intents, {1, 2}, clusters, [2, 1],
+                                  goals, {1: STALL_ESCAPE}, GEO)
+        assert decisions == [ClusterDecision((1, 2), (), True)]
+
+
+class TestSeparation:
+    @staticmethod
+    def boxed_in(blockers_at):
+        """Robot 1 at (5, 5) heading east; stationary robots 1.05 m away."""
+        current = {1: Position(5, 5)}
+        for k, degrees in enumerate(blockers_at, start=2):
+            a = math.radians(degrees)
+            current[k] = Position(5 + 1.05 * math.cos(a), 5 + 1.05 * math.sin(a))
+        intents = {**current, 1: Position(6, 5)}
+        return current, intents, {1: Position(10, 5)}
+
+    def test_no_safe_step_or_detour_stops(self):
+        current, intents, goals = self.boxed_in([0, 90, 150])
+        final, decisions, stopped = resolve(current, intents, {1}, [],
+                                            [1, 2, 3, 4], goals, {}, GEO)
+        assert (decisions, stopped) == ([], [1])
+        assert final[1] == current[1]
+
+    def test_blocked_step_takes_first_counterclockwise_detour(self):
+        current, intents, goals = self.boxed_in([0])
+        final, stopped = enforce_separation(current, intents, [1], goals, {}, GEO)
+        assert stopped == []
+        # the 30-degree detour still crowds the blocker; 60 is the first clear
+        assert final[1].x == pytest.approx(5.5)
+        assert final[1].y == pytest.approx(5 + math.sqrt(3) / 2)
+
+
+class TestYield:
+    def test_goal_less_robot_steps_off_active_vertex(self):
+        current = {1: Position(5, 5)}
+        step = yield_step(1, current, {}, [Position(5.3, 5)], GEO)
+        assert step == Position(4.0, 5.0)
+
+    def test_clear_robot_stays(self):
+        current = {1: Position(5, 5), 2: Position(15, 15)}
+        assert yield_step(1, current, {2: Position(14, 14)},
+                          [Position(10, 10)], GEO) is None
+
+
+class TestTrackProgress:
+    def test_stall_counts_ticks_without_progress(self):
+        goal = Position(10, 0)
+        mark, stall = track_progress(None, 0, Position(0, 0), goal)
+        assert stall == 0
+        mark, stall = track_progress(mark, stall, Position(0, 1), goal)
+        assert stall == 1
+        mark, stall = track_progress(mark, stall, Position(1, 0), goal)
+        assert stall == 0
+        assert track_progress(mark, 5, Position(1, 0), None) == (None, 0)
 
 
 class TestUnionFind:
