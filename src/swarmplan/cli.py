@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import run as run_scenario
@@ -51,12 +52,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_json(Path(args.spec).read_text())
-    if args.trials:
-        spec.trials = args.trials
-    if args.law:
-        spec.laws = [args.law]
-    if args.seed is not None:
-        spec.base_seed = args.seed
+    overrides = {"trials": args.trials, "base_seed": args.seed,
+                 "laws": [args.law] if args.law else None}
+    # replace() validates the overridden spec again
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     rows, task_rows = run_sweep(spec)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

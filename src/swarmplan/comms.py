@@ -71,14 +71,13 @@ def build_graph(robots: Sequence[RobotState], comm_range: float | str) -> CommGr
     if not robots:
         raise ValueError("need at least one robot")
     alive = [r for r in robots if r.alive]
-    adjacency: dict[int, frozenset[int]] = {}
-    for r in alive:
-        if comm_range == COMPLETE:
-            near = {o.id for o in alive if o.id != r.id}
-        else:
-            near = {o.id for o in alive
-                    if o.id != r.id and euclidean(r.pos, o.pos) <= comm_range}
-        adjacency[r.id] = frozenset(near)
+    if comm_range == COMPLETE:
+        # connected by construction
+        everyone = frozenset(r.id for r in alive)
+        return CommGraph({r.id: everyone - {r.id} for r in alive})
+    adjacency = {r.id: frozenset(o.id for o in alive if o.id != r.id
+                                 and euclidean(r.pos, o.pos) <= comm_range)
+                 for r in alive}
     if not _connected(adjacency, adjacency.keys()):
         raise DisconnectedGraphError(
             f"comm graph disconnected over {sorted(adjacency)} at range {comm_range}")

@@ -10,7 +10,7 @@ the scenario: identical inputs give byte-identical metrics and traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import cata as cata_mod
@@ -259,13 +259,20 @@ class Engine:
         scenario = self.scenario
         engine = self
 
+        # a plan depends on its member only through the proposer field, so
+        # members that know the same tasks share one computation
+        plans: dict[tuple[int, ...], SelectionPlan] = {}
+
         def planner(member: int, knowledge: frozenset, depth: int) -> SelectionPlan:
             known = [t for t in chosen if t.id in knowledge]
-            if not known:
-                return SelectionPlan(assignment={rid: None for rid in free_ids},
-                                     proposer=member)
+            key = tuple(t.id for t in known)
+            if key in plans:
+                return replace(plans[key], proposer=member)
             robots = [engine.robots[rid] for rid in free_ids]
-            if law is PriorityLaw.CATA_U:
+            if not known:
+                plan = SelectionPlan(assignment={rid: None for rid in free_ids},
+                                     proposer=member)
+            elif law is PriorityLaw.CATA_U:
                 plan = cata_mod.cata_select(robots, known, context,
                                             weights=scenario.cata,
                                             safety_radius=scenario.safety_radius,
@@ -275,6 +282,7 @@ class Engine:
                               step_length=scenario.step_length,
                               task_order=scenario.task_priority_order,
                               proposer=member)
+            plans[key] = plan
             return plan
 
         members = frozenset(r.id for r in self._alive())

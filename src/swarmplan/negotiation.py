@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, is_dataclass, asdict
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Hashable, Mapping
 
 from .comms import CommGraph, gossip
@@ -38,6 +39,11 @@ class Proposal:
     phase: Phase
     proposer: int
     payload: object
+
+    @cached_property
+    def key(self) -> str:
+        """The payload's :func:`canonical` form, computed once."""
+        return canonical(self.payload)
 
 
 def canonical(payload: object) -> str:
@@ -74,8 +80,8 @@ def agreement(proposals: list[Proposal]) -> AgreementOutcome:
         raise ValueError("no proposals to compare")
     if len({p.phase for p in proposals}) > 1:
         raise PhaseMismatchError(f"mixed phases: {[p.phase for p in proposals]}")
-    first = canonical(proposals[0].payload)
-    if all(canonical(p.payload) == first for p in proposals[1:]):
+    first = proposals[0].key
+    if all(p.key == first for p in proposals[1:]):
         return AgreementOutcome.END
     return AgreementOutcome.CONFLICT
 
@@ -121,7 +127,7 @@ def negotiate(
                         payload=planner(i, know[i], depth))
             for i in members
         }
-        payloads = {i: (canonical(proposals[i].payload), know[i]) for i in members}
+        payloads = {i: (proposals[i].key, know[i]) for i in members}
         equilibrium, rounds = gossip(payloads, graph, frozenset(members))
         comm_rounds += rounds
         # every member now sees the same multiset of proposals; the check is

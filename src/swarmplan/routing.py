@@ -25,6 +25,9 @@ STALL_ESCAPE = 12
 _DETOUR_ANGLES = (30, 60, 90, 120, 150)
 _ESCAPE_ANGLES = (30, 60, 90, 120, 150, 180, 210, 240, 270, 300, 330)
 _YIELD_ANGLES = (0, 45, -45, 90, -90, 135, -135)
+#: Margin (m) by which the conflict broad phase widens the detection
+#: distance; far above the narrow phase's rounding error at world scale.
+_BROAD_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,12 @@ def _segment_distance(p1: Position, p2: Position,
     if denom != 0.0:
         t = cross(r, d2) / denom
         u = cross(r, d1) / denom
-        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
+        # near-parallel segments turn t and u into rounding noise; a real
+        # crossing also needs the bounding boxes to meet, which is exact
+        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0 and (
+                max(p1.x, p2.x) >= min(q1.x, q2.x) and max(q1.x, q2.x) >= min(p1.x, p2.x)
+                and max(p1.y, p2.y) >= min(q1.y, q2.y)
+                and max(q1.y, q2.y) >= min(p1.y, p2.y)):
             return 0.0  # proper intersection
     return min(
         _point_segment_distance(p1, q1, q2),
@@ -110,14 +118,29 @@ def detect_conflicts(
     A pair (i, j) is flagged when the proposed endpoints are closer than
     2 * safety_radius, or the segments current->proposed pass within that
     distance (covers head-on swaps whose endpoints look safe). Stationary
-    robots participate with proposed == current.
+    robots participate with proposed == current. Only pairs whose segment
+    bounding boxes come that close are tested exactly (sweep-and-prune),
+    so the cost follows the number of nearby pairs, not n².
     """
     limit = 2.0 * safety_radius
-    ids = sorted(proposed)
+    reach = limit + _BROAD_SLACK
+    # broad phase: sweep the segments' bounding boxes in min-x order; a pair
+    # whose boxes are ``reach`` apart on either axis cannot pass the exact
+    # test below, so it is never handed to it
+    boxes = []
+    for i in proposed:
+        c, p = current[i], proposed[i]
+        boxes.append((min(c.x, p.x), max(c.x, p.x), min(c.y, p.y), max(c.y, p.y), i))
+    boxes.sort()
     pairs: set[tuple[int, int]] = set()
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
+    for a, (_, ax1, ay0, ay1, ai) in enumerate(boxes):
+        for b in range(a + 1, len(boxes)):
+            bx0, _, by0, by1, bi = boxes[b]
+            if bx0 - ax1 >= reach:
+                break
+            if by0 - ay1 >= reach or ay0 - by1 >= reach:
+                continue
+            i, j = (ai, bi) if ai < bi else (bi, ai)
             if euclidean(proposed[i], proposed[j]) < limit or _segment_distance(
                     current[i], proposed[i], current[j], proposed[j]) < limit:
                 pairs.add((i, j))

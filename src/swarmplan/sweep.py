@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import run
+from .priority import PriorityLaw
 from .scenario import InvalidTemplateError, generate
 
 CSV_COLUMNS = [
@@ -61,6 +62,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidTemplateError("trials must be >= 1")
+        known_laws = {law.value for law in PriorityLaw}
+        for law in self.laws:
+            if law not in known_laws:
+                raise InvalidTemplateError(f"unknown law {law!r}")
         for s in self.scales:
             if s not in SCALES:
                 raise InvalidTemplateError(f"unknown scale {s!r}")

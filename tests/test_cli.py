@@ -97,6 +97,23 @@ class TestSweepAndSummarize:
         assert (summary_dir / "summary.csv").exists()
         assert (summary_dir / "conflicts.csv").exists()
 
+    def test_unknown_law_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"template": dict(TEMPLATE),
+                                         "laws": ["bogus"], "scales": ["R5+T1"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_law_flag_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"template": dict(TEMPLATE),
+                                         "laws": ["t_low_e"], "scales": ["R5+T1"]}))
+        assert main(["sweep", "--spec", str(spec_path), "--law", "bogus",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_failing_rows_exit_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

@@ -32,6 +32,15 @@ class TestBuildGraph:
         graph = build_graph(robots, COMPLETE)
         assert graph.ids == {1, 2}
 
+    @pytest.mark.parametrize("n_alive", [1, 2, 20])
+    def test_complete_equals_all_pairs(self, n_alive):
+        robots = [make_robot(3 * k + 1, k, 0) for k in range(n_alive)]
+        robots.insert(1, make_robot(100, 5, 5, battery=0.0))
+        alive = [r for r in robots if r.alive]
+        expected = {r.id: frozenset(o.id for o in alive if o.id != r.id)
+                    for r in alive}
+        assert dict(build_graph(robots, COMPLETE).adjacency) == expected
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             build_graph([], COMPLETE)

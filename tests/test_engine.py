@@ -1,8 +1,11 @@
 import pytest
 
+import swarmplan.cata
+import swarmplan.engine
 from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
+from swarmplan.selection import SelectionPlan
 from swarmplan.world import EnergyModel, Position, Task
 from helpers import suite_scenario
 
@@ -185,3 +188,52 @@ class TestInvariants:
         assert metrics.conflict_frequency == 0
         assert not any(e.kind is EventKind.CONFLICT_DETECTED for e in events)
         assert metrics.energy_comm_negotiation < metrics.energy_comm
+
+
+class TestSelectionPlans:
+    """The selection planner computes one plan per distinct known-task set."""
+
+    @pytest.mark.parametrize("law, module, name", [
+        ("t_low_e", swarmplan.engine, "select"),
+        ("cata_u", swarmplan.cata, "cata_select"),
+    ])
+    def test_one_plan_per_known_task_set(self, monkeypatch, law, module, name):
+        # each task is revealed to its nearest robot only and selection runs
+        # before gossip spreads it, so members plan from different knowledge
+        engine = Engine(suite_scenario(law, "R20+T3", "static", 0))
+        engine._phase_arrivals()
+        original = getattr(module, name)
+        computed = {}  # known task ids -> (args, kwargs) of the one computation
+
+        def counted(robots, tasks, *args, **kwargs):
+            key = frozenset(t.id for t in tasks)
+            assert key not in computed
+            computed[key] = (robots, tasks, *args), kwargs
+            return original(robots, tasks, *args, **kwargs)
+
+        proposals = []
+        negotiate = swarmplan.engine.negotiate
+
+        def recording(phase, group, graph, order, planner, knowledge):
+            def recorded(member, know, depth):
+                plan = planner(member, know, depth)
+                proposals.append((member, know, plan))
+                return plan
+            return negotiate(phase, group, graph, order, recorded, knowledge)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
+        engine._phase_selection(engine._graph())
+
+        known_sets = {frozenset(know) & set(engine.tasks) for _, know, _ in proposals}
+        assert len(proposals) == 2 * len(engine.robots)  # two iterations
+        assert set(computed) == known_sets - {frozenset()}
+        for member, know, plan in proposals:
+            key = frozenset(know) & set(engine.tasks)
+            if key:
+                args, kwargs = computed[key]
+                fresh = original(*args, **{**kwargs, "proposer": member})
+            else:
+                fresh = SelectionPlan(assignment={rid: None for rid in engine.robots},
+                                      proposer=member)
+            assert plan == fresh

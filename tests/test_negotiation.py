@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swarmplan.negotiation
 from swarmplan.comms import CommGraph
 from swarmplan.negotiation import (AgreementOutcome, Phase, PhaseMismatchError,
                                    Proposal, agreement, canonical, negotiate)
@@ -130,3 +131,32 @@ class TestNegotiate:
         assert result.payload == ["a", "b"]
         # two exchanges over a diameter-2 line: 2 rounds each
         assert result.comm_rounds == 4
+
+
+class TestCanonicalCalls:
+    @pytest.mark.parametrize("knowledge, iterations", [
+        ({1: frozenset({"t1"}), 2: frozenset({"t1"}), 3: frozenset({"t1"})}, 1),
+        ({1: frozenset({"t1", "t2"}), 2: frozenset({"t1"}), 3: frozenset({"t1"})}, 2),
+    ])
+    def test_once_per_proposal_per_iteration(self, monkeypatch, knowledge,
+                                             iterations):
+        calls = []
+
+        def counted(payload):
+            calls.append(payload)
+            return canonical(payload)
+
+        monkeypatch.setattr(swarmplan.negotiation, "canonical", counted)
+
+        def planner(member, know, depth):
+            return sorted(item for item in know if isinstance(item, str))
+
+        group = set(knowledge)
+        result = negotiate(Phase.SELECTION, group, complete_graph(group), ORDER,
+                           planner, knowledge)
+        assert result.iterations == iterations
+        assert len(calls) == len(group) * iterations
+
+    def test_key_is_canonical_payload(self):
+        plan = SelectionPlan(assignment={1: 2, 3: None}, proposer=1)
+        assert proposal(plan, proposer=1).key == canonical(plan)

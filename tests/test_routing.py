@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.routing import (STALL_ESCAPE, ClusterDecision, ConflictQueue,
                                Geometry, UnionFind,
@@ -9,8 +10,15 @@ from swarmplan.routing import (STALL_ESCAPE, ClusterDecision, ConflictQueue,
                                detect_conflicts, enforce_separation, next_step,
                                resolve, settle_cluster, track_progress,
                                yield_step)
-from swarmplan.world import Position
+from swarmplan.world import Position, euclidean
 from helpers import make_robot
+
+#: Two nearly collinear segments about 4.7 m apart along their common line;
+#: the crossing test's t and u come out inside [0, 1] through rounding alone.
+NEAR_COLLINEAR = (Position(x=35.52837160047852, y=15.109890224310314),
+                  Position(x=13.148197723642031, y=27.91585608862747),
+                  Position(x=9.076573115318606, y=30.24564521508594),
+                  Position(x=7.510712991544231, y=31.14163250292843))
 
 
 class TestNextStep:
@@ -43,6 +51,10 @@ class TestSegmentDistance:
                               Position(3, 4), Position(3, 4))
         assert d == pytest.approx(5.0)
 
+    def test_near_collinear_apart_is_not_a_crossing(self):
+        p1, p2, q1, q2 = NEAR_COLLINEAR
+        assert _segment_distance(p1, p2, q1, q2) == pytest.approx(euclidean(p2, q1))
+
     def test_symmetry(self):
         rng = random.Random(1)
         for _ in range(50):
@@ -50,6 +62,45 @@ class TestSegmentDistance:
                  for _ in range(4)]
             assert _segment_distance(p[0], p[1], p[2], p[3]) == pytest.approx(
                 _segment_distance(p[2], p[3], p[0], p[1]))
+
+
+def all_pairs(current, proposed, safety_radius):
+    """Reference: the exact test on every pair, lower id first."""
+    limit = 2.0 * safety_radius
+    ids = sorted(proposed)
+    return {(i, j) for a, i in enumerate(ids) for j in ids[a + 1:]
+            if euclidean(proposed[i], proposed[j]) < limit
+            or _segment_distance(current[i], proposed[i], current[j], proposed[j]) < limit}
+
+
+@st.composite
+def teams(draw):
+    """(current, proposed, safety radius) for 0-30 robots with sparse ids.
+
+    Robots may start on another robot or exactly 2 * safety_radius east of
+    it, stand still, step less than the limit or move much farther; the
+    world spans 1e-3 m to 1e3 m with the radius scaled along.
+    """
+    scale = draw(st.sampled_from([1e-3, 1e-1, 1.0, 24.0, 1e3]))
+    radius = scale * draw(st.floats(1e-3, 0.2))
+    limit = 2.0 * radius
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    coord = st.floats(0.0, scale)
+    current, proposed = {}, {}
+    for k, rid in enumerate(ids):
+        start = draw(st.sampled_from(["free", "coincident", "at_limit"])) if k else "free"
+        if start == "free":
+            pos = Position(draw(coord), draw(coord))
+        else:
+            other = current[ids[draw(st.integers(0, k - 1))]]
+            pos = other if start == "coincident" else Position(other.x + limit, other.y)
+        move = draw(st.sampled_from(["stay", "step", "long"]))
+        reach = {"stay": 0.0, "step": 0.5 * limit, "long": scale}[move]
+        current[rid] = pos
+        proposed[rid] = Position(pos.x + draw(st.floats(-reach, reach)),
+                                 pos.y + draw(st.floats(-reach, reach)))
+    return current, proposed, radius
 
 
 class TestDetectConflicts:
@@ -67,6 +118,19 @@ class TestDetectConflicts:
         current = {1: Position(0, 0), 2: Position(1, 0)}
         proposed = {1: Position(1, 0), 2: Position(0, 0)}
         assert detect_conflicts(current, proposed, 0.3) == {(1, 2)}
+
+    def test_near_collinear_apart_no_conflict(self):
+        p1, p2, q1, q2 = NEAR_COLLINEAR
+        assert detect_conflicts({1: p1, 2: q1}, {1: p2, 2: q2}, 1.0) == set()
+
+    @given(teams())
+    @example((dict(zip((3, 8), NEAR_COLLINEAR[::2])),
+              dict(zip((3, 8), NEAR_COLLINEAR[1::2])), 1.0))
+    @settings(deadline=None)
+    def test_matches_all_pairs(self, team):
+        current, proposed, radius = team
+        assert detect_conflicts(current, proposed, radius) == all_pairs(
+            current, proposed, radius)
 
 
 class TestClusterConflicts:

@@ -28,6 +28,10 @@ class TestSweepSpec:
         with pytest.raises(InvalidTemplateError):
             spec(scales=["R99+T9"])
 
+    def test_rejects_unknown_law(self):
+        with pytest.raises(InvalidTemplateError, match="bogus"):
+            spec(laws=["t_low_e", "bogus"])
+
     def test_rejects_bad_trials(self):
         with pytest.raises(InvalidTemplateError):
             spec(trials=0)
