@@ -43,7 +43,7 @@ class KnowledgeSet:
     """One robot's local knowledge: a set of datagrams, own included."""
 
     owner: int
-    items: set[Hashable] = field(default_factory=set)
+    items: frozenset[Hashable] = field(default_factory=frozenset)
 
 
 def _connected(adjacency: Mapping[int, frozenset[int]], ids: Iterable[int]) -> bool:
@@ -96,20 +96,31 @@ def gossip(
     their neighbors inside the group. Returns the equilibrium knowledge and
     the number of rounds executed (0 for a singleton, 1 on a complete graph).
 
+    At equilibrium every member holds every member's datagram, so only the
+    round count needs simulating: it runs on the members' reach sets (the ids
+    whose datagrams a member holds), and every returned :class:`KnowledgeSet`
+    shares one frozen item set.
+
     Raises :class:`GossipStalledError` after ``|group|`` rounds, which can
     only happen if the group subgraph is disconnected.
     """
     members = sorted(group)
     n = len(members)
-    sets: dict[int, set[Hashable]] = {i: {(i, payloads[i])} for i in members}
+    items = frozenset((i, payloads[i]) for i in members)
     rounds = 0
-    while any(len(sets[i]) != n for i in members):
-        if rounds >= n:
-            raise GossipStalledError(f"group {members} not connected, gossip stalled")
-        prev = {i: set(sets[i]) for i in members}
-        for i in members:
-            for j in graph.neighbors(i):
-                if j in group:
-                    sets[i] |= prev[j]
-        rounds += 1
-    return {i: KnowledgeSet(owner=i, items=sets[i]) for i in members}, rounds
+    if n > 1:
+        inside = frozenset(members)
+        # round 1 reaches a member's in-group neighbors, on a complete group
+        # everyone; only the members it leaves unheard need more rounds
+        unheard = {i: inside.difference(graph.neighbors(i), (i,)) for i in members}
+        rounds = 1
+        if any(unheard.values()):
+            hood = {i: inside - unheard[i] for i in members}
+            reach = hood
+            while any(len(reach[i]) != n for i in members):
+                if rounds >= n:
+                    raise GossipStalledError(f"group {members} not connected, gossip stalled")
+                reach = {i: frozenset().union(*[reach[j] for j in hood[i]])
+                         for i in members}
+                rounds += 1
+    return {i: KnowledgeSet(i, items) for i in members}, rounds

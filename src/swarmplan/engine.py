@@ -151,9 +151,18 @@ class Engine:
                          "utility": util}
         return ctx
 
-    def _members(self, task_id: int) -> list[int]:
-        return sorted(r.id for r in self.robots.values()
-                      if r.alive and r.group == task_id)
+    def _members_by_task(self) -> dict[int, list[int]]:
+        """Alive robots of each task, ascending ids.
+
+        Build once per phase: charges between phases can kill robots, and
+        within a phase a death or release only touches the task in hand.
+        """
+        members: dict[int, list[int]] = {}
+        for rid in sorted(self.robots):
+            robot = self.robots[rid]
+            if robot.group is not None and robot.alive:
+                members.setdefault(robot.group, []).append(rid)
+        return members
 
     def _graph(self) -> CommGraph:
         return build_graph(self._alive(), self.scenario.comm_range)
@@ -172,9 +181,8 @@ class Engine:
         """Charge ``times`` actions of one kind; every robot dies here, when
         a charge empties its battery."""
         was_alive = robot.alive
-        for _ in range(times):
-            self.ledger.charge(robot, kind, self.scenario.energy,
-                               negotiation=negotiation, task=task)
+        self.ledger.charge(robot, kind, self.scenario.energy,
+                           negotiation=negotiation, task=task, times=times)
         if was_alive and not robot.alive:
             self._release(robot.id)
             self._emit(EventKind.ROBOT_DEAD, (robot.id,))
@@ -229,12 +237,10 @@ class Engine:
         if len(alive) < 2:
             return None
         graph = self._graph()
-        payloads = {r.id: tuple(sorted(self.known_tasks[r.id])) for r in alive}
-        ids = frozenset(r.id for r in alive)
+        payloads = {r.id: self.known_tasks[r.id] for r in alive}
+        ids = frozenset(payloads)
         equilibrium, rounds = gossip(payloads, graph, ids)
-        union: frozenset[int] = frozenset()
-        for _, known in equilibrium[min(ids)].items:
-            union |= frozenset(known)
+        union = frozenset().union(*(known for _, known in equilibrium[min(ids)].items))
         for r in alive:
             self.known_tasks[r.id] = union
         if rounds:
@@ -314,9 +320,10 @@ class Engine:
 
     def _open_requirements(self) -> dict[int, int]:
         open_need: dict[int, int] = {}
+        members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is _TaskStatus.ACTIVE:
-                missing = self.tasks[tid].required - len(self._members(tid))
+                missing = self.tasks[tid].required - len(members_of.get(tid, ()))
                 if missing > 0:
                     open_need[tid] = missing
         return open_need
@@ -338,10 +345,11 @@ class Engine:
     def _phase_formation(self, graph: CommGraph | None) -> None:
         context = self._context()
         order = compile_law(self.scenario.law)
+        members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
                 continue
-            members = self._members(tid)
+            members = members_of.get(tid, ())
             if len(members) != self.tasks[tid].required:
                 continue
             free = [rid for rid in members if self.robots[rid].slot is None]
@@ -398,11 +406,12 @@ class Engine:
         """
         if self.scenario.law is PriorityLaw.CATA_U:
             return
+        members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
                 continue
             verts = self.vertices[tid]
-            en_route = [rid for rid in self._members(tid)
+            en_route = [rid for rid in members_of.get(tid, ())
                         if self.robots[rid].slot is not None
                         and rid not in self.at_slot]
             improved = True
@@ -483,11 +492,12 @@ class Engine:
 
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:
+        members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
                 continue
             task = self.tasks[tid]
-            members = self._members(tid)
+            members = members_of.get(tid, ())
             in_place = (
                 len(members) == task.required
                 and all(self.robots[rid].slot is not None
@@ -517,8 +527,9 @@ class Engine:
     def finished(self) -> bool:
         if not any(r.alive for r in self.robots.values()):
             return True
-        if self.tasks and all(s in (_TaskStatus.COMPLETED, _TaskStatus.TIMED_OUT)
-                              for s in self.status.values()):
+        # with no tasks at all nothing can arrive, so the run is over too
+        if all(s in (_TaskStatus.COMPLETED, _TaskStatus.TIMED_OUT)
+               for s in self.status.values()):
             return True
         return False
 

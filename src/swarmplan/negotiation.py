@@ -11,7 +11,7 @@ proposals is merged in, after which deterministic planners must converge
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass, asdict
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Hashable, Mapping
@@ -56,20 +56,23 @@ def canonical(payload: object) -> str:
     return json.dumps(_plain(payload), sort_keys=True, separators=(",", ":"))
 
 
-def _plain(obj: object) -> object:
+def _plain(obj: object, nested: bool = False) -> object:
+    """``obj`` as plain JSON values; ``nested`` marks values inside a
+    dataclass, which keep a ``proposer`` field, as ``asdict`` would."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        d = asdict(obj)
-        d.pop("proposer", None)
-        return _plain(d)
+        return {f.name: _plain(getattr(obj, f.name), True) for f in fields(obj)
+                if nested or f.name != "proposer"}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, float):
         return format(obj, ".9f")
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _plain(v, nested)
+                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [_plain(v, nested) for v in obj]
     if isinstance(obj, (set, frozenset)):
+        # asdict copies set members without converting them
         return sorted(_plain(v) for v in obj)
     return obj
 

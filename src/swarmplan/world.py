@@ -150,33 +150,40 @@ class EnergyLedger:
         *,
         negotiation: bool = False,
         task: int | None = None,
+        times: int = 1,
     ) -> RobotState:
-        """Deduct the cost of one action from ``robot`` and record it.
+        """Deduct the cost of ``times`` actions of one kind from ``robot``
+        and record it.
 
-        Charging a dead robot is a no-op recorded in ``dropped``. The
-        battery clamps at zero; only the actually-deducted amount enters
-        the accumulators, so conservation holds exactly.
+        Charging a dead robot is a no-op recorded in ``dropped``, once per
+        action. The battery clamps at zero; only the actually-deducted
+        amount enters the accumulators, so conservation holds exactly. Each
+        action is deducted and accumulated on its own, so ``times=k`` leaves
+        every float exactly as ``k`` single charges would.
         """
-        if not robot.alive:
-            self.dropped.append((robot.id, kind))
-            return robot
-        cost = {
-            ChargeKind.MOVE: model.move_cost,
-            ChargeKind.IDLE: model.idle_cost,
-            ChargeKind.COMM_ROUND: model.comm_cost,
-        }[kind]
-        spent = min(cost, robot.battery)
-        robot.battery -= spent
+        per_task = False
         if kind is ChargeKind.MOVE:
-            self.moving[robot.id] += spent
+            cost, acc = model.move_cost, self.moving
         elif kind is ChargeKind.IDLE:
-            self.idle[robot.id] += spent
-        elif negotiation:
-            self.comm_negotiation[robot.id] += spent
-            if task is not None:
-                self.per_task_comm[task] = self.per_task_comm.get(task, 0.0) + spent
+            cost, acc = model.idle_cost, self.idle
+        elif kind is ChargeKind.COMM_ROUND:
+            cost = model.comm_cost
+            if negotiation:
+                acc, per_task = self.comm_negotiation, task is not None
+            else:
+                acc = self.comm_gossip
         else:
-            self.comm_gossip[robot.id] += spent
+            raise ValueError(f"unknown charge kind {kind!r}")
+        rid = robot.id
+        for done in range(times):
+            if not robot.alive:
+                self.dropped.extend([(rid, kind)] * (times - done))
+                break
+            spent = min(cost, robot.battery)
+            robot.battery -= spent
+            acc[rid] += spent
+            if per_task:
+                self.per_task_comm[task] = self.per_task_comm.get(task, 0.0) + spent
         return robot
 
     def spent(self, robot_id: int) -> float:

@@ -67,6 +67,22 @@ class TestRun:
         assert all(json.loads(line)["kind"] for line in trace)
         assert "completed=1" in capsys.readouterr().out
 
+    def test_no_tasks_finishes_at_once(self, tmp_path, template_file, capsys):
+        template = json.loads(template_file.read_text())
+        template["tasks"] = []
+        template_file.write_text(json.dumps(template))
+        scenario = tmp_path / "idle.json"
+        assert main(["generate", "--template", str(template_file),
+                     "--seed", "0", "--out", str(scenario)]) == 0
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                     "--trace"]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["ticks_elapsed"] == 0
+        assert metrics["residual_min"] > 0.0
+        assert (out / "trace.jsonl").read_text() == ""
+        assert "ticks=0" in capsys.readouterr().out
+
     def test_invalid_scenario_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

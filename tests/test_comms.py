@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmplan.comms import (COMPLETE, CommGraph, DisconnectedGraphError,
                              GossipStalledError, build_graph, gossip)
@@ -97,3 +98,65 @@ class TestGossip:
             assert all(equilibrium[i].items == first for i in group)
             assert len(first) == n
             assert rounds <= max(eccentricity(graph, group), 0)
+
+
+def reference_gossip(payloads, graph, group):
+    """Round-by-round union of every member's datagram set, the algorithm
+    ``gossip`` must agree with: same rounds, items and stall message."""
+    members = sorted(group)
+    n = len(members)
+    sets = {i: {(i, payloads[i])} for i in members}
+    rounds = 0
+    while any(len(sets[i]) != n for i in members):
+        if rounds >= n:
+            raise GossipStalledError(f"group {members} not connected, gossip stalled")
+        prev = {i: set(sets[i]) for i in members}
+        for i in members:
+            for j in graph.neighbors(i):
+                if j in group:
+                    sets[i] |= prev[j]
+        rounds += 1
+    return sets, rounds
+
+
+@st.composite
+def gossip_cases(draw):
+    """Sparse ids, a clique, an edgeless or a random graph of any density,
+    and a group that may leave outsiders out or be disconnected."""
+    ids = sorted(draw(st.sets(st.integers(0, 500), min_size=1, max_size=30)))
+    shape = draw(st.sampled_from(["random", "clique", "edgeless"]))
+    adjacency = {i: set() for i in ids}
+    if shape != "edgeless":
+        density = 1.0 if shape == "clique" else draw(st.floats(0.0, 1.0))
+        rng = draw(st.randoms(use_true_random=False))
+        for k, a in enumerate(ids):
+            for b in ids[k + 1:]:
+                if rng.random() < density:
+                    adjacency[a].add(b)
+                    adjacency[b].add(a)
+    graph = CommGraph({i: frozenset(adjacency[i]) for i in ids})
+    group = draw(st.one_of(st.just(set(ids)),
+                           st.sets(st.sampled_from(ids), min_size=1)))
+    payloads = {i: draw(st.one_of(st.text(max_size=2),
+                                  st.frozensets(st.integers(0, 4), max_size=3)))
+                for i in ids}
+    return payloads, graph, group
+
+
+@given(gossip_cases())
+@settings(max_examples=150, deadline=None)
+def test_gossip_matches_round_by_round_reference(case):
+    payloads, graph, group = case
+    try:
+        expected, expected_rounds = reference_gossip(payloads, graph, group)
+    except GossipStalledError as stalled:
+        with pytest.raises(GossipStalledError) as raised:
+            gossip(payloads, graph, group)
+        assert str(raised.value) == str(stalled)
+        return
+    equilibrium, rounds = gossip(payloads, graph, group)
+    assert rounds == expected_rounds
+    assert sorted(equilibrium) == sorted(expected)
+    for member, items in expected.items():
+        assert equilibrium[member].owner == member
+        assert equilibrium[member].items == items

@@ -24,13 +24,17 @@ def task(tid, x, y, required=1, duration=2, timeout=100, arrival_tick=0):
 
 
 class TestSingleRobot:
-    def test_no_tasks_idles_to_max_ticks(self):
-        s = scenario([RobotSpec(1, 5.0, 5.0, 90.0)], [], max_ticks=10)
+    def test_no_tasks_finishes_at_tick_zero(self):
+        # nothing can ever arrive, so the run must not idle the batteries flat
+        s = scenario([RobotSpec(1, 5.0, 5.0, 90.0), RobotSpec(2, 9.0, 5.0, 0.5)],
+                     [], max_ticks=5000)
+        engine = Engine(s)
+        assert engine.finished()
         metrics, events = run(s)
-        assert metrics.ticks_elapsed == 10
-        assert metrics.conflict_frequency == 0
-        assert metrics.energy_moving == 0.0
-        assert metrics.energy_idle == pytest.approx(10 * 0.04)
+        assert events == []
+        assert metrics.ticks_elapsed == 0
+        assert metrics.energy_idle == metrics.energy_comm == 0.0
+        assert (metrics.residual_max, metrics.residual_min) == (90.0, 0.5)
 
     def test_reaches_slot_in_three_ticks(self):
         # vertex sits due North of the center at the formation radius:

@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import asdict, dataclass, is_dataclass
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from swarmplan.comms import CommGraph
 from swarmplan.negotiation import (AgreementOutcome, Phase, PhaseMismatchError,
                                    Proposal, agreement, canonical, negotiate)
 from swarmplan.priority import Criterion
+from swarmplan.formation import FormationPlan
 from swarmplan.selection import SelectionPlan
 
 
@@ -37,6 +41,52 @@ class TestCanonical:
 
     def test_sets_sorted(self):
         assert canonical({3, 1, 2}) == canonical({2, 3, 1})
+
+
+def reference_canonical(payload):
+    """``canonical`` as built on ``dataclasses.asdict``, which drops the
+    proposer of a dataclass but keeps those of dataclasses nested in it."""
+    def plain(obj):
+        if is_dataclass(obj) and not isinstance(obj, type):
+            d = asdict(obj)
+            d.pop("proposer", None)
+            return plain(d)
+        if isinstance(obj, Enum):
+            return obj.value
+        if isinstance(obj, float):
+            return format(obj, ".9f")
+        if isinstance(obj, dict):
+            return {str(k): plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        if isinstance(obj, (set, frozenset)):
+            return sorted(plain(v) for v in obj)
+        return obj
+    return json.dumps(plain(payload), sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class Wrapped:
+    plans: tuple
+    phase: Phase
+    proposer: int
+
+
+_ids = st.integers(-3, 40)
+_values = st.none() | _ids | st.floats(allow_nan=False)
+_selection = st.builds(SelectionPlan, st.dictionaries(_ids, _values, max_size=8), _ids)
+_formation = st.builds(FormationPlan, st.dictionaries(_ids, _values, max_size=8),
+                       _values, _ids)
+_plan = _selection | _formation
+_payloads = (_plan | st.lists(_plan, max_size=3)
+             | st.builds(Wrapped, st.lists(_plan, max_size=3).map(tuple),
+                         st.sampled_from(list(Phase)), _ids))
+
+
+@given(_payloads)
+@settings(max_examples=150, deadline=None)
+def test_canonical_matches_asdict_reference(payload):
+    assert canonical(payload) == reference_canonical(payload)
 
 
 class TestAgreement:

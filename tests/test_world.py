@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.world import (ChargeKind, EnergyLedger, EnergyModel, Position,
                              RobotState, Task, euclidean, polygon_vertices)
@@ -148,3 +148,30 @@ class TestEnergyLedger:
         for kind in kinds:
             ledger.charge(robot, kind, model)
         assert ledger.conservation_error(robot) <= 1e-12
+
+    @staticmethod
+    def _state(ledger, robot):
+        return repr((robot.battery, ledger.moving, ledger.idle, ledger.comm_gossip,
+                     ledger.comm_negotiation, ledger.per_task_comm, ledger.dropped))
+
+    @given(battery=st.floats(0.0, 1.0), kind=st.sampled_from(list(ChargeKind)),
+           negotiation=st.booleans(), task=st.none() | st.integers(0, 2),
+           times=st.integers(0, 40), earlier=st.booleans(),
+           model=st.builds(EnergyModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3),
+                           st.floats(0.0, 0.3)))
+    # dies in the fourth of ten rounds; the last six are dropped
+    @example(battery=0.035, kind=ChargeKind.COMM_ROUND, negotiation=True, task=7,
+             times=10, earlier=False, model=EnergyModel())
+    @settings(deadline=None, max_examples=200)
+    def test_batched_charge_equals_single_charges(self, battery, kind, negotiation,
+                                                  task, times, earlier, model):
+        batched, single = self._ledger_robot(battery), self._ledger_robot(battery)
+        for ledger, robot in (batched, single):
+            if earlier:  # a task total that already exists
+                ledger.charge(robot, ChargeKind.COMM_ROUND, model,
+                              negotiation=True, task=task)
+        batched[0].charge(batched[1], kind, model, negotiation=negotiation,
+                          task=task, times=times)
+        for _ in range(times):
+            single[0].charge(single[1], kind, model, negotiation=negotiation, task=task)
+        assert self._state(*batched) == self._state(*single)
