@@ -33,16 +33,11 @@ class CommGraph:
     def neighbors(self, robot_id: int) -> frozenset[int]:
         return self.adjacency[robot_id]
 
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(self.adjacency)
-
 
 @dataclass
 class KnowledgeSet:
     """One robot's local knowledge: a set of datagrams, own included."""
 
-    owner: int
     items: frozenset[Hashable] = field(default_factory=frozenset)
 
 
@@ -123,4 +118,4 @@ def gossip(
                 reach = {i: frozenset().union(*[reach[j] for j in hood[i]])
                          for i in members}
                 rounds += 1
-    return {i: KnowledgeSet(i, items) for i in members}, rounds
+    return {i: KnowledgeSet(items) for i in members}, rounds

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip
@@ -19,7 +20,7 @@ from .formation import DistanceMatrix, formation_assign
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
-from .routing import (Geometry, cluster_conflicts, detect_conflicts,
+from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
                       next_step, resolve, track_progress, yield_steps)
 from .scenario import Scenario
 from .selection import InsufficientRobotsError, SelectionPlan, select
@@ -122,6 +123,12 @@ class Engine:
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
         self._rank = self._task_ranks()
+        # the tick view every phase reads: the ids and the law never change,
+        # the alive list only when a robot dies (see ``_bury``)
+        self._ids = sorted(self.robots)
+        self._alive_view: list[RobotState] | None = None
+        self._order = compile_law(scenario.law)
+        self._keys = tuple(c.key for c in self._order if c.key != "id")
 
     # ---------------------------------------------------------------- helpers
 
@@ -132,23 +139,31 @@ class Engine:
         return {tid: k for k, tid in enumerate(order)}
 
     def _alive(self) -> list[RobotState]:
-        return [r for r in self.robots.values() if r.alive]
+        """Alive robots in ``robots`` order; callers must not mutate it."""
+        if self._alive_view is None:
+            self._alive_view = [r for r in self.robots.values() if r.alive]
+        return self._alive_view
 
     def _emit(self, kind: EventKind, subjects: tuple[int, ...], detail: str = "") -> None:
         self.events.append(TraceEvent(self.tick_no, kind, subjects, detail))
 
-    def _context(self) -> dict[int, dict[str, float]]:
-        """Per-robot sort-key data for the active law."""
+    def _context(self, ids: Iterable[int]) -> dict[int, dict[str, float]]:
+        """The sort keys the active law reads, for robots ``ids``.
+
+        Build it right before sorting them: no phase changes a robot's keys
+        between its start and the robot's first sort.
+        """
+        cata = self.scenario.cata
         ctx: dict[int, dict[str, float]] = {}
-        for r in self._alive():
-            rank = self._rank.get(r.group, _UNRANKED) if r.group is not None else _UNRANKED
-            util = 0.0
-            if r.group is not None:
-                task = self.tasks[r.group]
-                util = (self.scenario.cata.base
-                        - self.scenario.cata.w_d * euclidean(r.pos, task.center))
-            ctx[r.id] = {"battery": r.battery, "task_rank": float(rank),
-                         "utility": util}
+        for rid in ids:
+            r = self.robots[rid]
+            keys = {"battery": r.battery}
+            if "task_rank" in self._keys:
+                keys["task_rank"] = float(self._rank.get(r.group, _UNRANKED))
+            if "utility" in self._keys:
+                keys["utility"] = (0.0 if r.group is None else cata.base - cata.w_d
+                                   * euclidean(r.pos, self.tasks[r.group].center))
+            ctx[rid] = keys
         return ctx
 
     def _members_by_task(self) -> dict[int, list[int]]:
@@ -158,7 +173,7 @@ class Engine:
         within a phase a death or release only touches the task in hand.
         """
         members: dict[int, list[int]] = {}
-        for rid in sorted(self.robots):
+        for rid in self._ids:
             robot = self.robots[rid]
             if robot.group is not None and robot.alive:
                 members.setdefault(robot.group, []).append(rid)
@@ -167,25 +182,24 @@ class Engine:
     def _graph(self) -> CommGraph:
         return build_graph(self._alive(), self.scenario.comm_range)
 
-    def _charge_comm(self, robot_ids: list[int], rounds: int, *,
-                     negotiation: bool, task_of: dict[int, int | None] | None = None) -> None:
-        for rid in sorted(robot_ids):
-            task = None
-            if task_of is not None:
-                task = task_of.get(rid)
-            self._charge(self.robots[rid], ChargeKind.COMM_ROUND, rounds,
-                         negotiation, task)
+    def _charge_comm(self, robot_ids: Iterable[int], rounds: int, *,
+                     negotiation: bool,
+                     task_of: dict[int, int | None] | None = None) -> list[int]:
+        """Charge ``rounds`` comm rounds to each robot, ascending ids;
+        returns the ids of the robots it killed."""
+        died = self.ledger.charge_many(
+            [self.robots[rid] for rid in sorted(robot_ids)], ChargeKind.COMM_ROUND,
+            self.scenario.energy, negotiation=negotiation, task_of=task_of,
+            times=rounds)
+        for robot in died:
+            self._bury(robot.id)
+        return [robot.id for robot in died]
 
-    def _charge(self, robot: RobotState, kind: ChargeKind, times: int = 1,
-                negotiation: bool = False, task: int | None = None) -> None:
-        """Charge ``times`` actions of one kind; every robot dies here, when
-        a charge empties its battery."""
-        was_alive = robot.alive
-        self.ledger.charge(robot, kind, self.scenario.energy,
-                           negotiation=negotiation, task=task, times=times)
-        if was_alive and not robot.alive:
-            self._release(robot.id)
-            self._emit(EventKind.ROBOT_DEAD, (robot.id,))
+    def _bury(self, rid: int) -> None:
+        """A charge emptied robot ``rid``'s battery; every death comes here."""
+        self._alive_view = None
+        self._release(rid)
+        self._emit(EventKind.ROBOT_DEAD, (rid,))
 
     def _release(self, rid: int) -> None:
         robot = self.robots[rid]
@@ -259,9 +273,9 @@ class Engine:
         if not chosen:
             return
 
-        context = self._context()
         law = self.scenario.law
         free_ids = sorted(r.id for r in free)
+        context = self._context(free_ids)
         scenario = self.scenario
         engine = self
 
@@ -298,7 +312,7 @@ class Engine:
             plan = planner(only, knowledge[only], 0)
             iterations = 1
         else:
-            result = negotiate(Phase.SELECTION, members, graph, compile_law(law),
+            result = negotiate(Phase.SELECTION, members, graph, self._order,
                                planner, knowledge)
             plan = result.payload
             iterations = result.iterations
@@ -343,8 +357,7 @@ class Engine:
 
     # phase 4: grouped robots without a slot negotiate vertex assignments
     def _phase_formation(self, graph: CommGraph | None) -> None:
-        context = self._context()
-        order = compile_law(self.scenario.law)
+        order = self._order
         members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
@@ -361,7 +374,7 @@ class Engine:
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
                                           [verts[v] for v in open_vertices])
-            queue = sort_queue(free, context, order)
+            queue = sort_queue(free, self._context(free), order)
             engine = self
 
             def planner(member: int, knowledge: frozenset, depth: int):
@@ -451,40 +464,56 @@ class Engine:
         clusters = []
         if len(alive) >= 2:
             pairs = detect_conflicts(current, intents, self.scenario.safety_radius)
-            clusters = cluster_conflicts(pairs, tick=self.tick_no)
+            clusters = cluster_conflicts(pairs)
         # one strict total order serves every cluster and the separation pass
         involved = set(moves).union(*(c.members for c in clusters))
-        priority = (sort_queue(involved, self._context(), compile_law(self.scenario.law))
+        priority = (sort_queue(involved, self._context(involved), self._order)
                     if involved else [])
         goals = {r.id: r.goal for r in alive if r.goal is not None}
-        final, decisions, stopped = resolve(current, intents, moves, clusters,
-                                            priority, goals, self._stall, self.geometry)
-        for decision in decisions:
-            self.conflict_frequency += 1
-            self._emit(EventKind.CONFLICT_DETECTED, decision.members)
-            for rid in decision.losers:
-                self._emit(EventKind.STOP, (rid,), "conflict")
-            task_of = {rid: self.robots[rid].group for rid in decision.members}
-            self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS,
-                              negotiation=True, task_of=task_of)
+        final, _, stopped = resolve(current, intents, moves, clusters, priority,
+                                    goals, self._stall, self.geometry,
+                                    self._replay_cluster)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
         return final
 
+    def _replay_cluster(self, decision: ClusterDecision) -> list[int]:
+        """Emit a settled cluster's events and charge its negotiation;
+        returns the members that died paying, which must not move."""
+        self.conflict_frequency += 1
+        self._emit(EventKind.CONFLICT_DETECTED, decision.members)
+        for rid in decision.losers:
+            self._emit(EventKind.STOP, (rid,), "conflict")
+        task_of = {rid: self.robots[rid].group for rid in decision.members}
+        return self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS,
+                                 negotiation=True, task_of=task_of)
+
     # phase 6: execute motion and charge energy
     def _phase_charge(self, final: dict[int, Position]) -> None:
-        for rid in sorted(final):
+        ids = sorted(final)
+        movers, idlers = [], []
+        for rid in ids:
             robot = self.robots[rid]
-            target = final[rid]
-            moved = euclidean(robot.pos, target)
+            moved = euclidean(robot.pos, final[rid])
             if moved > 0.0:
-                robot.pos = target
+                robot.pos = final[rid]
                 self.total_distance += moved
-                self._emit(EventKind.MOVE, (rid,),
-                           f"to=({target.x:.3f},{target.y:.3f})")
-                self._charge(robot, ChargeKind.MOVE)
+                movers.append(robot)
             else:
-                self._charge(robot, ChargeKind.IDLE)
+                idlers.append(robot)
+        # ``dropped`` lists dead robots in charge order; a dead robot never
+        # moves, so charging the movers first keeps it in id order
+        model = self.scenario.energy
+        died = {r.id for r in self.ledger.charge_many(movers, ChargeKind.MOVE, model)}
+        died.update(r.id for r in self.ledger.charge_many(idlers, ChargeKind.IDLE, model))
+        moving = {r.id for r in movers}
+        for rid in ids:
+            robot = self.robots[rid]
+            if rid in moving:
+                self._emit(EventKind.MOVE, (rid,),
+                           f"to=({robot.pos.x:.3f},{robot.pos.y:.3f})")
+            if rid in died:
+                self._bury(rid)
             if robot.goal is not None and robot.pos == robot.goal:
                 self.at_slot.add(rid)
             self._goal_mark[rid], self._stall[rid] = track_progress(
@@ -525,13 +554,10 @@ class Engine:
     # ------------------------------------------------------------------- run
 
     def finished(self) -> bool:
-        if not any(r.alive for r in self.robots.values()):
-            return True
         # with no tasks at all nothing can arrive, so the run is over too
-        if all(s in (_TaskStatus.COMPLETED, _TaskStatus.TIMED_OUT)
-               for s in self.status.values()):
-            return True
-        return False
+        return not self._alive() or all(
+            s in (_TaskStatus.COMPLETED, _TaskStatus.TIMED_OUT)
+            for s in self.status.values())
 
     def metrics(self) -> RunMetrics:
         batteries = [r.battery for r in self.robots.values()]

@@ -45,19 +45,20 @@ class ExhaustedCriteriaError(Exception):
 
 _ID = Criterion("id")
 
+_LAWS: Mapping[PriorityLaw, NeedsOrderQueue] = {
+    PriorityLaw.HIGH_E: (Criterion("battery", descending=True), _ID),
+    PriorityLaw.LOW_E: (Criterion("battery"), _ID),
+    PriorityLaw.T_HIGH_E: (Criterion("task_rank"),
+                           Criterion("battery", descending=True), _ID),
+    PriorityLaw.T_LOW_E: (Criterion("task_rank"), Criterion("battery"), _ID),
+    PriorityLaw.CATA_U: (Criterion("utility", descending=True),
+                         Criterion("battery"), _ID),
+}
+
 
 def compile_law(law: PriorityLaw) -> NeedsOrderQueue:
     """Compile a law into its criterion sequence, ending in the id tie-break."""
-    table = {
-        PriorityLaw.HIGH_E: (Criterion("battery", descending=True), _ID),
-        PriorityLaw.LOW_E: (Criterion("battery"), _ID),
-        PriorityLaw.T_HIGH_E: (Criterion("task_rank"),
-                               Criterion("battery", descending=True), _ID),
-        PriorityLaw.T_LOW_E: (Criterion("task_rank"), Criterion("battery"), _ID),
-        PriorityLaw.CATA_U: (Criterion("utility", descending=True),
-                             Criterion("battery"), _ID),
-    }
-    return table[law]
+    return _LAWS[law]
 
 
 def sort_queue(

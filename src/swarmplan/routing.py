@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .world import Position, RobotState, euclidean
 
@@ -48,10 +48,9 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ConflictQueue:
-    """One cluster of mutually conflicting robots at a given tick."""
+    """One cluster of mutually conflicting robots."""
 
     members: frozenset[int]
-    tick: int = 0
 
     def __post_init__(self) -> None:
         if len(self.members) < 2:
@@ -173,8 +172,7 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def cluster_conflicts(pairs: Iterable[tuple[int, int]],
-                      tick: int = 0) -> list[ConflictQueue]:
+def cluster_conflicts(pairs: Iterable[tuple[int, int]]) -> list[ConflictQueue]:
     """Connected components of the conflict relation, one cluster each."""
     uf = UnionFind()
     for i, j in pairs:
@@ -182,8 +180,7 @@ def cluster_conflicts(pairs: Iterable[tuple[int, int]],
     groups: dict[int, set[int]] = {}
     for i, j in sorted(pairs):
         groups.setdefault(uf.find(i), set()).update((i, j))
-    return [ConflictQueue(members=frozenset(groups[root]), tick=tick)
-            for root in sorted(groups)]
+    return [ConflictQueue(members=frozenset(groups[root])) for root in sorted(groups)]
 
 
 @dataclass(frozen=True)
@@ -408,6 +405,7 @@ def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
             movers: Iterable[int], clusters: Sequence[ConflictQueue],
             priority: Sequence[int], goals: Mapping[int, Position],
             stall: Mapping[int, int], geometry: Geometry,
+            replay: Callable[[ClusterDecision], Iterable[int]] = lambda decision: (),
             ) -> tuple[dict[int, Position], list[ClusterDecision], list[int]]:
     """Final positions for the tick, one decision per cluster, and the
     robots that separation stopped, in priority order.
@@ -416,7 +414,10 @@ def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
     intends its current position); ``movers`` intend to move. ``priority``
     orders every mover and cluster member, highest first. ``goals`` holds
     each formation goal and ``stall`` the ticks each robot has made no
-    progress.
+    progress. ``replay`` receives each decision as soon as its cluster
+    settles, before separation, and returns the members that can no longer
+    move this tick (a robot that died paying for the cluster's
+    negotiation); they stand still like the losers.
     """
     intents = dict(intents)
     movers = set(movers)
@@ -425,7 +426,7 @@ def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
         moving = [rid for rid in priority if rid in cluster.members and rid in movers]
         decision = settle_cluster(sorted(cluster.members), moving, current,
                                   intents, goals, stall, geometry)
-        for rid in decision.losers:
+        for rid in chain(decision.losers, replay(decision)):
             intents[rid] = current[rid]
             movers.discard(rid)
         decisions.append(decision)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,28 @@ class EnergyLedger:
         action is deducted and accumulated on its own, so ``times=k`` leaves
         every float exactly as ``k`` single charges would.
         """
+        self.charge_many([robot], kind, model, negotiation=negotiation,
+                         task_of=None if task is None else {robot.id: task},
+                         times=times)
+        return robot
+
+    def charge_many(
+        self,
+        robots: Iterable[RobotState],
+        kind: ChargeKind,
+        model: EnergyModel,
+        *,
+        negotiation: bool = False,
+        task_of: Mapping[int, int | None] | None = None,
+        times: int = 1,
+    ) -> list[RobotState]:
+        """:meth:`charge` each robot in turn, attributing a negotiation
+        charge to the task ``task_of`` names for it; returns the robots the
+        charge killed, in charge order.
+
+        Every float and ``dropped`` entry is exactly what one :meth:`charge`
+        call per robot, in the same order, would leave.
+        """
         per_task = False
         if kind is ChargeKind.MOVE:
             cost, acc = model.move_cost, self.moving
@@ -169,22 +192,30 @@ class EnergyLedger:
         elif kind is ChargeKind.COMM_ROUND:
             cost = model.comm_cost
             if negotiation:
-                acc, per_task = self.comm_negotiation, task is not None
+                acc, per_task = self.comm_negotiation, task_of is not None
             else:
                 acc = self.comm_gossip
         else:
             raise ValueError(f"unknown charge kind {kind!r}")
-        rid = robot.id
-        for done in range(times):
+        per_task_comm = self.per_task_comm
+        died = []
+        for robot in robots:
+            rid = robot.id
             if not robot.alive:
-                self.dropped.extend([(rid, kind)] * (times - done))
-                break
-            spent = min(cost, robot.battery)
-            robot.battery -= spent
-            acc[rid] += spent
-            if per_task:
-                self.per_task_comm[task] = self.per_task_comm.get(task, 0.0) + spent
-        return robot
+                self.dropped.extend([(rid, kind)] * times)
+                continue
+            task = task_of.get(rid) if per_task else None
+            for done in range(1, times + 1):
+                spent = min(cost, robot.battery)
+                robot.battery -= spent
+                acc[rid] += spent
+                if task is not None:
+                    per_task_comm[task] = per_task_comm.get(task, 0.0) + spent
+                if not robot.alive:
+                    self.dropped.extend([(rid, kind)] * (times - done))
+                    died.append(robot)
+                    break
+        return died
 
     def spent(self, robot_id: int) -> float:
         return (self.moving[robot_id] + self.idle[robot_id]

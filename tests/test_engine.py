@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 import swarmplan.cata
@@ -6,7 +9,7 @@ from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
-from swarmplan.world import EnergyModel, Position, Task
+from swarmplan.world import EnergyModel, Position, Task, euclidean
 from helpers import suite_scenario
 
 
@@ -241,3 +244,84 @@ class TestSelectionPlans:
                 fresh = SelectionPlan(assignment={rid: None for rid in engine.robots},
                                       proposer=member)
             assert plan == fresh
+
+
+def low_battery(law, seed, comm_cost, shuffle=False):
+    """The suite's R20+T3 static scenario with batteries drawn from U(0.5, 6),
+    so that robots die mid-run; ``shuffle`` also lists the robots out of id
+    order under sparse ids."""
+    s = suite_scenario(law, "R20+T3", "static", seed,
+                       energy={"comm_cost": comm_cost})
+    rng = random.Random(seed)
+    robots = [replace(r, battery=rng.uniform(0.5, 6.0)) for r in s.robots]
+    if shuffle:
+        ids = rng.sample(range(100), len(robots))
+        robots = [replace(r, id=i) for r, i in zip(robots, ids)]
+        rng.shuffle(robots)
+    s.robots = robots
+    return s
+
+
+#: low-battery runs in which a robot dies paying for a conflict cluster's
+#: negotiation while it was about to move
+CLUSTER_DEATHS = [("t_low_e", 20, 0.1), ("low_e", 22, 0.03),
+                  ("cata_u", 59, 0.1), ("cata_u", 143, 0.1)]
+
+
+class TestTickView:
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("law, seed, comm_cost", CLUSTER_DEATHS)
+    def test_view_matches_fresh_scan_every_tick(self, law, seed, comm_cost, shuffle):
+        engine = Engine(low_battery(law, seed, comm_cost, shuffle))
+        while True:
+            alive = [r for r in engine.robots.values() if r.alive]
+            assert engine._alive() == alive
+            assert [r.id for r in engine._alive()] == [r.id for r in alive]
+            members: dict[int, list[int]] = {}
+            for rid in sorted(engine.robots):
+                robot = engine.robots[rid]
+                if robot.alive and robot.group is not None:
+                    members.setdefault(robot.group, []).append(rid)
+            assert engine._members_by_task() == members
+            if not alive:
+                assert engine.finished()
+            if engine.tick_no >= engine.scenario.max_ticks or engine.finished():
+                break
+            engine.tick()
+        assert any(e.kind is EventKind.ROBOT_DEAD for e in engine.events)
+
+
+class TestClusterChargeDeath:
+    @pytest.mark.parametrize("law, seed, comm_cost", CLUSTER_DEATHS)
+    def test_robot_killed_by_cluster_charge_stands_still(self, monkeypatch, law,
+                                                         seed, comm_cost):
+        s = low_battery(law, seed, comm_cost)
+        placed = []  # the robots routing positioned, per tick
+        killed = []  # robots that died during routing
+        routing = Engine._phase_routing
+
+        def recording(self):
+            start = len(self.events)
+            final = routing(self)
+            killed.extend(e.subjects[0] for e in self.events[start:]
+                          if e.kind is EventKind.ROBOT_DEAD)
+            placed.append(sorted(final))
+            return final
+
+        monkeypatch.setattr(Engine, "_phase_routing", recording)
+        engine = Engine(s)
+        while engine.tick_no < s.max_ticks and not engine.finished():
+            start = len(engine.events)
+            engine.tick()
+            dead = set()
+            for event in engine.events[start:]:
+                if event.kind is EventKind.ROBOT_DEAD:
+                    dead.add(event.subjects[0])
+                elif event.kind is EventKind.MOVE:
+                    assert event.subjects[0] not in dead, event
+            ids = placed[-1]
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    assert euclidean(engine.robots[a].pos, engine.robots[b].pos) \
+                        >= 2.0 * s.safety_radius, (engine.tick_no, a, b)
+        assert killed

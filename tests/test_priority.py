@@ -16,6 +16,7 @@ class TestCompileLaw:
         for law in PriorityLaw:
             order = compile_law(law)
             assert order[-1] == Criterion("id")
+            assert compile_law(law) is order  # compiled once, not per call
 
     def test_low_e_is_battery_ascending(self):
         assert compile_law(PriorityLaw.LOW_E)[0] == Criterion("battery")

@@ -145,10 +145,6 @@ class TestClusterConflicts:
     def test_empty(self):
         assert cluster_conflicts(set()) == []
 
-    def test_tick_recorded(self):
-        clusters = cluster_conflicts({(1, 2)}, tick=17)
-        assert clusters[0].tick == 17
-
     def test_deterministic_order(self):
         pairs = {(5, 6), (1, 2), (2, 3), (8, 9)}
         a = cluster_conflicts(pairs)
@@ -198,6 +194,28 @@ class TestClusterResolution:
         _, decisions, _ = resolve(current, intents, {1, 2}, clusters, [2, 1],
                                   goals, {1: STALL_ESCAPE}, GEO)
         assert decisions == [ClusterDecision((1, 2), (), True)]
+
+    def test_replayed_death_stands_still_before_separation(self):
+        # a relaxed cluster lets both followers step; robot 1 dies paying
+        # for the cluster's negotiation, so robot 2 must keep clear of where
+        # robot 1 stands, not of where it meant to go
+        current = {1: Position(5, 5), 2: Position(3.5, 5)}
+        intents = {1: Position(6, 5), 2: Position(4.5, 5)}
+        goals = {1: Position(10, 5), 2: Position(10, 5)}
+        clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
+        stall = {1: STALL_ESCAPE}
+        final, _, _ = resolve(current, intents, {1, 2}, clusters, [1, 2], goals,
+                              stall, GEO)
+        assert final == intents
+        assert euclidean(final[2], current[1]) < GEO.limit
+        replayed = []
+        final, decisions, _ = resolve(current, intents, {1, 2}, clusters, [1, 2],
+                                      goals, stall, GEO,
+                                      lambda d: replayed.append(d) or (1,))
+        assert replayed == decisions == [ClusterDecision((1, 2), (), True)]
+        assert final[1] == current[1]
+        assert final[2] != current[2]
+        assert euclidean(final[2], current[1]) >= GEO.limit
 
 
 class TestSeparation:

@@ -99,6 +99,25 @@ class TestEnergyModel:
             EnergyModel(move_cost=-0.1)
 
 
+def reference_charge(ledger, robot, kind, model, negotiation=False, task=None):
+    """One action charged the way the ledger charged before it batched."""
+    if not robot.alive:
+        ledger.dropped.append((robot.id, kind))
+        return
+    if kind is ChargeKind.MOVE:
+        cost, acc = model.move_cost, ledger.moving
+    elif kind is ChargeKind.IDLE:
+        cost, acc = model.idle_cost, ledger.idle
+    else:
+        cost = model.comm_cost
+        acc = ledger.comm_negotiation if negotiation else ledger.comm_gossip
+    spent = min(cost, robot.battery)
+    robot.battery -= spent
+    acc[robot.id] += spent
+    if kind is ChargeKind.COMM_ROUND and negotiation and task is not None:
+        ledger.per_task_comm[task] = ledger.per_task_comm.get(task, 0.0) + spent
+
+
 class TestEnergyLedger:
     def _ledger_robot(self, battery):
         robot = make_robot(1, battery=battery)
@@ -175,3 +194,42 @@ class TestEnergyLedger:
         for _ in range(times):
             single[0].charge(single[1], kind, model, negotiation=negotiation, task=task)
         assert self._state(*batched) == self._state(*single)
+
+    @given(batteries=st.lists(st.floats(0.0, 1.0) | st.just(0.0), max_size=6),
+           kind=st.sampled_from(list(ChargeKind)), negotiation=st.booleans(),
+           tasks=st.lists(st.none() | st.integers(0, 2), min_size=6, max_size=6),
+           attribute=st.booleans(), times=st.integers(0, 12),
+           model=st.builds(EnergyModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3),
+                           st.floats(0.0, 0.3)))
+    # an already-dead robot, then one dying in the fourth of ten rounds
+    @example(batteries=[0.5, 0.0, 0.035, 0.9], kind=ChargeKind.COMM_ROUND,
+             negotiation=True, tasks=[7, 7, 7, None, 2, 2], attribute=True,
+             times=10, model=EnergyModel())
+    @settings(deadline=None, max_examples=200)
+    def test_charge_many_equals_single_charges(self, batteries, kind, negotiation,
+                                               tasks, attribute, times, model):
+        """``charge_many`` equals ``times`` reference charges per robot, in
+        order, and returns the robots those killed."""
+        def team():
+            ledger = EnergyLedger()
+            robots = [make_robot(3 * k + 1, battery=b) for k, b in enumerate(batteries)]
+            for robot in robots:
+                ledger.register(robot)
+            return ledger, robots
+
+        task_of = ({3 * k + 1: t for k, t in enumerate(tasks) if k % 2 == 0}
+                   if attribute else None)
+        (batched, robots), (single, copies) = team(), team()
+        died = batched.charge_many(robots, kind, model, negotiation=negotiation,
+                                   task_of=task_of, times=times)
+        expected = []
+        for robot in copies:
+            was_alive = robot.alive
+            for _ in range(times):
+                reference_charge(single, robot, kind, model, negotiation,
+                                 task_of.get(robot.id) if task_of else None)
+            if was_alive and not robot.alive:
+                expected.append(robot.id)
+        assert [r.id for r in died] == expected
+        assert ([self._state(batched, r) for r in robots]
+                == [self._state(single, r) for r in copies])
