@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
-from .comms import COMPLETE, CommGraph, build_graph, gossip
+from .comms import CommGraph, build_graph, gossip
 from .formation import DistanceMatrix, formation_assign
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
@@ -23,7 +23,7 @@ from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
                       next_step, resolve, track_progress, yield_steps)
 from .scenario import Scenario
-from .selection import InsufficientRobotsError, SelectionPlan, select
+from .selection import SelectionPlan, select
 from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
                     euclidean, polygon_vertices)
 
@@ -208,18 +208,46 @@ class Engine:
         robot.goal = None
         self.at_slot.discard(rid)
 
+    def _negotiate(self, phase: Phase, group: list[int], graph: CommGraph,
+                   plan_for: Callable[[frozenset], Any],
+                   task_of: Callable[[Any], dict[int, int | None]],
+                   detail: str) -> Any:
+        """Negotiate one plan over ``group`` (ascending ids), charge its
+        rounds and return the plan.
+
+        ``plan_for(knowledge)`` sees neither the member nor the criterion
+        depth, so members that know the same tasks share one computation,
+        each receiving it under its own proposer. ``task_of(plan)`` names the
+        task each member's charge is attributed to, and ``detail`` opens the
+        NEGOTIATE event's detail. A lone robot agrees with itself in one
+        iteration and zero rounds: it pays nothing and emits no event.
+        """
+        plans: dict[frozenset, Any] = {}
+
+        def planner(member: int, knowledge: frozenset, depth: int):
+            if knowledge not in plans:
+                plans[knowledge] = plan_for(knowledge)
+            return replace(plans[knowledge], proposer=member)
+
+        knowledge = {rid: self.known_tasks[rid] for rid in group}
+        result = negotiate(phase, frozenset(group), graph, self._order, planner,
+                           knowledge)
+        if result.comm_rounds:
+            self._charge_comm(group, result.comm_rounds, negotiation=True,
+                              task_of=task_of(result.payload))
+            self._emit(EventKind.NEGOTIATE, tuple(group),
+                       f"{detail} iterations={result.iterations}")
+        self.max_negotiation_iterations = max(self.max_negotiation_iterations,
+                                              result.iterations)
+        return result.payload
+
     # ------------------------------------------------------------------ tick
 
     def tick(self) -> None:
         self._phase_arrivals()
         graph = self._phase_gossip()
-        if graph is not None:
-            self._phase_selection(graph)
-            self._phase_formation(graph)
-        elif len(self._alive()) == 1:
-            # a lone robot still plans for the tasks it knows
-            self._phase_selection(None)
-            self._phase_formation(None)
+        self._phase_selection(graph)
+        self._phase_formation(graph)
         moved = self._phase_routing()
         self._phase_charge(moved)
         self._phase_tasks()
@@ -247,8 +275,9 @@ class Engine:
 
     # phase 2: gossip all robot state to equilibrium over the full graph
     def _phase_gossip(self) -> CommGraph | None:
+        """The tick's comm graph, or None when no robot is alive."""
         alive = self._alive()
-        if len(alive) < 2:
+        if not alive:
             return None
         graph = self._graph()
         payloads = {r.id: self.known_tasks[r.id] for r in alive}
@@ -273,57 +302,28 @@ class Engine:
         if not chosen:
             return
 
-        law = self.scenario.law
-        free_ids = sorted(r.id for r in free)
-        context = self._context(free_ids)
         scenario = self.scenario
-        engine = self
+        free_ids = sorted(r.id for r in free)
+        robots = [self.robots[rid] for rid in free_ids]
+        context = self._context(free_ids)
 
-        # a plan depends on its member only through the proposer field, so
-        # members that know the same tasks share one computation
-        plans: dict[tuple[int, ...], SelectionPlan] = {}
-
-        def planner(member: int, knowledge: frozenset, depth: int) -> SelectionPlan:
+        def plan_for(knowledge: frozenset) -> SelectionPlan:
             known = [t for t in chosen if t.id in knowledge]
-            key = tuple(t.id for t in known)
-            if key in plans:
-                return replace(plans[key], proposer=member)
-            robots = [engine.robots[rid] for rid in free_ids]
             if not known:
-                plan = SelectionPlan(assignment={rid: None for rid in free_ids},
-                                     proposer=member)
-            elif law is PriorityLaw.CATA_U:
-                plan = cata_mod.cata_select(robots, known, context,
+                return SelectionPlan(assignment=dict.fromkeys(free_ids), proposer=-1)
+            if scenario.law is PriorityLaw.CATA_U:
+                return cata_mod.cata_select(robots, known, context,
                                             weights=scenario.cata,
-                                            safety_radius=scenario.safety_radius,
-                                            proposer=member)
-            else:
-                plan = select(robots, known, law, scenario.energy, context,
-                              step_length=scenario.step_length,
-                              task_order=scenario.task_priority_order,
-                              proposer=member)
-            plans[key] = plan
-            return plan
+                                            safety_radius=scenario.safety_radius)
+            return select(robots, known, scenario.law, scenario.energy, context,
+                          step_length=scenario.step_length,
+                          task_order=scenario.task_priority_order)
 
-        members = frozenset(r.id for r in self._alive())
-        knowledge = {rid: frozenset(self.known_tasks[rid]) for rid in members}
-        if graph is None or len(members) == 1:
-            only = min(members)
-            plan = planner(only, knowledge[only], 0)
-            iterations = 1
-        else:
-            result = negotiate(Phase.SELECTION, members, graph, self._order,
-                               planner, knowledge)
-            plan = result.payload
-            iterations = result.iterations
-            task_of = {rid: plan.assignment.get(rid) for rid in members}
-            self._charge_comm(sorted(members), result.comm_rounds,
-                              negotiation=True, task_of=task_of)
-            self._emit(EventKind.NEGOTIATE, tuple(sorted(members)),
-                       f"phase=selection iterations={result.iterations}")
-        self.max_negotiation_iterations = max(self.max_negotiation_iterations,
-                                              iterations)
-
+        members = sorted(r.id for r in self._alive())
+        plan = self._negotiate(
+            Phase.SELECTION, members, graph, plan_for,
+            lambda plan: {rid: plan.assignment.get(rid) for rid in members},
+            "phase=selection")
         # a robot that died negotiating takes no task
         assigned = [rid for rid in free_ids
                     if plan.assignment.get(rid) is not None and self.robots[rid].alive]
@@ -347,17 +347,12 @@ class Engine:
         chosen: list[Task] = []
         for tid in sorted(open_need, key=lambda t: (self._rank.get(t, _UNRANKED), t)):
             if open_need[tid] <= budget:
-                base = self.tasks[tid]
-                chosen.append(Task(id=base.id, center=base.center,
-                                   required=open_need[tid], duration=base.duration,
-                                   timeout=base.timeout,
-                                   arrival_tick=base.arrival_tick))
+                chosen.append(replace(self.tasks[tid], required=open_need[tid]))
                 budget -= open_need[tid]
         return chosen
 
     # phase 4: grouped robots without a slot negotiate vertex assignments
     def _phase_formation(self, graph: CommGraph | None) -> None:
-        order = self._order
         members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
@@ -374,38 +369,24 @@ class Engine:
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
                                           [verts[v] for v in open_vertices])
-            queue = sort_queue(free, self._context(free), order)
-            engine = self
-
-            def planner(member: int, knowledge: frozenset, depth: int):
-                return formation_assign(queue, matrix, task=tid, proposer=member)
-
-            if graph is None or len(free) == 1:
-                plan = planner(free[0], frozenset(), 0)
-                iterations = 1
-            else:
-                knowledge = {rid: frozenset(engine.known_tasks[rid]) for rid in free}
-                result = negotiate(Phase.FORMATION, frozenset(free), graph, order,
-                                   planner, knowledge)
-                plan = result.payload
-                iterations = result.iterations
-                self._charge_comm(free, result.comm_rounds, negotiation=True,
-                                  task_of={rid: tid for rid in free})
-                self._emit(EventKind.NEGOTIATE, tuple(free),
-                           f"phase=formation task={tid} iterations={result.iterations}")
-            self.max_negotiation_iterations = max(self.max_negotiation_iterations,
-                                                  iterations)
+            queue = sort_queue(free, self._context(free), self._order)
+            detail = f"phase=formation task={tid}"
+            plan = self._negotiate(
+                Phase.FORMATION, free, graph,
+                lambda knowledge: formation_assign(queue, matrix, task=tid),
+                lambda plan: dict.fromkeys(free, tid), detail)
             for rid, col in plan.slot_of.items():
                 robot = self.robots[rid]
                 if robot.alive:  # a robot that died negotiating takes no slot
                     robot.slot = open_vertices[col]
                     robot.goal = verts[robot.slot]
-            self._emit(EventKind.AGREE, tuple(free), f"phase=formation task={tid}")
-        self._rebalance_slots()
+            self._emit(EventKind.AGREE, tuple(free), detail)
+        self._rebalance_slots(members_of)
 
-    def _rebalance_slots(self) -> None:
+    def _rebalance_slots(self, members_of: dict[int, list[int]]) -> None:
         """Swap vertex assignments between groupmates when it shortens both
-        journeys combined.
+        journeys combined; ``members_of`` is the formation phase's map (a
+        robot that died since holds no slot, so it is skipped).
 
         The greedy assignment can leave robot A parked next to B's vertex
         while its own vertex lies behind B; the two then block each other
@@ -419,7 +400,6 @@ class Engine:
         """
         if self.scenario.law is PriorityLaw.CATA_U:
             return
-        members_of = self._members_by_task()
         for tid in sorted(self.tasks):
             if self.status[tid] is not _TaskStatus.ACTIVE:
                 continue
@@ -470,9 +450,9 @@ class Engine:
         priority = (sort_queue(involved, self._context(involved), self._order)
                     if involved else [])
         goals = {r.id: r.goal for r in alive if r.goal is not None}
-        final, _, stopped = resolve(current, intents, moves, clusters, priority,
-                                    goals, self._stall, self.geometry,
-                                    self._replay_cluster)
+        final, stopped = resolve(current, intents, moves, clusters, priority,
+                                 goals, self._stall, self.geometry,
+                                 self._replay_cluster)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
         return final

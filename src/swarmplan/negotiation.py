@@ -1,11 +1,15 @@
-"""Distributed plan negotiation: propose, gossip, compare, escalate.
+"""Distributed plan negotiation: propose, gossip, compare, merge.
 
 Every group member computes a plan from its own knowledge, the proposals
 are spread to equilibrium, and each member checks whether all proposals
-are identical under a canonical serialization. On disagreement the sort
-criterion is escalated one level and knowledge gleaned from the received
-proposals is merged in, after which deterministic planners must converge
-(two iterations at most in practice, asserted throughout the tests).
+are identical under a canonical serialization. On disagreement the
+knowledge carried by the received proposals is merged into every
+member's, and the criterion depth handed to the planner rises one level.
+The engine's selection and formation planners ignore the depth, so
+agreement comes from the merge alone: members that plan from the same
+knowledge propose the same plan, within two iterations. A group of one
+agrees with itself in one iteration and zero gossip rounds, so a lone
+robot negotiates at no cost.
 """
 
 from __future__ import annotations

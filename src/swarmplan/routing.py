@@ -7,7 +7,8 @@ radius. Conflicting pairs are merged into clusters with union-find; each
 cluster lets one mover step and stops the rest. Separation enforcement
 then turns crowding steps into one-sided detours or stops, and robots
 without a goal step out of the way. These are pure functions of plain
-data; the engine replays their decisions as events and energy charges.
+data; ``resolve`` hands each cluster decision to a ``replay`` callback,
+through which the engine turns it into events and energy charges.
 """
 
 from __future__ import annotations
@@ -406,22 +407,21 @@ def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
             priority: Sequence[int], goals: Mapping[int, Position],
             stall: Mapping[int, int], geometry: Geometry,
             replay: Callable[[ClusterDecision], Iterable[int]] = lambda decision: (),
-            ) -> tuple[dict[int, Position], list[ClusterDecision], list[int]]:
-    """Final positions for the tick, one decision per cluster, and the
-    robots that separation stopped, in priority order.
+            ) -> tuple[dict[int, Position], list[int]]:
+    """Final positions for the tick and the robots that separation
+    stopped, in priority order.
 
     ``current`` and ``intents`` cover every robot (one standing still
     intends its current position); ``movers`` intend to move. ``priority``
     orders every mover and cluster member, highest first. ``goals`` holds
     each formation goal and ``stall`` the ticks each robot has made no
-    progress. ``replay`` receives each decision as soon as its cluster
-    settles, before separation, and returns the members that can no longer
-    move this tick (a robot that died paying for the cluster's
-    negotiation); they stand still like the losers.
+    progress. ``replay`` receives each cluster's decision, in cluster
+    order, as soon as the cluster settles, before separation, and returns
+    the members that can no longer move this tick (a robot that died paying
+    for the cluster's negotiation); they stand still like the losers.
     """
     intents = dict(intents)
     movers = set(movers)
-    decisions = []
     for cluster in clusters:
         moving = [rid for rid in priority if rid in cluster.members and rid in movers]
         decision = settle_cluster(sorted(cluster.members), moving, current,
@@ -429,11 +429,9 @@ def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
         for rid in chain(decision.losers, replay(decision)):
             intents[rid] = current[rid]
             movers.discard(rid)
-        decisions.append(decision)
-    final, stopped = enforce_separation(
+    return enforce_separation(
         current, intents, [rid for rid in priority if rid in movers],
         goals, stall, geometry)
-    return final, decisions, stopped
 
 
 def track_progress(mark: tuple[Position, float] | None, stall: int,

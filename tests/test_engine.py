@@ -64,6 +64,26 @@ class TestSingleRobot:
         assert any(e.kind is EventKind.TASK_TIMED_OUT for e in events)
 
 
+class TestLoneNegotiation:
+    """A robot that negotiates alone agrees with itself at no cost."""
+
+    @pytest.mark.parametrize("robots", [
+        [RobotSpec(1, 5.0, 9.0, 90.0)],
+        # robot 1 dies paying for the first gossip round, leaving robot 2 alone
+        [RobotSpec(1, 5.0, 9.0, 0.01), RobotSpec(2, 10.0, 9.0, 90.0)],
+    ], ids=["one_robot", "partner_dies_in_gossip"])
+    def test_no_event_no_cost_one_iteration(self, robots):
+        metrics, events = run(scenario(robots, [task(1, 7.0, 2.0, timeout=60)]))
+        kinds = [e.kind for e in events]
+        assert kinds.count(EventKind.ROBOT_DEAD) == len(robots) - 1
+        assert [e.detail for e in events if e.kind is EventKind.AGREE] == \
+            ["phase=selection", "phase=formation task=1"]
+        assert EventKind.NEGOTIATE not in kinds
+        assert metrics.energy_comm_negotiation == 0.0
+        assert metrics.max_negotiation_iterations == 1
+        assert metrics.tasks_completed == 1
+
+
 class TestDynamics:
     def test_arrival_revealed_to_one_then_gossiped(self):
         s = scenario([RobotSpec(1, 1.0, 1.0, 90.0),
@@ -244,6 +264,50 @@ class TestSelectionPlans:
                 fresh = SelectionPlan(assignment={rid: None for rid in engine.robots},
                                       proposer=member)
             assert plan == fresh
+
+
+class TestFormationPlans:
+    """The formation planner computes one plan per distinct knowledge."""
+
+    def test_one_assignment_per_distinct_knowledge(self, monkeypatch):
+        engine = Engine(suite_scenario("t_low_e", "R20+T3", "static", 0))
+        engine._phase_arrivals()
+        graph = engine._phase_gossip()
+        engine._phase_selection(graph)
+        # formation ignores knowledge, but members that know different
+        # tasks still plan separately: every other robot forgets them all
+        for rid in engine._ids[::2]:
+            engine.known_tasks[rid] = frozenset()
+        original = swarmplan.engine.formation_assign
+        computed = {}  # task -> (args, kwargs) of each computation
+
+        def counted(*args, **kwargs):
+            computed.setdefault(kwargs["task"], []).append((args, kwargs))
+            return original(*args, **kwargs)
+
+        proposals = {}  # task -> (member, knowledge, plan) of each proposal
+        negotiate = swarmplan.engine.negotiate
+
+        def recording(phase, group, graph, order, planner, knowledge):
+            def recorded(member, know, depth):
+                plan = planner(member, know, depth)
+                proposals.setdefault(plan.task, []).append((member, know, plan))
+                return plan
+            return negotiate(phase, group, graph, order, recorded, knowledge)
+
+        monkeypatch.setattr(swarmplan.engine, "formation_assign", counted)
+        monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
+        engine._phase_formation(graph)
+
+        assert set(proposals) == set(computed) == set(engine.tasks)
+        for tid, made in proposals.items():
+            distinct = {know for _, know, _ in made}
+            assert len(distinct) == 2
+            assert len(made) == engine.tasks[tid].required  # one iteration
+            assert len(computed[tid]) == len(distinct)
+            args, kwargs = computed[tid][0]  # the same inputs every time
+            for member, _, plan in made:
+                assert plan == original(*args, **{**kwargs, "proposer": member})
 
 
 def low_battery(law, seed, comm_cost, shuffle=False):

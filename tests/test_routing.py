@@ -160,6 +160,14 @@ class TestClusterConflicts:
 GEO = Geometry(safety_radius=0.5, step_length=1.0, world_size=20.0)
 
 
+def resolve_recorded(*args, dead=()):
+    """``resolve``'s final positions, the decisions it replayed in order,
+    and its stopped robots; the replay reports ``dead`` as died paying."""
+    decisions = []
+    final, stopped = resolve(*args, lambda d: decisions.append(d) or dead)
+    return final, decisions, stopped
+
+
 def head_on():
     """Robots 1 and 2 stepping toward each other along y = 5."""
     current = {1: Position(5, 5), 2: Position(7.5, 5)}
@@ -172,8 +180,8 @@ class TestClusterResolution:
     def test_head_on_higher_priority_moves(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        final, decisions, stopped = resolve(current, intents, {1, 2}, clusters,
-                                            [2, 1], goals, {}, GEO)
+        final, decisions, stopped = resolve_recorded(current, intents, {1, 2},
+                                                     clusters, [2, 1], goals, {}, GEO)
         assert decisions == [ClusterDecision((1, 2), (1,), False)]
         assert stopped == []
         assert final == {1: current[1], 2: intents[2]}
@@ -191,8 +199,8 @@ class TestClusterResolution:
     def test_stalled_cluster_relaxes_to_all_movers(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        _, decisions, _ = resolve(current, intents, {1, 2}, clusters, [2, 1],
-                                  goals, {1: STALL_ESCAPE}, GEO)
+        _, decisions, _ = resolve_recorded(current, intents, {1, 2}, clusters,
+                                           [2, 1], goals, {1: STALL_ESCAPE}, GEO)
         assert decisions == [ClusterDecision((1, 2), (), True)]
 
     def test_replayed_death_stands_still_before_separation(self):
@@ -204,15 +212,13 @@ class TestClusterResolution:
         goals = {1: Position(10, 5), 2: Position(10, 5)}
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
         stall = {1: STALL_ESCAPE}
-        final, _, _ = resolve(current, intents, {1, 2}, clusters, [1, 2], goals,
-                              stall, GEO)
+        final, _, _ = resolve_recorded(current, intents, {1, 2}, clusters, [1, 2],
+                                       goals, stall, GEO)
         assert final == intents
         assert euclidean(final[2], current[1]) < GEO.limit
-        replayed = []
-        final, decisions, _ = resolve(current, intents, {1, 2}, clusters, [1, 2],
-                                      goals, stall, GEO,
-                                      lambda d: replayed.append(d) or (1,))
-        assert replayed == decisions == [ClusterDecision((1, 2), (), True)]
+        final, decisions, _ = resolve_recorded(current, intents, {1, 2}, clusters,
+                                               [1, 2], goals, stall, GEO, dead=(1,))
+        assert decisions == [ClusterDecision((1, 2), (), True)]
         assert final[1] == current[1]
         assert final[2] != current[2]
         assert euclidean(final[2], current[1]) >= GEO.limit
@@ -231,8 +237,8 @@ class TestSeparation:
 
     def test_no_safe_step_or_detour_stops(self):
         current, intents, goals = self.boxed_in([0, 90, 150])
-        final, decisions, stopped = resolve(current, intents, {1}, [],
-                                            [1, 2, 3, 4], goals, {}, GEO)
+        final, decisions, stopped = resolve_recorded(current, intents, {1}, [],
+                                                     [1, 2, 3, 4], goals, {}, GEO)
         assert (decisions, stopped) == ([], [1])
         assert final[1] == current[1]
 
