@@ -72,6 +72,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     with open(args.rows) as fh:
         rows = list(csv.DictReader(fh))
+    if not rows:
+        print(f"error: {args.rows}: no rows to summarize", file=sys.stderr)
+        return 2
     task_rows = None
     if args.per_task and Path(args.per_task).exists():
         with open(args.per_task) as fh:

@@ -437,22 +437,21 @@ class Engine:
         moves = yield_steps(current, moves,
                             [r.id for r in alive if r.id not in moves and r.group is None],
                             active_vertices, self.geometry)
-        intents = {rid: moves.get(rid, pos) for rid, pos in current.items()}
         if not self.scenario.conflict_negotiation:
-            return intents
+            return {**current, **moves}
 
         clusters = []
         if len(alive) >= 2:
-            pairs = detect_conflicts(current, intents, self.scenario.safety_radius)
+            pairs = detect_conflicts(current, {**current, **moves},
+                                     self.scenario.safety_radius)
             clusters = cluster_conflicts(pairs)
         # one strict total order serves every cluster and the separation pass
         involved = set(moves).union(*(c.members for c in clusters))
         priority = (sort_queue(involved, self._context(involved), self._order)
                     if involved else [])
         goals = {r.id: r.goal for r in alive if r.goal is not None}
-        final, stopped = resolve(current, intents, moves, clusters, priority,
-                                 goals, self._stall, self.geometry,
-                                 self._replay_cluster)
+        final, stopped = resolve(current, moves, clusters, priority, goals,
+                                 self._stall, self.geometry, self._replay_cluster)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
         return final

@@ -1,14 +1,17 @@
 """Per-tick motion: straight-line steps, conflict detection and resolution.
 
 The world is obstacle-free, so a robot's path is the straight segment to
-its goal, advanced ``step_length`` per tick. Two robots conflict when
-their intended motion segments for the tick pass within twice the safety
-radius. Conflicting pairs are merged into clusters with union-find; each
-cluster lets one mover step and stops the rest. Separation enforcement
-then turns crowding steps into one-sided detours or stops, and robots
-without a goal step out of the way. These are pure functions of plain
-data; ``resolve`` hands each cluster decision to a ``replay`` callback,
-through which the engine turns it into events and energy charges.
+its goal, advanced ``step_length`` per tick. Robots without a goal step
+out of the way of movers. Two robots conflict when their intended motion
+segments for the tick pass within twice the safety radius. Conflicting
+pairs are merged into clusters with union-find; each cluster lets one
+mover step and stops the rest. Separation enforcement then turns crowding
+steps into one-sided detours or stops. A tick is ``current`` (every
+robot's position) and ``moves`` (each mover's intended step); one
+predicate, ``_crowds``, answers every clearance question. These are pure
+functions of plain data; ``resolve`` hands each cluster decision to a
+``replay`` callback, through which the engine turns it into events and
+energy charges.
 """
 
 from __future__ import annotations
@@ -230,9 +233,22 @@ def detours(pos: Position, toward: Position, stall: int,
 
 def _crowds(point: Position, rid: int, others: Iterable[int],
             positions: Mapping[int, Position], limit: float) -> bool:
-    """Whether ``point`` comes within ``limit`` of any robot but ``rid``."""
-    return any(other != rid and euclidean(point, positions[other]) < limit
-               for other in others)
+    """Whether ``point`` comes within ``limit`` of any robot but ``rid``:
+    routing's one clearance rule."""
+    for other in others:
+        if other != rid and euclidean(point, positions[other]) < limit:
+            return True
+    return False
+
+
+def _steps(rid: int, current: Mapping[int, Position], moves: Mapping[int, Position],
+           goals: Mapping[int, Position], stall: Mapping[int, int],
+           geometry: Geometry) -> Iterator[Position]:
+    """Mover ``rid``'s intended step, then its :func:`detours` toward its
+    goal (or, without one, toward that step), in the order to try them."""
+    step = moves[rid]
+    yield step
+    yield from detours(current[rid], goals.get(rid, step), stall.get(rid, 0), geometry)
 
 
 def yield_steps(current: Mapping[int, Position], moves: Mapping[int, Position],
@@ -259,87 +275,81 @@ def yield_step(rid: int, current: Mapping[int, Position],
 
     ``current`` holds every robot's position, ``moves`` each mover's
     intended position and ``vertices`` the active formation vertices. The
-    robot steps away from the nearest vertex it sits on or, failing that,
-    from the nearest mover closing in on it.
+    robot steps away from the nearest vertex it sits on (the first listed
+    on a tie) or, failing that, from the nearest mover closing in on it
+    (the lowest id on a tie).
     """
     pos = current[rid]
     clearance = 2.0 * geometry.safety_radius + 0.2
-    threat = None
-    threat_d = clearance
-    for vertex in vertices:
-        d = euclidean(pos, vertex)
-        if d < threat_d:
-            threat, threat_d = vertex, d
-    if threat is None:
+    dists = [euclidean(pos, v) for v in vertices]
+    nearest = min(dists, default=math.inf)
+    if nearest < clearance:
+        threat = vertices[dists.index(nearest)]
+    else:
         band = 2.0 * geometry.safety_radius + 2.0 * geometry.step_length
-        for mid in sorted(moves):
-            d = euclidean(pos, current[mid])
-            if d >= band:
-                continue
-            # only yield to movers actually closing in
-            approach = (euclidean(moves[mid], pos) < d)
-            if approach and (threat is None or d < threat_d):
-                threat, threat_d = current[mid], d
-    if threat is None:
-        return None
+        # only yield to movers actually closing in
+        closing = [(d, mid) for mid, step in moves.items()
+                   if (d := euclidean(pos, current[mid])) < band
+                   and euclidean(step, pos) < d]
+        if not closing:
+            return None
+        threat = current[min(closing)[1]]
     dx, dy = pos.x - threat.x, pos.y - threat.y
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         dx, dy, norm = 1.0, 0.0, 1.0
-    limit = geometry.limit
-
-    def robot_gap(p: Position) -> float:
-        return min((euclidean(p, q) for other, q in current.items() if other != rid),
-                   default=math.inf)
-
     # yielding straight away from the threat can run into another robot
     # or onto a formation vertex someone still needs; try rotated escapes
     # and take the first one with clear ground
-    candidates = [_turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
-                          geometry.world_size) for degrees in _YIELD_ANGLES]
-    candidates = [c for c in candidates if euclidean(c, pos) > 1e-9]
-    for candidate in candidates:
-        if robot_gap(candidate) >= limit and all(
-                euclidean(candidate, v) >= clearance for v in vertices):
-            return candidate
+    gaps = []
+    for degrees in _YIELD_ANGLES:
+        step = _turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
+                       geometry.world_size)
+        if euclidean(step, pos) <= 1e-9:
+            continue
+        gap = min([euclidean(step, q) for other, q in current.items() if other != rid],
+                  default=math.inf)
+        if gap >= geometry.limit and all(euclidean(step, v) >= clearance
+                                         for v in vertices):
+            return step
+        gaps.append((gap, step))
+    if not gaps:
+        return None
     # nothing fully clears the vertex zone in one step (it may hug a
     # world boundary); keep escaping via the step with the most room
-    safe_vs_robots = [c for c in candidates if robot_gap(c) >= limit]
-    if safe_vs_robots:
-        return max(safe_vs_robots, key=robot_gap)
-    return candidates[0] if candidates else None
+    gap, roomiest = max(gaps, key=lambda entry: entry[0])
+    return roomiest if gap >= geometry.limit else gaps[0][1]
 
 
 def settle_cluster(members: Sequence[int], moving: Sequence[int],
-                   current: Mapping[int, Position], intents: Mapping[int, Position],
+                   current: Mapping[int, Position], moves: Mapping[int, Position],
                    goals: Mapping[int, Position], stall: Mapping[int, int],
                    geometry: Geometry) -> ClusterDecision:
     """Let one mover of a conflict cluster step; the other movers stop.
 
-    ``moving`` lists the members that want to move, highest priority
-    first; stationary members never move. The winner is the first mover
-    neither blocked (its step crowds a member) nor pinned (a member holds
-    its goal, so it could only orbit); failing that, the first unpinned
-    mover with a safe step or detour, then the first mover with one. A
-    cluster holding a stalled mover cannot advance one robot at a time, so
-    it relaxes to all movers; separation enforcement still keeps the
-    executed positions apart.
+    ``moving`` lists the members in ``moves``, highest priority first;
+    the other members stand still. The winner is the first mover neither
+    blocked (its step crowds a member) nor pinned (a member holds its goal,
+    so it could only orbit); failing that, the first unpinned mover with a
+    clear step or detour, then the first mover with one. A cluster holding
+    a stalled mover cannot advance one robot at a time, so it relaxes to
+    all movers; separation enforcement still keeps the executed positions
+    apart.
     """
     if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
         return ClusterDecision(tuple(members), (), True)
     limit = geometry.limit
 
     def blocked(rid: int) -> bool:
-        return _crowds(intents[rid], rid, members, current, limit)
+        return _crowds(moves[rid], rid, members, current, limit)
 
     def pinned(rid: int) -> bool:
         goal = goals.get(rid)
         return goal is not None and _crowds(goal, rid, members, current, limit)
 
     def can_step(rid: int) -> bool:
-        steps = chain([intents[rid]], detours(current[rid], goals.get(rid, intents[rid]),
-                                              stall.get(rid, 0), geometry))
-        return any(not _crowds(p, rid, current, current, limit) for p in steps)
+        return any(not _crowds(p, rid, current, current, limit)
+                   for p in _steps(rid, current, moves, goals, stall, geometry))
 
     winner = next((rid for rid in moving if not blocked(rid) and not pinned(rid)),
                   None)
@@ -354,83 +364,62 @@ def settle_cluster(members: Sequence[int], moving: Sequence[int],
                            tuple(rid for rid in moving if rid != winner), False)
 
 
-def enforce_separation(current: Mapping[int, Position],
-                       intents: Mapping[int, Position], movers: Sequence[int],
+def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Position],
                        goals: Mapping[int, Position], stall: Mapping[int, int],
                        geometry: Geometry) -> tuple[dict[int, Position], list[int]]:
     """Final positions that keep the safety distance, and the movers stopped.
 
-    ``movers`` go highest priority first, each checked against the final
-    positions of those before it and the current positions of the rest. A
-    mover whose endpoint crowds another robot takes the first safe detour,
-    or, when stalled with a goal, the safe detour that regains the most
-    ground. With none safe it stays put, which is safe because current
+    ``moves`` maps each mover to its intended step, highest priority first.
+    Every robot starts where it stands; each mover in turn takes its step
+    if that is clear of everyone else's final or, for movers still to
+    decide, current position. Otherwise it takes the first clear detour,
+    or, when stalled with a goal, the clear detour that regains the most
+    ground. With none clear it stays put, which is safe because current
     positions already keep the distance.
     """
     limit = geometry.limit
-    final = dict(intents)
-    pending = set(movers)
+    final = dict(current)
     stopped: list[int] = []
-
-    def safe(rid: int, p: Position) -> bool:
-        for other in final:
-            if other != rid and euclidean(
-                    p, current[other] if other in pending else final[other]) < limit:
-                return False
-        return True
-
-    for rid in movers:
-        pending.discard(rid)
-        if safe(rid, final[rid]):
+    for rid in moves:
+        clear = (p for p in _steps(rid, current, moves, goals, stall, geometry)
+                 if not _crowds(p, rid, final, final, limit))
+        step = next(clear, None)
+        if step is None:
+            stopped.append(rid)
             continue
         goal = goals.get(rid)
-        stalled = stall.get(rid, 0) >= STALL_ESCAPE
-        safe_steps = []
-        for step in detours(current[rid], goals.get(rid, intents[rid]),
-                            stall.get(rid, 0), geometry):
-            if safe(rid, step):
-                safe_steps.append(step)
-                if not stalled:
-                    break
-        if not safe_steps:
-            final[rid] = current[rid]
-            stopped.append(rid)
-        elif stalled and goal is not None:
-            final[rid] = min(safe_steps, key=lambda p: euclidean(p, goal))
-        else:
-            final[rid] = safe_steps[0]
+        if step != moves[rid] and goal is not None and stall.get(rid, 0) >= STALL_ESCAPE:
+            step = min(chain([step], clear), key=lambda p: euclidean(p, goal))
+        final[rid] = step
     return final, stopped
 
 
-def resolve(current: Mapping[int, Position], intents: Mapping[int, Position],
-            movers: Iterable[int], clusters: Sequence[ConflictQueue],
-            priority: Sequence[int], goals: Mapping[int, Position],
-            stall: Mapping[int, int], geometry: Geometry,
-            replay: Callable[[ClusterDecision], Iterable[int]] = lambda decision: (),
+def resolve(current: Mapping[int, Position], moves: Mapping[int, Position],
+            clusters: Sequence[ConflictQueue], priority: Sequence[int],
+            goals: Mapping[int, Position], stall: Mapping[int, int],
+            geometry: Geometry, replay: Callable[[ClusterDecision], Iterable[int]],
             ) -> tuple[dict[int, Position], list[int]]:
     """Final positions for the tick and the robots that separation
     stopped, in priority order.
 
-    ``current`` and ``intents`` cover every robot (one standing still
-    intends its current position); ``movers`` intend to move. ``priority``
-    orders every mover and cluster member, highest first. ``goals`` holds
-    each formation goal and ``stall`` the ticks each robot has made no
-    progress. ``replay`` receives each cluster's decision, in cluster
-    order, as soon as the cluster settles, before separation, and returns
-    the members that can no longer move this tick (a robot that died paying
-    for the cluster's negotiation); they stand still like the losers.
+    ``current`` holds every robot's position and ``moves`` each mover's
+    intended step. ``priority`` orders every mover and cluster member,
+    highest first. ``goals`` holds each formation goal and ``stall`` the
+    ticks each robot has made no progress. ``replay`` receives each
+    cluster's decision, in cluster order, as soon as the cluster settles,
+    before separation, and returns the members that can no longer move
+    this tick (a robot that died paying for the cluster's negotiation);
+    like the losers, they leave ``moves`` and stand still.
     """
-    intents = dict(intents)
-    movers = set(movers)
+    moves = dict(moves)
     for cluster in clusters:
-        moving = [rid for rid in priority if rid in cluster.members and rid in movers]
-        decision = settle_cluster(sorted(cluster.members), moving, current,
-                                  intents, goals, stall, geometry)
+        moving = [rid for rid in priority if rid in cluster.members and rid in moves]
+        decision = settle_cluster(sorted(cluster.members), moving, current, moves,
+                                  goals, stall, geometry)
         for rid in chain(decision.losers, replay(decision)):
-            intents[rid] = current[rid]
-            movers.discard(rid)
+            moves.pop(rid, None)
     return enforce_separation(
-        current, intents, [rid for rid in priority if rid in movers],
+        current, {rid: moves[rid] for rid in priority if rid in moves},
         goals, stall, geometry)
 
 

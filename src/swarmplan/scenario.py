@@ -56,6 +56,10 @@ class Scenario:
 
     def validate(self) -> None:
         problems = []
+        if not self.world_size > 0:
+            problems.append("world_size: must be positive")
+        if not self.robots:
+            problems.append("robots: need at least one robot")
         ids = [r.id for r in self.robots]
         if len(set(ids)) != len(ids):
             problems.append("robots: duplicate ids")

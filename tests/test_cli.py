@@ -4,6 +4,7 @@ import pytest
 
 from swarmplan.cli import main
 from swarmplan.scenario import Scenario
+from swarmplan.sweep import CSV_COLUMNS
 from helpers import TEMPLATE
 
 
@@ -88,6 +89,27 @@ class TestRun:
         bad.write_text("{}")
         assert main(["run", "--scenario", str(bad)]) == 2
 
+    def test_empty_team_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"world_size": 10, "robots": [], "tasks": []}))
+        assert main(["run", "--scenario", str(empty), "--out", str(tmp_path)]) == 2
+        assert "at least one robot" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_zero_world_exits_2(self, tmp_path, capsys):
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({
+            "world_size": 0,
+            "robots": [{"id": 1, "x": 0, "y": 0, "battery": 90}], "tasks": []}))
+        assert main(["run", "--scenario", str(flat)]) == 2
+        assert "world_size" in capsys.readouterr().err
+
+    def test_generate_zero_world_exits_2(self, tmp_path, capsys):
+        template = tmp_path / "flat.json"
+        template.write_text(json.dumps({"world_size": 0, "n_robots": 1, "tasks": []}))
+        assert main(["generate", "--template", str(template)]) == 2
+        assert "world_size" in capsys.readouterr().err
+
 
 class TestSweepAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
@@ -129,6 +151,14 @@ class TestSweepAndSummarize:
         assert main(["sweep", "--spec", str(spec_path), "--law", "bogus",
                      "--out", str(tmp_path / "o")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_summarize_header_only_exits_2(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n")
+        assert main(["summarize", "--rows", str(rows),
+                     "--out", str(tmp_path / "summary")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
 
     def test_failing_rows_exit_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"

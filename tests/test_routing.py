@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmplan.routing import (STALL_ESCAPE, ClusterDecision, ConflictQueue,
-                               Geometry, UnionFind,
-                               _segment_distance, cluster_conflicts,
-                               detect_conflicts, enforce_separation, next_step,
-                               resolve, settle_cluster, track_progress,
-                               yield_step)
+from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision,
+                               ConflictQueue, Geometry, UnionFind, _segment_distance,
+                               _turned, cluster_conflicts, detect_conflicts, detours,
+                               enforce_separation, next_step, resolve,
+                               settle_cluster, track_progress, yield_step,
+                               yield_steps)
 from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
@@ -180,7 +180,7 @@ class TestClusterResolution:
     def test_head_on_higher_priority_moves(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        final, decisions, stopped = resolve_recorded(current, intents, {1, 2},
+        final, decisions, stopped = resolve_recorded(current, intents,
                                                      clusters, [2, 1], goals, {}, GEO)
         assert decisions == [ClusterDecision((1, 2), (1,), False)]
         assert stopped == []
@@ -190,16 +190,16 @@ class TestClusterResolution:
         # robot 2 ranks first and its step is clear, but its goal sits on
         # stationary robot 3
         current = {1: Position(12, 12), 2: Position(7, 10), 3: Position(10, 10)}
-        intents = {1: Position(12, 13), 2: Position(8, 10), 3: Position(10, 10)}
+        moves = {1: Position(12, 13), 2: Position(8, 10)}
         goals = {1: Position(12, 15), 2: Position(10, 10.5)}
-        decision = settle_cluster([1, 2, 3], [2, 1], current, intents, goals,
+        decision = settle_cluster([1, 2, 3], [2, 1], current, moves, goals,
                                   {}, GEO)
         assert decision == ClusterDecision((1, 2, 3), (2,), False)
 
     def test_stalled_cluster_relaxes_to_all_movers(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        _, decisions, _ = resolve_recorded(current, intents, {1, 2}, clusters,
+        _, decisions, _ = resolve_recorded(current, intents, clusters,
                                            [2, 1], goals, {1: STALL_ESCAPE}, GEO)
         assert decisions == [ClusterDecision((1, 2), (), True)]
 
@@ -212,11 +212,11 @@ class TestClusterResolution:
         goals = {1: Position(10, 5), 2: Position(10, 5)}
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
         stall = {1: STALL_ESCAPE}
-        final, _, _ = resolve_recorded(current, intents, {1, 2}, clusters, [1, 2],
+        final, _, _ = resolve_recorded(current, intents, clusters, [1, 2],
                                        goals, stall, GEO)
         assert final == intents
         assert euclidean(final[2], current[1]) < GEO.limit
-        final, decisions, _ = resolve_recorded(current, intents, {1, 2}, clusters,
+        final, decisions, _ = resolve_recorded(current, intents, clusters,
                                                [1, 2], goals, stall, GEO, dead=(1,))
         assert decisions == [ClusterDecision((1, 2), (), True)]
         assert final[1] == current[1]
@@ -232,23 +232,44 @@ class TestSeparation:
         for k, degrees in enumerate(blockers_at, start=2):
             a = math.radians(degrees)
             current[k] = Position(5 + 1.05 * math.cos(a), 5 + 1.05 * math.sin(a))
-        intents = {**current, 1: Position(6, 5)}
-        return current, intents, {1: Position(10, 5)}
+        return current, {1: Position(6, 5)}, {1: Position(10, 5)}
 
     def test_no_safe_step_or_detour_stops(self):
-        current, intents, goals = self.boxed_in([0, 90, 150])
-        final, decisions, stopped = resolve_recorded(current, intents, {1}, [],
+        current, moves, goals = self.boxed_in([0, 90, 150])
+        final, decisions, stopped = resolve_recorded(current, moves, [],
                                                      [1, 2, 3, 4], goals, {}, GEO)
         assert (decisions, stopped) == ([], [1])
         assert final[1] == current[1]
 
     def test_blocked_step_takes_first_counterclockwise_detour(self):
-        current, intents, goals = self.boxed_in([0])
-        final, stopped = enforce_separation(current, intents, [1], goals, {}, GEO)
+        current, moves, goals = self.boxed_in([0])
+        final, stopped = enforce_separation(current, moves, goals, {}, GEO)
         assert stopped == []
         # the 30-degree detour still crowds the blocker; 60 is the first clear
         assert final[1].x == pytest.approx(5.5)
         assert final[1].y == pytest.approx(5 + math.sqrt(3) / 2)
+
+    def test_stalled_mover_takes_clear_detour_nearest_goal(self):
+        # the blocker covers the step and the 30 and 60 degree detours; 90
+        # is the first clear one, -30 (330) the clear one nearest the goal
+        current = {1: Position(5, 5), 2: Position(6, 5.6)}
+        moves, goals = {1: Position(6, 5)}, {1: Position(10, 5)}
+        final, _ = enforce_separation(current, moves, goals, {}, GEO)
+        assert final[1].x == pytest.approx(5.0)
+        assert final[1].y == pytest.approx(6.0)
+        final, stopped = enforce_separation(current, moves, goals,
+                                            {1: STALL_ESCAPE}, GEO)
+        assert stopped == []
+        assert final[1].x == pytest.approx(5 + math.sqrt(3) / 2)
+        assert final[1].y == pytest.approx(4.5)
+
+    def test_stalled_mover_keeps_clear_step(self):
+        # every detour toward the goal gains more ground than the step
+        current = {1: Position(5, 5)}
+        moves, goals = {1: Position(6, 5)}, {1: Position(5, 10)}
+        final, stopped = enforce_separation(current, moves, goals,
+                                            {1: STALL_ESCAPE}, GEO)
+        assert (final, stopped) == (moves, [])
 
 
 class TestYield:
@@ -261,6 +282,247 @@ class TestYield:
         current = {1: Position(5, 5), 2: Position(15, 15)}
         assert yield_step(1, current, {2: Position(14, 14)},
                           [Position(10, 10)], GEO) is None
+
+    def test_equidistant_movers_lower_id_threatens(self):
+        # movers 2 (north) and 3 (east) close in from 1.5 m; 3 is listed first
+        current = {1: Position(5, 5), 2: Position(5, 6.5), 3: Position(6.5, 5)}
+        moves = {3: Position(5.5, 5), 2: Position(5, 5.5)}
+        step = yield_step(1, current, moves, [], GEO)
+        assert step.x == pytest.approx(5.0)
+        assert step.y == pytest.approx(4.0)
+
+    def test_equidistant_vertices_first_listed_threatens(self):
+        # a smaller radius, so stepping off one vertex clears the other
+        geometry = Geometry(safety_radius=0.25, step_length=1.0, world_size=20.0)
+        east, north = Position(5.5, 5), Position(5, 5.5)
+        current = {1: Position(5, 5)}
+        assert yield_step(1, current, {}, [east, north], geometry) == Position(4.0, 5.0)
+        step = yield_step(1, current, {}, [north, east], geometry)
+        assert step.x == pytest.approx(5.0)
+        assert step.y == pytest.approx(4.0)
+
+
+def ref_crowds(point, rid, others, positions, limit):
+    return any(other != rid and euclidean(point, positions[other]) < limit
+               for other in others)
+
+
+def ref_yield_steps(current, moves, idle, vertices, geometry):
+    """Reference: each idle robot in turn, as :func:`ref_yield_step`."""
+    moves = dict(moves)
+    for rid in idle:
+        step = ref_yield_step(rid, current, moves, vertices, geometry)
+        if step is not None:
+            moves[rid] = step
+    return moves
+
+
+def ref_yield_step(rid, current, moves, vertices, geometry):
+    """Reference: scan every vertex and every mover in id order for the
+    threat, and every robot for each candidate's clearance."""
+    pos = current[rid]
+    clearance = 2.0 * geometry.safety_radius + 0.2
+    threat = None
+    threat_d = clearance
+    for vertex in vertices:
+        d = euclidean(pos, vertex)
+        if d < threat_d:
+            threat, threat_d = vertex, d
+    if threat is None:
+        band = 2.0 * geometry.safety_radius + 2.0 * geometry.step_length
+        for mid in sorted(moves):
+            d = euclidean(pos, current[mid])
+            if d >= band:
+                continue
+            approach = (euclidean(moves[mid], pos) < d)
+            if approach and (threat is None or d < threat_d):
+                threat, threat_d = current[mid], d
+    if threat is None:
+        return None
+    dx, dy = pos.x - threat.x, pos.y - threat.y
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        dx, dy, norm = 1.0, 0.0, 1.0
+    limit = geometry.limit
+
+    def robot_gap(p):
+        return min((euclidean(p, q) for other, q in current.items() if other != rid),
+                   default=math.inf)
+
+    candidates = [_turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
+                          geometry.world_size) for degrees in _YIELD_ANGLES]
+    candidates = [c for c in candidates if euclidean(c, pos) > 1e-9]
+    for candidate in candidates:
+        if robot_gap(candidate) >= limit and all(
+                euclidean(candidate, v) >= clearance for v in vertices):
+            return candidate
+    safe_vs_robots = [c for c in candidates if robot_gap(c) >= limit]
+    if safe_vs_robots:
+        return max(safe_vs_robots, key=robot_gap)
+    return candidates[0] if candidates else None
+
+
+def ref_settle_cluster(members, moving, current, intents, goals, stall, geometry):
+    """Reference: ``intents`` holds every robot's intended position."""
+    if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
+        return ClusterDecision(tuple(members), (), True)
+    limit = geometry.limit
+
+    def blocked(rid):
+        return ref_crowds(intents[rid], rid, members, current, limit)
+
+    def pinned(rid):
+        goal = goals.get(rid)
+        return goal is not None and ref_crowds(goal, rid, members, current, limit)
+
+    def can_step(rid):
+        steps = [intents[rid], *detours(current[rid], goals.get(rid, intents[rid]),
+                                        stall.get(rid, 0), geometry)]
+        return any(not ref_crowds(p, rid, current, current, limit) for p in steps)
+
+    winner = next((rid for rid in moving if not blocked(rid) and not pinned(rid)),
+                  None)
+    if winner is None:
+        winner = next((rid for rid in moving if not pinned(rid) and can_step(rid)),
+                      None)
+    if winner is None:
+        winner = next((rid for rid in moving if can_step(rid)),
+                      moving[0] if moving else None)
+    return ClusterDecision(tuple(members),
+                           tuple(rid for rid in moving if rid != winner), False)
+
+
+def ref_enforce_separation(current, intents, movers, goals, stall, geometry):
+    """Reference: every clearance check scans all robots, reading a mover
+    not yet decided at its current position."""
+    limit = geometry.limit
+    final = dict(intents)
+    pending = set(movers)
+    stopped = []
+
+    def safe(rid, p):
+        return all(other == rid or euclidean(
+            p, current[other] if other in pending else final[other]) >= limit
+            for other in final)
+
+    for rid in movers:
+        pending.discard(rid)
+        if safe(rid, final[rid]):
+            continue
+        goal = goals.get(rid)
+        stalled = stall.get(rid, 0) >= STALL_ESCAPE
+        safe_steps = [step for step in detours(current[rid], goals.get(rid, intents[rid]),
+                                               stall.get(rid, 0), geometry)
+                      if safe(rid, step)]
+        if not safe_steps:
+            final[rid] = current[rid]
+            stopped.append(rid)
+        elif stalled and goal is not None:
+            final[rid] = min(safe_steps, key=lambda p: euclidean(p, goal))
+        else:
+            final[rid] = safe_steps[0]
+    return final, stopped
+
+
+def ref_resolve(current, intents, movers, clusters, priority, goals, stall,
+                geometry, replay):
+    """Reference: ``intents`` for every robot plus the ``movers`` set."""
+    intents = dict(intents)
+    movers = set(movers)
+    for cluster in clusters:
+        moving = [rid for rid in priority if rid in cluster.members and rid in movers]
+        decision = ref_settle_cluster(sorted(cluster.members), moving, current,
+                                      intents, goals, stall, geometry)
+        for rid in [*decision.losers, *replay(decision)]:
+            intents[rid] = current[rid]
+            movers.discard(rid)
+    return ref_enforce_separation(
+        current, intents, [rid for rid in priority if rid in movers],
+        goals, stall, geometry)
+
+
+@st.composite
+def ticks(draw):
+    """One routing tick: (geometry, current, moves, goals, stall, idle,
+    vertices, dead) for 0-12 robots with sparse ids in a small world.
+
+    Robots may start on another robot, exactly ``limit`` east of it or on
+    the world's edge, so steps clamp at the boundary. Each robot steps
+    toward a goal (which may sit on another robot), steps without one,
+    stands on its goal or stands idle; any of them may be stalled. Active
+    vertices lie anywhere, on robots or on each other. ``dead`` lists the
+    robots the replay reports as dying when their cluster settles.
+    """
+    geometry = Geometry(safety_radius=draw(st.sampled_from([0.25, 0.5, 1.0])),
+                        step_length=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                        world_size=draw(st.sampled_from([4.0, 8.0, 20.0])))
+    world, limit = geometry.world_size, geometry.limit
+    coord = st.floats(0.0, world)
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
+    current, moves, goals, stall, idle = {}, {}, {}, {}, []
+    for k, rid in enumerate(ids):
+        start = draw(st.sampled_from(["free", "coincident", "at_limit", "edge"]))
+        if start == "free" or not k:
+            pos = Position(draw(coord), draw(coord))
+        elif start == "edge":
+            pos = Position(draw(st.sampled_from([0.0, world])), draw(coord))
+        else:
+            other = current[ids[draw(st.integers(0, k - 1))]]
+            x = other.x + limit if other.x + limit <= world else other.x - limit
+            pos = other if start == "coincident" else Position(x, other.y)
+        current[rid] = pos
+        role = draw(st.sampled_from(["goal", "goal_on_robot", "goal_less", "arrived",
+                                     "idle"]))
+        if role in ("goal", "goal_on_robot"):
+            goal = (current[ids[draw(st.integers(0, k))]] if role == "goal_on_robot"
+                    else Position(draw(coord), draw(coord)))
+            if goal != pos:
+                goals[rid] = goal
+                moves[rid] = next_step(make_robot(rid, pos.x, pos.y), goal,
+                                       geometry.step_length)
+        elif role == "goal_less":
+            reach = geometry.step_length
+            moves[rid] = Position(min(world, max(0.0, pos.x + draw(st.floats(-reach, reach)))),
+                                  min(world, max(0.0, pos.y + draw(st.floats(-reach, reach)))))
+        elif role == "arrived":
+            goals[rid] = pos
+        else:
+            idle.append(rid)
+        stall[rid] = draw(st.sampled_from([0, STALL_ESCAPE - 1, STALL_ESCAPE,
+                                           STALL_ESCAPE + 5]))
+    vertices = draw(st.lists(
+        st.one_of(st.builds(Position, coord, coord),
+                  st.sampled_from(list(current.values()) or [Position(0.0, 0.0)])),
+        max_size=6))
+    dead = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    return geometry, current, moves, goals, stall, idle, vertices, dead
+
+
+class TestMatchesAllScan:
+    @given(ticks(), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=300)
+    def test_yield_and_resolve_match_reference(self, tick, rng):
+        geometry, current, moves, goals, stall, idle, vertices, dead = tick
+        expected = ref_yield_steps(current, moves, idle, vertices, geometry)
+        moves = yield_steps(current, moves, idle, vertices, geometry)
+        assert list(moves.items()) == list(expected.items())
+
+        clusters = cluster_conflicts(detect_conflicts(
+            current, {**current, **moves}, geometry.safety_radius))
+        priority = sorted(set(moves).union(*(c.members for c in clusters)))
+        rng.shuffle(priority)
+        got, want = [], []
+        final, stopped = resolve(
+            current, moves, clusters, priority, goals, stall, geometry,
+            lambda d: got.append(d) or [rid for rid in d.members if rid in dead])
+        ref_final, ref_stopped = ref_resolve(
+            current, {rid: moves.get(rid, pos) for rid, pos in current.items()},
+            moves, clusters, priority, goals, stall, geometry,
+            lambda d: want.append(d) or [rid for rid in d.members if rid in dead])
+        assert got == want
+        assert stopped == ref_stopped
+        assert list(final.items()) == list(ref_final.items())
 
 
 class TestTrackProgress:

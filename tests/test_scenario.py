@@ -127,6 +127,18 @@ class TestValidation:
         with pytest.raises(InvalidScenarioError, match="comm_range"):
             s.validate()
 
+    def test_no_robots(self):
+        s = self._scenario(robots=[], tasks=[])
+        with pytest.raises(InvalidScenarioError, match="at least one robot"):
+            s.validate()
+
+    @pytest.mark.parametrize("size", [0.0, -5.0])
+    def test_world_size_not_positive(self, size):
+        s = self._scenario(world_size=size, robots=[RobotSpec(1, 0.0, 0.0, 90.0)],
+                           tasks=[])
+        with pytest.raises(InvalidScenarioError, match="world_size"):
+            s.validate()
+
 
 class TestSerialization:
     def test_round_trip(self):
