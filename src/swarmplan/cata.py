@@ -57,7 +57,6 @@ def cata_select(
     context: Mapping[int, Mapping[str, float]],
     weights: CataWeights = CataWeights(),
     safety_radius: float = 0.5,
-    proposer: int = -1,
 ) -> SelectionPlan:
     """Greedy max-utility claims in low-energy priority order.
 
@@ -92,4 +91,4 @@ def cata_select(
         open_slots[best] -= 1
         committed.append((robot, by_task[best].center))
 
-    return SelectionPlan(assignment=assignment, proposer=proposer)
+    return SelectionPlan(assignment=assignment)

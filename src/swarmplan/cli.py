@@ -72,14 +72,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_summarize(args: argparse.Namespace) -> int:
     with open(args.rows) as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
-        print(f"error: {args.rows}: no rows to summarize", file=sys.stderr)
-        return 2
     task_rows = None
     if args.per_task and Path(args.per_task).exists():
         with open(args.per_task) as fh:
             task_rows = list(csv.DictReader(fh))
-    files = summarize(rows, task_rows)
+    try:
+        files = summarize(rows, task_rows)
+    except ValueError as exc:  # no rows, missing columns, non-numeric fields
+        print(f"error: {args.rows}: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out) if args.out else Path(".")
     write_files(files, out_dir)
     print(f"wrote {', '.join(sorted(files))} to {out_dir}")

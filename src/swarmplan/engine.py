@@ -216,8 +216,8 @@ class Engine:
         rounds and return the plan.
 
         ``plan_for(knowledge)`` sees neither the member nor the criterion
-        depth, so members that know the same tasks share one computation,
-        each receiving it under its own proposer. ``task_of(plan)`` names the
+        depth, so members that know the same tasks share one computation
+        and propose the same plan object. ``task_of(plan)`` names the
         task each member's charge is attributed to, and ``detail`` opens the
         NEGOTIATE event's detail. A lone robot agrees with itself in one
         iteration and zero rounds: it pays nothing and emits no event.
@@ -227,7 +227,7 @@ class Engine:
         def planner(member: int, knowledge: frozenset, depth: int):
             if knowledge not in plans:
                 plans[knowledge] = plan_for(knowledge)
-            return replace(plans[knowledge], proposer=member)
+            return plans[knowledge]
 
         knowledge = {rid: self.known_tasks[rid] for rid in group}
         result = negotiate(phase, frozenset(group), graph, self._order, planner,
@@ -310,7 +310,7 @@ class Engine:
         def plan_for(knowledge: frozenset) -> SelectionPlan:
             known = [t for t in chosen if t.id in knowledge]
             if not known:
-                return SelectionPlan(assignment=dict.fromkeys(free_ids), proposer=-1)
+                return SelectionPlan(assignment=dict.fromkeys(free_ids))
             if scenario.law is PriorityLaw.CATA_U:
                 return cata_mod.cata_select(robots, known, context,
                                             weights=scenario.cata,

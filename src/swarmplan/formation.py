@@ -2,16 +2,14 @@
 
 Group members pick vertices greedily in priority-queue order: each robot
 in turn claims the nearest still-unclaimed vertex. This is deliberately
-not an optimal assignment; an exact min-sum solver is kept alongside as a
-test oracle so the greedy gap stays measurable.
+not an optimal assignment; an exact min-sum solver (scipy, from the ``dev``
+extra) is kept alongside as a test oracle so the greedy gap stays measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .world import Position, RobotState, euclidean
 
@@ -21,16 +19,16 @@ class DistanceMatrix:
     """Robot-to-vertex distances; rows keyed by robot id, columns by vertex."""
 
     robot_ids: tuple[int, ...]
-    entries: np.ndarray  # shape (len(robot_ids), n_vertices)
+    entries: Sequence[Sequence[float]]  # one row per robot id
 
     @classmethod
     def build(cls, robots: Sequence[RobotState],
               vertices: Sequence[Position]) -> "DistanceMatrix":
         ids = tuple(r.id for r in robots)
-        entries = np.array([[euclidean(r.pos, v) for v in vertices] for r in robots])
+        entries = tuple(tuple(euclidean(r.pos, v) for v in vertices) for r in robots)
         return cls(robot_ids=ids, entries=entries)
 
-    def row(self, robot_id: int) -> np.ndarray:
+    def row(self, robot_id: int) -> Sequence[float]:
         return self.entries[self.robot_ids.index(robot_id)]
 
 
@@ -40,46 +38,44 @@ class FormationPlan:
 
     slot_of: Mapping[int, int]
     task: int
-    proposer: int
 
 
 def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
-                     task: int = -1, proposer: int = -1) -> FormationPlan:
+                     task: int = -1) -> FormationPlan:
     """Greedy serial vertex choice in queue order.
 
     Each robot takes its nearest unclaimed vertex; distance ties break
     toward the lower vertex index. ``queue`` must cover exactly the matrix
     rows and the matrix must be square.
     """
-    n_rows, n_cols = matrix.entries.shape
-    if n_rows != n_cols:
-        raise ValueError(f"matrix must be square, got {n_rows}x{n_cols}")
+    n = len(matrix.entries)
+    if any(len(row) != n for row in matrix.entries):
+        raise ValueError("matrix must be square")
     if sorted(queue) != sorted(matrix.robot_ids):
         raise ValueError("queue must cover exactly the matrix rows")
     claimed: set[int] = set()
     slot_of: dict[int, int] = {}
     for robot_id in queue:
         row = matrix.row(robot_id)
-        best = min((v for v in range(n_cols) if v not in claimed),
+        best = min((v for v in range(n) if v not in claimed),
                    key=lambda v: (row[v], v))
         claimed.add(best)
         slot_of[robot_id] = best
-    return FormationPlan(slot_of=slot_of, task=task, proposer=proposer)
+    return FormationPlan(slot_of=slot_of, task=task)
 
 
 def hungarian_oracle(matrix: DistanceMatrix) -> tuple[dict[int, int], float]:
     """Exact minimum total-distance assignment (test oracle, <= 20x20)."""
-    # imported here: scipy dominates ``import swarmplan`` and only the
-    # oracle needs it
+    # scipy comes with the dev extra, not the runtime: only the oracle needs it
     from scipy.optimize import linear_sum_assignment
-    n_rows, n_cols = matrix.entries.shape
-    if n_rows != n_cols:
+    n = len(matrix.entries)
+    if any(len(row) != n for row in matrix.entries):
         raise ValueError("matrix must be square")
-    if n_rows > 20:
+    if n > 20:
         raise ValueError("oracle limited to 20x20")
     rows, cols = linear_sum_assignment(matrix.entries)
     slot_of = {matrix.robot_ids[r]: int(c) for r, c in zip(rows, cols)}
-    total = float(matrix.entries[rows, cols].sum())
+    total = float(sum(matrix.entries[r][c] for r, c in zip(rows, cols)))
     return slot_of, total
 
 

@@ -54,27 +54,24 @@ def canonical(payload: object) -> str:
     """Serialize a payload so byte equality means plan equality.
 
     Keys are sorted, floats fixed to nine decimals, dataclasses and enums
-    reduced to plain JSON values; the proposer field is excluded so that
-    identical plans from different robots compare equal.
+    reduced to plain JSON values. Plans name no proposer (the
+    :class:`Proposal` does), so equal plans from different robots match.
     """
     return json.dumps(_plain(payload), sort_keys=True, separators=(",", ":"))
 
 
-def _plain(obj: object, nested: bool = False) -> object:
-    """``obj`` as plain JSON values; ``nested`` marks values inside a
-    dataclass, which keep a ``proposer`` field, as ``asdict`` would."""
+def _plain(obj: object) -> object:
+    """``obj`` as plain JSON values, as ``asdict`` then ``json`` would."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain(getattr(obj, f.name), True) for f in fields(obj)
-                if nested or f.name != "proposer"}
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, float):
         return format(obj, ".9f")
     if isinstance(obj, dict):
-        return {str(k): _plain(v, nested)
-                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v, nested) for v in obj]
+        return [_plain(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         # asdict copies set members without converting them
         return sorted(_plain(v) for v in obj)

@@ -187,6 +187,8 @@ def generate(template: dict, seed: int) -> Scenario:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
         raise InvalidTemplateError("n_robots must be >= 1")
+    if not world > 0:  # sampling could never place a robot
+        raise InvalidTemplateError("world_size: must be positive")
 
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]

@@ -28,7 +28,6 @@ class SelectionPlan:
     """Mapping of every robot to its task, ``None`` marking surplus."""
 
     assignment: Mapping[int, int | None]
-    proposer: int
 
     def group(self, task_id: int) -> list[int]:
         return sorted(r for r, t in self.assignment.items() if t == task_id)
@@ -53,7 +52,6 @@ def select(
     context: Mapping[int, Mapping[str, float]],
     step_length: float = 1.0,
     task_order: Sequence[int] | None = None,
-    proposer: int = -1,
 ) -> SelectionPlan:
     """Partition ``robots`` over ``tasks`` by the law-ordered linear cut.
 
@@ -81,7 +79,7 @@ def select(
     for j, block in enumerate(blocks):
         for i in block:
             assignment[ordered[i].id] = ranked_tasks[j].id
-    return SelectionPlan(assignment=assignment, proposer=proposer)
+    return SelectionPlan(assignment=assignment)
 
 
 def _rank_tasks(tasks: Sequence[Task], task_order: Sequence[int] | None) -> list[Task]:

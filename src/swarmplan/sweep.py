@@ -216,6 +216,10 @@ def summarize(rows: list[dict], task_rows: list[dict] | None = None) -> dict[str
     """
     if not rows:
         raise ValueError("no rows to summarize")
+    required = ("law", "scale", "style", *_AGGREGATE_FIELDS)
+    missing = [c for c in required if any(c not in row for row in rows)]
+    if missing:
+        raise ValueError(f"rows lack column(s) {', '.join(missing)}")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row.get("error"):

@@ -110,6 +110,13 @@ class TestRun:
         assert main(["generate", "--template", str(template)]) == 2
         assert "world_size" in capsys.readouterr().err
 
+    def test_generate_zero_world_team_exits_2(self, tmp_path, capsys):
+        # several robots: rejected before sampling, not after failed placement
+        template = tmp_path / "flat.json"
+        template.write_text(json.dumps({"world_size": 0, "n_robots": 3, "tasks": []}))
+        assert main(["generate", "--template", str(template)]) == 2
+        assert "error: world_size: must be positive" in capsys.readouterr().err
+
 
 class TestSweepAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
@@ -158,6 +165,15 @@ class TestSweepAndSummarize:
         assert main(["summarize", "--rows", str(rows),
                      "--out", str(tmp_path / "summary")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
+
+    def test_summarize_foreign_columns_exits_2(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("a,b\n1,2\n")
+        assert main(["summarize", "--rows", str(rows),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "law, scale, style" in err
         assert not (tmp_path / "summary").exists()
 
     def test_failing_rows_exit_1(self, tmp_path):

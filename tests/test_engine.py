@@ -255,14 +255,13 @@ class TestSelectionPlans:
         known_sets = {frozenset(know) & set(engine.tasks) for _, know, _ in proposals}
         assert len(proposals) == 2 * len(engine.robots)  # two iterations
         assert set(computed) == known_sets - {frozenset()}
-        for member, know, plan in proposals:
+        for _, know, plan in proposals:
             key = frozenset(know) & set(engine.tasks)
             if key:
                 args, kwargs = computed[key]
-                fresh = original(*args, **{**kwargs, "proposer": member})
+                fresh = original(*args, **kwargs)
             else:
-                fresh = SelectionPlan(assignment={rid: None for rid in engine.robots},
-                                      proposer=member)
+                fresh = SelectionPlan(assignment={rid: None for rid in engine.robots})
             assert plan == fresh
 
 
@@ -306,8 +305,8 @@ class TestFormationPlans:
             assert len(made) == engine.tasks[tid].required  # one iteration
             assert len(computed[tid]) == len(distinct)
             args, kwargs = computed[tid][0]  # the same inputs every time
-            for member, _, plan in made:
-                assert plan == original(*args, **{**kwargs, "proposer": member})
+            for _, _, plan in made:
+                assert plan == original(*args, **kwargs)
 
 
 def low_battery(law, seed, comm_cost, shuffle=False):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import swarmplan
@@ -16,9 +15,9 @@ from helpers import make_robot
 
 
 def matrix(entries, ids=None):
-    arr = np.array(entries, dtype=float)
-    ids = tuple(ids) if ids else tuple(range(1, arr.shape[0] + 1))
-    return DistanceMatrix(robot_ids=ids, entries=arr)
+    rows = tuple(tuple(float(d) for d in row) for row in entries)
+    ids = tuple(ids) if ids else tuple(range(1, len(rows) + 1))
+    return DistanceMatrix(robot_ids=ids, entries=rows)
 
 
 class TestFormationAssign:
@@ -71,15 +70,25 @@ class TestFormationAssign:
 
 
 class TestHungarianOracle:
-    def test_package_import_leaves_scipy_unloaded(self):
-        # scipy costs most of the import time and only the oracle needs it
+    def test_simulator_runs_without_numpy_or_scipy(self):
+        # only the oracle (and the tests) need them: a None entry in
+        # sys.modules makes any import of either raise ImportError
+        script = "\n".join([
+            "import sys",
+            "sys.modules['numpy'] = sys.modules['scipy'] = None",
+            "sys.path[:0] = sys.argv[1:]",
+            "from helpers import TEMPLATE, suite_scenario",
+            "from swarmplan import SweepSpec, run, run_sweep",
+            "metrics, _ = run(suite_scenario('t_low_e', 'R20+T3', 'static', 0))",
+            "rows, _ = run_sweep(SweepSpec(template=TEMPLATE, laws=['t_low_e']))",
+            "print(metrics.tasks_completed, len(rows), [r['error'] for r in rows])",
+        ])
         src = str(Path(swarmplan.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; sys.path.insert(0, sys.argv[1]); import swarmplan; "
-             "print('scipy' in sys.modules)", src],
-            capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "False"
+        tests = str(Path(__file__).resolve().parent)
+        out = subprocess.run([sys.executable, "-c", script, src, tests],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["3", "1", "['']"]
 
     def test_examples(self):
         _, total = hungarian_oracle(matrix([[1, 5], [2, 1]]))
@@ -91,7 +100,7 @@ class TestHungarianOracle:
         assert total == pytest.approx(0.0)
 
     def test_size_guard(self):
-        m = matrix(np.zeros((21, 21)))
+        m = matrix([[0.0] * 21] * 21)
         with pytest.raises(ValueError):
             hungarian_oracle(m)
 
@@ -128,4 +137,4 @@ class TestDistanceMatrixBuild:
         assert m.row(5)[1] == pytest.approx(3.0)
         assert m.row(7)[0] == pytest.approx(5.0)
         assert m.row(7)[1] == pytest.approx(4.0)
-        assert (m.entries >= 0).all()
+        assert all(d >= 0 for row in m.entries for d in row)

@@ -28,11 +28,6 @@ def complete_graph(ids):
 
 
 class TestCanonical:
-    def test_proposer_excluded(self):
-        a = SelectionPlan(assignment={1: 2, 3: None}, proposer=1)
-        b = SelectionPlan(assignment={1: 2, 3: None}, proposer=3)
-        assert canonical(a) == canonical(b)
-
     def test_float_precision_fixed(self):
         assert canonical(0.1 + 0.2) == canonical(0.3)
 
@@ -44,13 +39,10 @@ class TestCanonical:
 
 
 def reference_canonical(payload):
-    """``canonical`` as built on ``dataclasses.asdict``, which drops the
-    proposer of a dataclass but keeps those of dataclasses nested in it."""
+    """``canonical`` as built on ``dataclasses.asdict``."""
     def plain(obj):
         if is_dataclass(obj) and not isinstance(obj, type):
-            d = asdict(obj)
-            d.pop("proposer", None)
-            return plain(d)
+            return plain(asdict(obj))
         if isinstance(obj, Enum):
             return obj.value
         if isinstance(obj, float):
@@ -69,18 +61,17 @@ def reference_canonical(payload):
 class Wrapped:
     plans: tuple
     phase: Phase
-    proposer: int
 
 
 _ids = st.integers(-3, 40)
 _values = st.none() | _ids | st.floats(allow_nan=False)
-_selection = st.builds(SelectionPlan, st.dictionaries(_ids, _values, max_size=8), _ids)
+_selection = st.builds(SelectionPlan, st.dictionaries(_ids, _values, max_size=8))
 _formation = st.builds(FormationPlan, st.dictionaries(_ids, _values, max_size=8),
-                       _values, _ids)
+                       _values)
 _plan = _selection | _formation
 _payloads = (_plan | st.lists(_plan, max_size=3)
              | st.builds(Wrapped, st.lists(_plan, max_size=3).map(tuple),
-                         st.sampled_from(list(Phase)), _ids))
+                         st.sampled_from(list(Phase))))
 
 
 @given(_payloads)
@@ -91,13 +82,13 @@ def test_canonical_matches_asdict_reference(payload):
 
 class TestAgreement:
     def test_identical_plans_end(self):
-        plans = [proposal(SelectionPlan(assignment={1: 5}, proposer=i),
-                          proposer=i) for i in range(3)]
+        plans = [proposal(SelectionPlan(assignment={1: 5}), proposer=i)
+                 for i in range(3)]
         assert agreement(plans) is AgreementOutcome.END
 
     def test_differing_plans_conflict(self):
-        a = proposal(SelectionPlan(assignment={1: 5, 2: None}, proposer=1))
-        b = proposal(SelectionPlan(assignment={1: 5, 2: 6}, proposer=2))
+        a = proposal(SelectionPlan(assignment={1: 5, 2: None}), proposer=1)
+        b = proposal(SelectionPlan(assignment={1: 5, 2: 6}), proposer=2)
         assert agreement([a, b]) is AgreementOutcome.CONFLICT
 
     def test_single_proposal_end(self):
@@ -208,5 +199,5 @@ class TestCanonicalCalls:
         assert len(calls) == len(group) * iterations
 
     def test_key_is_canonical_payload(self):
-        plan = SelectionPlan(assignment={1: 2, 3: None}, proposer=1)
+        plan = SelectionPlan(assignment={1: 2, 3: None})
         assert proposal(plan, proposer=1).key == canonical(plan)

@@ -67,6 +67,11 @@ class TestGenerate:
         with pytest.raises(InvalidTemplateError):
             generate(template(n_robots=0), seed=0)
 
+    @pytest.mark.parametrize("size", [0, -5.0])
+    def test_world_size_not_positive_rejected_before_sampling(self, size):
+        with pytest.raises(InvalidTemplateError, match="world_size: must be positive"):
+            generate({"world_size": size, "n_robots": 3, "tasks": []}, seed=0)
+
     def test_law_passthrough(self):
         scenario = generate(template(law="cata_u"), seed=0)
         assert scenario.law is PriorityLaw.CATA_U
