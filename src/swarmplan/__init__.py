@@ -17,8 +17,7 @@ from .selection import (SelectionPlan, estimate_cost, select, selection_oracle,
                         InsufficientRobotsError)
 from .formation import (DistanceMatrix, FormationPlan, formation_assign,
                         hungarian_oracle)
-from .routing import (ConflictQueue, next_step, detect_conflicts,
-                      cluster_conflicts, UnionFind)
+from .routing import next_step, detect_conflicts, cluster_conflicts
 from .negotiation import (Phase, Proposal, AgreementOutcome, agreement,
                           negotiate, NegotiationResult)
 from .cata import CataWeights, collision_penalty, utility, cata_select

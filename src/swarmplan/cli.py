@@ -22,6 +22,8 @@ from .sweep import (CSV_COLUMNS, SweepSpec, rows_to_csv, run_sweep, summarize,
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     template = json.loads(Path(args.template).read_text())
+    if not isinstance(template, dict):
+        raise InvalidTemplateError(f"{args.template}: template must be a JSON object")
     if args.law:
         template["law"] = args.law
     scenario = generate(template, args.seed)

@@ -3,13 +3,15 @@
 Robots exchange knowledge with their neighbors in synchronous rounds until
 every group member holds the datagram of every other member. The round
 count is deterministic and equals the eccentricity of the group subgraph
-(diameter for a whole-graph exchange).
+(diameter for a whole-graph exchange). :func:`components` is the one
+connected-components routine: it checks that the graph connects every
+alive robot and groups routing's conflicting pairs into clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Hashable, Mapping, Sequence
 
 from .world import RobotState, euclidean
 
@@ -41,19 +43,22 @@ class KnowledgeSet:
     items: frozenset[Hashable] = field(default_factory=frozenset)
 
 
-def _connected(adjacency: Mapping[int, frozenset[int]], ids: Iterable[int]) -> bool:
-    ids = set(ids)
-    if not ids:
-        return True
-    seen = set()
-    stack = [next(iter(sorted(ids)))]
-    while stack:
-        i = stack.pop()
-        if i in seen:
+def components(adjacency: Mapping[int, AbstractSet[int]]) -> list[frozenset[int]]:
+    """The connected components of a symmetric adjacency, ordered by their
+    lowest member id."""
+    found: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for root in sorted(adjacency):
+        if root in seen:
             continue
-        seen.add(i)
-        stack.extend(adjacency[i] & ids)
-    return seen == ids
+        component, stack = {root}, [root]
+        while stack:
+            fresh = adjacency[stack.pop()] - component
+            component |= fresh
+            stack.extend(fresh)
+        seen |= component
+        found.append(frozenset(component))
+    return found
 
 
 def build_graph(robots: Sequence[RobotState], comm_range: float | str) -> CommGraph:
@@ -73,7 +78,7 @@ def build_graph(robots: Sequence[RobotState], comm_range: float | str) -> CommGr
     adjacency = {r.id: frozenset(o.id for o in alive if o.id != r.id
                                  and euclidean(r.pos, o.pos) <= comm_range)
                  for r in alive}
-    if not _connected(adjacency, adjacency.keys()):
+    if len(components(adjacency)) > 1:
         raise DisconnectedGraphError(
             f"comm graph disconnected over {sorted(adjacency)} at range {comm_range}")
     return CommGraph(adjacency)

@@ -446,7 +446,7 @@ class Engine:
                                      self.scenario.safety_radius)
             clusters = cluster_conflicts(pairs)
         # one strict total order serves every cluster and the separation pass
-        involved = set(moves).union(*(c.members for c in clusters))
+        involved = set(moves).union(*clusters)
         priority = (sort_queue(involved, self._context(involved), self._order)
                     if involved else [])
         goals = {r.id: r.goal for r in alive if r.goal is not None}

@@ -65,23 +65,14 @@ def sort_queue(
     candidates: Iterable[int],
     context: Mapping[int, Mapping[str, float]],
     order: NeedsOrderQueue,
-    depth: int | None = None,
 ) -> list[int]:
-    """Order ``candidates`` by criteria ``order[0..depth]``, then by id.
+    """Order ``candidates`` by the criteria of ``order``, then by id.
 
-    The trailing id tie-break guarantees a strict total order whatever the
-    depth. ``depth`` defaults to the full queue. Raises
-    :class:`ExhaustedCriteriaError` when ``depth >= len(order)``.
+    The trailing id tie-break guarantees a strict total order.
     """
-    if depth is None:
-        depth = len(order) - 1
-    if depth >= len(order):
-        raise ExhaustedCriteriaError(f"depth {depth} >= queue length {len(order)}")
-    active = order[: depth + 1]
-
     def key(robot_id: int) -> tuple:
         parts = []
-        for crit in active:
+        for crit in order:
             if crit.key == "id":
                 v = float(robot_id)
             else:

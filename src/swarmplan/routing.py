@@ -3,9 +3,10 @@
 The world is obstacle-free, so a robot's path is the straight segment to
 its goal, advanced ``step_length`` per tick. Robots without a goal step
 out of the way of movers. Two robots conflict when their intended motion
-segments for the tick pass within twice the safety radius. Conflicting
-pairs are merged into clusters with union-find; each cluster lets one
-mover step and stops the rest. Separation enforcement then turns crowding
+segments for the tick pass within twice the safety radius. A cluster is
+one connected component of the conflicting pairs, a plain frozenset of
+robot ids (:func:`comms.components`); each cluster lets one mover step
+and stops the rest. Separation enforcement then turns crowding
 steps into one-sided detours or stops. A tick is ``current`` (every
 robot's position) and ``moves`` (each mover's intended step); one
 predicate, ``_crowds``, answers every clearance question. These are pure
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .comms import components
 from .world import Position, RobotState, euclidean
 
 #: Ticks without progress toward a goal before a robot escalates its
@@ -48,17 +50,6 @@ class Geometry:
         the detection threshold, so robots never settle inside the band
         that would re-trigger detection forever."""
         return 2.0 * self.safety_radius + 1e-6
-
-
-@dataclass(frozen=True)
-class ConflictQueue:
-    """One cluster of mutually conflicting robots."""
-
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValueError("conflict cluster needs at least two members")
 
 
 def next_step(robot: RobotState, goal: Position, step_length: float) -> Position:
@@ -150,41 +141,14 @@ def detect_conflicts(
     return pairs
 
 
-class UnionFind:
-    """Disjoint sets over robot ids with path compression."""
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        if x not in self.parent:
-            self.parent[x] = x
-            return x
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # deterministic: smaller root wins
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
-def cluster_conflicts(pairs: Iterable[tuple[int, int]]) -> list[ConflictQueue]:
-    """Connected components of the conflict relation, one cluster each."""
-    uf = UnionFind()
+def cluster_conflicts(pairs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
+    """Connected components of the conflict relation, one cluster each,
+    ordered by their lowest member id."""
+    adjacency: dict[int, set[int]] = {}
     for i, j in pairs:
-        uf.union(i, j)
-    groups: dict[int, set[int]] = {}
-    for i, j in sorted(pairs):
-        groups.setdefault(uf.find(i), set()).update((i, j))
-    return [ConflictQueue(members=frozenset(groups[root])) for root in sorted(groups)]
+        adjacency.setdefault(i, set()).add(j)
+        adjacency.setdefault(j, set()).add(i)
+    return components(adjacency)
 
 
 @dataclass(frozen=True)
@@ -395,7 +359,7 @@ def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Posi
 
 
 def resolve(current: Mapping[int, Position], moves: Mapping[int, Position],
-            clusters: Sequence[ConflictQueue], priority: Sequence[int],
+            clusters: Sequence[frozenset[int]], priority: Sequence[int],
             goals: Mapping[int, Position], stall: Mapping[int, int],
             geometry: Geometry, replay: Callable[[ClusterDecision], Iterable[int]],
             ) -> tuple[dict[int, Position], list[int]]:
@@ -413,8 +377,8 @@ def resolve(current: Mapping[int, Position], moves: Mapping[int, Position],
     """
     moves = dict(moves)
     for cluster in clusters:
-        moving = [rid for rid in priority if rid in cluster.members and rid in moves]
-        decision = settle_cluster(sorted(cluster.members), moving, current, moves,
+        moving = [rid for rid in priority if rid in cluster and rid in moves]
+        decision = settle_cluster(sorted(cluster), moving, current, moves,
                                   goals, stall, geometry)
         for rid in chain(decision.losers, replay(decision)):
             moves.pop(rid, None)

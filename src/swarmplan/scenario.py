@@ -152,9 +152,13 @@ def _settings(doc: dict) -> dict:
     """The optional scenario fields of a scenario or template document,
     parsed, with their defaults."""
     comm_range = doc.get("comm_range", COMPLETE)
+    order = doc.get("task_priority_order")
+    if order is not None and not (isinstance(order, list)
+                                  and all(type(tid) is int for tid in order)):
+        raise ValueError("task_priority_order: must be null or a list of task ids")
     return {
         "law": PriorityLaw(doc.get("law", "t_low_e")),
-        "task_priority_order": doc.get("task_priority_order"),
+        "task_priority_order": order,
         "comm_range": comm_range if comm_range == COMPLETE else float(comm_range),
         "energy": EnergyModel(**doc.get("energy", {})),
         "step_length": float(doc.get("step_length", 1.0)),

@@ -60,6 +60,8 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.template, dict):
+            raise InvalidTemplateError("template: must be a JSON object")
         if self.trials < 1:
             raise InvalidTemplateError("trials must be >= 1")
         known_laws = {law.value for law in PriorityLaw}

@@ -143,30 +143,6 @@ class EnergyLedger:
         for acc in (self.moving, self.idle, self.comm_gossip, self.comm_negotiation):
             acc[robot.id] = 0.0
 
-    def charge(
-        self,
-        robot: RobotState,
-        kind: ChargeKind,
-        model: EnergyModel,
-        *,
-        negotiation: bool = False,
-        task: int | None = None,
-        times: int = 1,
-    ) -> RobotState:
-        """Deduct the cost of ``times`` actions of one kind from ``robot``
-        and record it.
-
-        Charging a dead robot is a no-op recorded in ``dropped``, once per
-        action. The battery clamps at zero; only the actually-deducted
-        amount enters the accumulators, so conservation holds exactly. Each
-        action is deducted and accumulated on its own, so ``times=k`` leaves
-        every float exactly as ``k`` single charges would.
-        """
-        self.charge_many([robot], kind, model, negotiation=negotiation,
-                         task_of=None if task is None else {robot.id: task},
-                         times=times)
-        return robot
-
     def charge_many(
         self,
         robots: Iterable[RobotState],
@@ -177,12 +153,17 @@ class EnergyLedger:
         task_of: Mapping[int, int | None] | None = None,
         times: int = 1,
     ) -> list[RobotState]:
-        """:meth:`charge` each robot in turn, attributing a negotiation
-        charge to the task ``task_of`` names for it; returns the robots the
-        charge killed, in charge order.
+        """Deduct the cost of ``times`` actions of one kind from each robot
+        in turn and record it, attributing a negotiation charge to the task
+        ``task_of`` names for the robot; returns the robots the charge
+        killed, in charge order.
 
-        Every float and ``dropped`` entry is exactly what one :meth:`charge`
-        call per robot, in the same order, would leave.
+        Charging a dead robot is a no-op recorded in ``dropped``, once per
+        action. The battery clamps at zero; only the actually-deducted
+        amount enters the accumulators, so conservation holds exactly. Each
+        action is deducted and accumulated on its own, so ``times=k`` leaves
+        every float and ``dropped`` entry exactly as ``k`` single charges
+        would.
         """
         per_task = False
         if kind is ChargeKind.MOVE:

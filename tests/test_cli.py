@@ -56,6 +56,21 @@ class TestGenerate:
                      "--law", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_non_object_template_exits_2(self, tmp_path, capsys):
+        template = tmp_path / "list.json"
+        template.write_text("[1, 2]")
+        assert main(["generate", "--template", str(template),
+                     "--law", "t_low_e"]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [5, [1, "a"]])
+    def test_bad_task_priority_order_exits_2(self, template_file, order, capsys):
+        template = json.loads(template_file.read_text())
+        template["task_priority_order"] = order
+        template_file.write_text(json.dumps(template))
+        assert main(["generate", "--template", str(template_file)]) == 2
+        assert "task_priority_order" in capsys.readouterr().err
+
 
 class TestRun:
     def test_metrics_and_trace(self, tmp_path, scenario_file, capsys):
@@ -95,6 +110,17 @@ class TestRun:
         assert main(["run", "--scenario", str(empty), "--out", str(tmp_path)]) == 2
         assert "at least one robot" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("order", [5, [1, "a"]])
+    def test_bad_task_priority_order_exits_2(self, tmp_path, scenario_file, order,
+                                             capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["task_priority_order"] = order
+        scenario_file.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "task_priority_order" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_world_exits_2(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"
@@ -149,6 +175,14 @@ class TestSweepAndSummarize:
         out = tmp_path / "o"
         assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_object_template_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"template": [], "laws": ["t_low_e"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_law_flag_exits_2(self, tmp_path, capsys):

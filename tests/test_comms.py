@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmplan.comms import (COMPLETE, CommGraph, DisconnectedGraphError,
-                             GossipStalledError, build_graph, gossip)
+                             GossipStalledError, build_graph, components, gossip)
+from swarmplan.world import euclidean
 from helpers import eccentricity, make_robot, random_connected_graph
 
 
@@ -159,3 +160,62 @@ def test_gossip_matches_round_by_round_reference(case):
     assert sorted(equilibrium) == sorted(expected)
     for member, items in expected.items():
         assert equilibrium[member].items == items
+
+
+def reference_components(adjacency):
+    """Depth-first search from each unvisited id in ascending order."""
+    seen, found = set(), []
+    for root in sorted(adjacency):
+        if root in seen:
+            continue
+        component, stack = set(), [root]
+        while stack:
+            i = stack.pop()
+            if i not in component:
+                component.add(i)
+                stack.extend(adjacency[i])
+        seen |= component
+        found.append(frozenset(component))
+    return found
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Symmetric adjacency over sparse ids in shuffled key order: random
+    edges of any density, so graphs may be connected, split or hold
+    isolated nodes."""
+    ids = sorted(draw(st.sets(st.integers(0, 500), max_size=25)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    adjacency = {i: set() for i in ids}
+    for k, a in enumerate(ids):
+        for b in ids[k + 1:]:
+            if rng.random() < density:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    rng.shuffle(ids)
+    return {i: frozenset(adjacency[i]) for i in ids}
+
+
+class TestComponents:
+    @given(symmetric_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_dfs(self, adjacency):
+        assert components(adjacency) == reference_components(adjacency)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.booleans()),
+                    min_size=1, max_size=12),
+           st.sampled_from([0.5, 1.0, 2.0, 3.5, 8.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_range_raises_exactly_when_split(self, spots, comm_range):
+        robots = [make_robot(3 * k + 1, x, y, battery=100.0 if alive else 0.0)
+                  for k, (x, y, alive) in enumerate(spots)]
+        alive = [r for r in robots if r.alive]
+        adjacency = {r.id: frozenset(o.id for o in alive if o.id != r.id
+                                     and euclidean(r.pos, o.pos) <= comm_range)
+                     for r in alive}
+        if len(reference_components(adjacency)) > 1:
+            with pytest.raises(DisconnectedGraphError):
+                build_graph(robots, comm_range)
+        else:
+            assert build_graph(robots, comm_range).adjacency == adjacency

@@ -1,8 +1,6 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmplan.priority import (LOW_BATTERY_WITHDRAWAL, Criterion,
-                                ExhaustedCriteriaError, PriorityLaw,
+from swarmplan.priority import (LOW_BATTERY_WITHDRAWAL, Criterion, PriorityLaw,
                                 compile_law, sort_queue)
 
 
@@ -49,22 +47,6 @@ class TestSortQueue:
         context = ctx(r1=70.0, r2=70.0)
         order = compile_law(PriorityLaw.LOW_E)
         assert sort_queue([2, 1], context, order) == [1, 2]
-
-    def test_depth_zero_low_e(self):
-        context = ctx(r1=60.0, r2=60.0, r3=50.0)
-        order = compile_law(PriorityLaw.LOW_E)
-        assert sort_queue([1, 2, 3], context, order, depth=0) == [3, 1, 2]
-
-    def test_depth_one_t_low_e_falls_to_battery(self):
-        context = {1: {"battery": 90.0, "task_rank": 0.0},
-                   2: {"battery": 40.0, "task_rank": 0.0}}
-        order = compile_law(PriorityLaw.T_LOW_E)
-        assert sort_queue([1, 2], context, order, depth=1) == [2, 1]
-
-    def test_exhausted_criteria(self):
-        order = compile_law(PriorityLaw.LOW_E)  # length 2
-        with pytest.raises(ExhaustedCriteriaError):
-            sort_queue([1], ctx(r1=50.0), order, depth=2)
 
     def test_duality_low_vs_high(self):
         context = ctx(r1=61.0, r2=85.0, r3=42.0, r4=99.0)

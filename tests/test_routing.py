@@ -4,12 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision,
-                               ConflictQueue, Geometry, UnionFind, _segment_distance,
-                               _turned, cluster_conflicts, detect_conflicts, detours,
-                               enforce_separation, next_step, resolve,
-                               settle_cluster, track_progress, yield_step,
-                               yield_steps)
+from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geometry,
+                               _segment_distance, _turned, cluster_conflicts,
+                               detect_conflicts, detours, enforce_separation,
+                               next_step, resolve, settle_cluster, track_progress,
+                               yield_step, yield_steps)
 from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
@@ -133,27 +132,83 @@ class TestDetectConflicts:
             current, proposed, radius)
 
 
+class UnionFind:
+    """Disjoint sets over robot ids with path compression; the smaller
+    root wins a union."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+            return x
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def ref_cluster_conflicts(pairs):
+    """Reference: union-find clusters, ordered by their root."""
+    uf = UnionFind()
+    for i, j in pairs:
+        uf.union(i, j)
+    groups = {}
+    for i, j in sorted(pairs):
+        groups.setdefault(uf.find(i), set()).update((i, j))
+    return [frozenset(groups[root]) for root in sorted(groups)]
+
+
+@st.composite
+def conflict_pairs(draw):
+    """Conflicting pairs (i < j) over sparse ids: chains, stars, disjoint
+    pairs and random pairs, mixed."""
+    ids = draw(st.lists(st.integers(0, 1000), unique=True, max_size=16))
+    pairs = set()
+    while len(ids) >= 2:
+        shape = draw(st.sampled_from(["chain", "star", "pair", "random"]))
+        k = draw(st.integers(2, len(ids)))
+        part, ids = ids[:k], ids[k:]
+        if shape == "chain":
+            links = zip(part, part[1:])
+        elif shape == "star":
+            links = ((part[0], other) for other in part[1:])
+        elif shape == "pair":
+            links = zip(part[::2], part[1::2])
+        else:
+            links = draw(st.lists(st.tuples(st.sampled_from(part), st.sampled_from(part))))
+        pairs.update((min(a, b), max(a, b)) for a, b in links if a != b)
+    return pairs
+
+
 class TestClusterConflicts:
     def test_transitive_closure(self):
-        clusters = cluster_conflicts({(1, 2), (2, 3)})
-        assert [set(c.members) for c in clusters] == [{1, 2, 3}]
+        assert cluster_conflicts({(1, 2), (2, 3)}) == [{1, 2, 3}]
 
     def test_disjoint_pairs(self):
-        clusters = cluster_conflicts({(1, 2), (3, 4)})
-        assert [set(c.members) for c in clusters] == [{1, 2}, {3, 4}]
+        assert cluster_conflicts({(1, 2), (3, 4)}) == [{1, 2}, {3, 4}]
 
     def test_empty(self):
         assert cluster_conflicts(set()) == []
 
     def test_deterministic_order(self):
         pairs = {(5, 6), (1, 2), (2, 3), (8, 9)}
-        a = cluster_conflicts(pairs)
-        b = cluster_conflicts(set(pairs))
-        assert [c.members for c in a] == [c.members for c in b]
+        assert cluster_conflicts(pairs) == cluster_conflicts(set(pairs))
 
-    def test_singleton_cluster_invalid(self):
-        with pytest.raises(ValueError):
-            ConflictQueue(members=frozenset({1}))
+    @given(conflict_pairs())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_union_find(self, pairs):
+        assert cluster_conflicts(pairs) == ref_cluster_conflicts(pairs)
 
 
 #: safety radius 0.5 (separation just over 1 m), 1 m steps, 20 m world
@@ -430,8 +485,8 @@ def ref_resolve(current, intents, movers, clusters, priority, goals, stall,
     intents = dict(intents)
     movers = set(movers)
     for cluster in clusters:
-        moving = [rid for rid in priority if rid in cluster.members and rid in movers]
-        decision = ref_settle_cluster(sorted(cluster.members), moving, current,
+        moving = [rid for rid in priority if rid in cluster and rid in movers]
+        decision = ref_settle_cluster(sorted(cluster), moving, current,
                                       intents, goals, stall, geometry)
         for rid in [*decision.losers, *replay(decision)]:
             intents[rid] = current[rid]
@@ -510,7 +565,7 @@ class TestMatchesAllScan:
 
         clusters = cluster_conflicts(detect_conflicts(
             current, {**current, **moves}, geometry.safety_radius))
-        priority = sorted(set(moves).union(*(c.members for c in clusters)))
+        priority = sorted(set(moves).union(*clusters))
         rng.shuffle(priority)
         got, want = [], []
         final, stopped = resolve(
@@ -535,17 +590,3 @@ class TestTrackProgress:
         mark, stall = track_progress(mark, stall, Position(1, 0), goal)
         assert stall == 0
         assert track_progress(mark, 5, Position(1, 0), None) == (None, 0)
-
-
-class TestUnionFind:
-    def test_smaller_root_wins(self):
-        uf = UnionFind()
-        uf.union(5, 3)
-        uf.union(3, 9)
-        assert uf.find(5) == uf.find(9) == 3
-
-    def test_separate_components(self):
-        uf = UnionFind()
-        uf.union(1, 2)
-        uf.union(3, 4)
-        assert uf.find(1) != uf.find(3)

@@ -127,17 +127,17 @@ class TestEnergyLedger:
 
     def test_move_charge(self):
         ledger, robot = self._ledger_robot(90.0)
-        ledger.charge(robot, ChargeKind.MOVE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
         assert robot.battery == pytest.approx(89.9, abs=1e-12)
 
     def test_idle_charge(self):
         ledger, robot = self._ledger_robot(100.0)
-        ledger.charge(robot, ChargeKind.IDLE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.IDLE, EnergyModel())
         assert robot.battery == pytest.approx(99.96, abs=1e-12)
 
     def test_clamp_at_zero_kills(self):
         ledger, robot = self._ledger_robot(0.05)
-        ledger.charge(robot, ChargeKind.MOVE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
         assert robot.battery == 0.0
         assert not robot.alive
         assert ledger.conservation_error(robot) == 0.0
@@ -145,15 +145,16 @@ class TestEnergyLedger:
     def test_dead_robot_charge_is_dropped(self):
         ledger, robot = self._ledger_robot(0.0)
         robot.battery = 0.0
-        ledger.charge(robot, ChargeKind.MOVE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
         assert ledger.dropped == [(1, ChargeKind.MOVE)]
         assert ledger.spent(1) == 0.0
 
     def test_negotiation_and_task_attribution(self):
         ledger, robot = self._ledger_robot(50.0)
         model = EnergyModel()
-        ledger.charge(robot, ChargeKind.COMM_ROUND, model)
-        ledger.charge(robot, ChargeKind.COMM_ROUND, model, negotiation=True, task=7)
+        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model)
+        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model, negotiation=True,
+                           task_of={1: 7})
         assert ledger.comm_gossip[1] == pytest.approx(0.01)
         assert ledger.comm_negotiation[1] == pytest.approx(0.01)
         assert ledger.per_task_comm == {7: pytest.approx(0.01)}
@@ -165,7 +166,7 @@ class TestEnergyLedger:
         ledger, robot = self._ledger_robot(battery)
         model = EnergyModel()
         for kind in kinds:
-            ledger.charge(robot, kind, model)
+            ledger.charge_many([robot], kind, model)
         assert ledger.conservation_error(robot) <= 1e-12
 
     @staticmethod
@@ -187,12 +188,13 @@ class TestEnergyLedger:
         batched, single = self._ledger_robot(battery), self._ledger_robot(battery)
         for ledger, robot in (batched, single):
             if earlier:  # a task total that already exists
-                ledger.charge(robot, ChargeKind.COMM_ROUND, model,
-                              negotiation=True, task=task)
-        batched[0].charge(batched[1], kind, model, negotiation=negotiation,
-                          task=task, times=times)
+                ledger.charge_many([robot], ChargeKind.COMM_ROUND, model,
+                                   negotiation=True, task_of={1: task})
+        batched[0].charge_many([batched[1]], kind, model, negotiation=negotiation,
+                               task_of={1: task}, times=times)
         for _ in range(times):
-            single[0].charge(single[1], kind, model, negotiation=negotiation, task=task)
+            single[0].charge_many([single[1]], kind, model, negotiation=negotiation,
+                                  task_of={1: task})
         assert self._state(*batched) == self._state(*single)
 
     @given(batteries=st.lists(st.floats(0.0, 1.0) | st.just(0.0), max_size=6),
