@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
-from .comms import CommGraph, build_graph, gossip
+from .comms import COMPLETE, CommGraph, build_graph, gossip
 from .formation import DistanceMatrix, formation_assign
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
@@ -124,9 +124,12 @@ class Engine:
         self.max_negotiation_iterations = 0
         self._rank = self._task_ranks()
         # the tick view every phase reads: the ids and the law never change,
-        # the alive list only when a robot dies (see ``_bury``)
+        # the alive list only when a robot dies (see ``_bury``), the comm
+        # graph and the team's gossip rounds also when a robot moves at a
+        # finite range (see ``_phase_charge``)
         self._ids = sorted(self.robots)
         self._alive_view: list[RobotState] | None = None
+        self._comm_view: tuple[CommGraph, int] | None = None
         self._order = compile_law(scenario.law)
         self._keys = tuple(c.key for c in self._order if c.key != "id")
 
@@ -179,8 +182,16 @@ class Engine:
                 members.setdefault(robot.group, []).append(rid)
         return members
 
-    def _graph(self) -> CommGraph:
-        return build_graph(self._alive(), self.scenario.comm_range)
+    def _comm(self) -> tuple[CommGraph, int]:
+        """The alive team's comm graph and its gossip rounds to equilibrium;
+        call only while a robot is alive."""
+        if self._comm_view is None:
+            alive = self._alive()
+            graph = build_graph(alive, self.scenario.comm_range)
+            payloads = {r.id: self.known_tasks[r.id] for r in alive}
+            _, rounds = gossip(payloads, graph, frozenset(payloads))
+            self._comm_view = graph, rounds
+        return self._comm_view
 
     def _charge_comm(self, robot_ids: Iterable[int], rounds: int, *,
                      negotiation: bool,
@@ -198,6 +209,7 @@ class Engine:
     def _bury(self, rid: int) -> None:
         """A charge emptied robot ``rid``'s battery; every death comes here."""
         self._alive_view = None
+        self._comm_view = None
         self._release(rid)
         self._emit(EventKind.ROBOT_DEAD, (rid,))
 
@@ -275,19 +287,22 @@ class Engine:
 
     # phase 2: gossip all robot state to equilibrium over the full graph
     def _phase_gossip(self) -> CommGraph | None:
-        """The tick's comm graph, or None when no robot is alive."""
+        """The tick's comm graph, or None when no robot is alive.
+
+        At equilibrium every robot holds every alive robot's knowledge, so
+        only the round count needs the graph, and both stay in the tick
+        view until a death or, at a finite range, a move.
+        """
         alive = self._alive()
         if not alive:
             return None
-        graph = self._graph()
-        payloads = {r.id: self.known_tasks[r.id] for r in alive}
-        ids = frozenset(payloads)
-        equilibrium, rounds = gossip(payloads, graph, ids)
-        union = frozenset().union(*(known for _, known in equilibrium[min(ids)].items))
+        graph, rounds = self._comm()
+        union = frozenset().union(*(self.known_tasks[r.id] for r in alive))
         for r in alive:
             self.known_tasks[r.id] = union
         if rounds:
-            self._charge_comm([r.id for r in alive], rounds, negotiation=False)
+            ids = [r.id for r in alive]
+            self._charge_comm(ids, rounds, negotiation=False)
             self._emit(EventKind.GOSSIP, tuple(sorted(ids)), f"rounds={rounds}")
         return graph
 
@@ -480,6 +495,8 @@ class Engine:
                 movers.append(robot)
             else:
                 idlers.append(robot)
+        if movers and self.scenario.comm_range != COMPLETE:
+            self._comm_view = None  # the graph's edges follow the positions
         # ``dropped`` lists dead robots in charge order; a dead robot never
         # moves, so charging the movers first keeps it in id order
         model = self.scenario.energy

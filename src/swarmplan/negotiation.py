@@ -15,9 +15,8 @@ robot negotiates at no cost.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Hashable, Mapping
 
 from .comms import CommGraph, gossip
@@ -43,11 +42,13 @@ class Proposal:
     phase: Phase
     proposer: int
     payload: object
+    #: the payload's :func:`canonical` form (never empty), serialized here
+    #: unless given
+    key: str = field(default="", compare=False, repr=False)
 
-    @cached_property
-    def key(self) -> str:
-        """The payload's :func:`canonical` form, computed once."""
-        return canonical(self.payload)
+    def __post_init__(self) -> None:
+        if not self.key:
+            object.__setattr__(self, "key", canonical(self.payload))
 
 
 def canonical(payload: object) -> str:
@@ -126,11 +127,14 @@ def negotiate(
         if depth >= len(order):
             raise ExhaustedCriteriaError(f"negotiation stuck in phase {phase}")
         iterations += 1
-        proposals = {
-            i: Proposal(phase=phase, proposer=i,
-                        payload=planner(i, know[i], depth))
-            for i in members
-        }
+        plans = {i: planner(i, know[i], depth) for i in members}
+        # members that propose the same object share one serialization
+        keys: dict[int, str] = {}
+        for plan in plans.values():
+            if id(plan) not in keys:
+                keys[id(plan)] = canonical(plan)
+        proposals = {i: Proposal(phase, i, plans[i], keys[id(plans[i])])
+                     for i in members}
         payloads = {i: (proposals[i].key, know[i]) for i in members}
         equilibrium, rounds = gossip(payloads, graph, frozenset(members))
         comm_rounds += rounds

@@ -187,6 +187,8 @@ def generate(template: dict, seed: int) -> Scenario:
         sd = float(template.get("battery_sd", 10.0))
         tasks = [_task(t) for t in template["tasks"]]
         settings = _settings(template)
+        positions = ([(float(x), float(y)) for x, y in template["positions"]]
+                     if "positions" in template else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
@@ -197,13 +199,11 @@ def generate(template: dict, seed: int) -> Scenario:
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]
 
-    if "positions" in template:
-        positions = [(float(x), float(y)) for x, y in template["positions"]]
-        if len(positions) != n_robots:
-            raise InvalidTemplateError("positions length != n_robots")
-    else:
+    if positions is None:
         positions = _sample_positions(rng, n_robots, world,
                                       2.0 * settings["safety_radius"])
+    elif len(positions) != n_robots:
+        raise InvalidTemplateError("positions length != n_robots")
 
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]

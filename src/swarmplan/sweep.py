@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .engine import run
 from .priority import PriorityLaw
-from .scenario import InvalidTemplateError, generate
+from .scenario import InvalidTemplateError, _settings, generate
 
 CSV_COLUMNS = [
     "law", "scale", "style", "trial", "seed",
@@ -74,6 +74,14 @@ class SweepSpec:
         for s in self.styles:
             if s not in STYLES:
                 raise InvalidTemplateError(f"unknown style {s!r}")
+        # a value no cell could parse is bad input, not a failed run; each
+        # cell sets its own law
+        try:
+            _settings({k: v for k, v in self.template.items() if k != "law"})
+            for s in self.scales:
+                scale_template(self.template, s, "static")
+        except (TypeError, ValueError) as exc:
+            raise InvalidTemplateError(f"bad template field: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":

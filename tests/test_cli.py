@@ -71,6 +71,15 @@ class TestGenerate:
         assert main(["generate", "--template", str(template_file)]) == 2
         assert "task_priority_order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("positions", [[[1], [2, 3]], [[1, "a"], [2, 3]],
+                                           [[1, 2], [2, 3], [3, 4], [4]]])
+    def test_bad_positions_exit_2(self, template_file, positions, capsys):
+        template = json.loads(template_file.read_text())
+        template["positions"] = positions
+        template_file.write_text(json.dumps(template))
+        assert main(["generate", "--template", str(template_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad template field: ")
+
 
 class TestRun:
     def test_metrics_and_trace(self, tmp_path, scenario_file, capsys):
@@ -183,6 +192,20 @@ class TestSweepAndSummarize:
         out = tmp_path / "o"
         assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("world_size", "abc"),
+                                              ("task_priority_order", 5),
+                                              ("stage_gap", "soon"),
+                                              ("energy", {"comm": 1.0})])
+    def test_bad_template_value_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "template": {**TEMPLATE, field: value},
+            "laws": ["t_low_e"], "scales": ["R5+T1"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad template field: ")
         assert not out.exists()
 
     def test_unknown_law_flag_exits_2(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import pytest
 
 import swarmplan.cata
 import swarmplan.engine
+from swarmplan.comms import DisconnectedGraphError, GossipStalledError
 from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
@@ -250,7 +252,7 @@ class TestSelectionPlans:
 
         monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
-        engine._phase_selection(engine._graph())
+        engine._phase_selection(engine._comm()[0])
 
         known_sets = {frozenset(know) & set(engine.tasks) for _, know, _ in proposals}
         assert len(proposals) == 2 * len(engine.robots)  # two iterations
@@ -388,3 +390,72 @@ class TestClusterChargeDeath:
                     assert euclidean(engine.robots[a].pos, engine.robots[b].pos) \
                         >= 2.0 * s.safety_radius, (engine.tick_no, a, b)
         assert killed
+
+
+class TestCommView:
+    """The tick view's comm graph and gossip rounds: a run that refills them
+    before every tick is byte-identical to one that keeps them."""
+
+    @staticmethod
+    def outcome(monkeypatch, s, refill):
+        """(last tick, metrics or error, trace, graphs built) of one run."""
+        graphs = []
+        build = swarmplan.engine.build_graph
+
+        def recording(robots, comm_range):
+            graph = build(robots, comm_range)
+            graphs.append(graph)
+            return graph
+
+        monkeypatch.setattr(swarmplan.engine, "build_graph", recording)
+        engine = Engine(s)
+        try:
+            while engine.tick_no < s.max_ticks and not engine.finished():
+                if refill:
+                    engine._comm_view = None
+                engine.tick()
+            result = repr(engine.metrics())
+        except (DisconnectedGraphError, GossipStalledError) as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        monkeypatch.undo()
+        return (engine.tick_no, result, [e.to_json() for e in engine.events],
+                graphs)
+
+    def test_complete_range_builds_the_graph_once(self, monkeypatch):
+        s = suite_scenario("t_low_e", "R20+T3", "1+1+1", 0)
+        tick_no, _, trace, graphs = self.outcome(monkeypatch, s, refill=False)
+        assert tick_no > 100 and "robot_dead" not in "".join(trace)
+        assert len(graphs) == 1
+
+    @pytest.mark.parametrize("build, changes", [
+        (lambda: suite_scenario("t_low_e", "R20+T3", "1+1+1", 0), "nothing"),
+        (lambda: suite_scenario("t_low_e", "R20+T3", "static", 1, comm_range=14.0),
+         "graph"),
+        (lambda: low_battery("t_low_e", 20, 0.1), "team"),
+    ], ids=["complete", "finite", "deaths"])
+    def test_refilled_every_tick_is_identical(self, monkeypatch, build, changes):
+        kept = self.outcome(monkeypatch, build(), refill=False)
+        refilled = self.outcome(monkeypatch, build(), refill=True)
+        assert kept[:3] == refilled[:3]
+        assert kept[1].startswith("RunMetrics(")
+        assert len(kept[3]) < len(refilled[3]) == kept[0]
+        # what each run exercises: moves at a finite range change the graph,
+        # deaths shrink the gossiping team
+        graphs = {tuple(sorted(g.adjacency.items())) for g in kept[3]}
+        teams = {len(json.loads(line)["subjects"]) for line in kept[2]
+                 if json.loads(line)["kind"] == "gossip"}
+        assert (len(graphs) > 1, len(teams) > 1) == {
+            "nothing": (False, False), "graph": (True, False),
+            "team": (True, True)}[changes]
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: suite_scenario("t_low_e", "R20+T3", "1+1+1", 0, comm_range=10.0),
+         DisconnectedGraphError),
+        (lambda: suite_scenario("t_low_e", "R20+T3", "1+1+1", 2, comm_range=12.0),
+         GossipStalledError),
+    ], ids=["disconnected", "stalled"])
+    def test_refilled_every_tick_raises_alike(self, monkeypatch, build, error):
+        kept = self.outcome(monkeypatch, build(), refill=False)
+        refilled = self.outcome(monkeypatch, build(), refill=True)
+        assert kept[:3] == refilled[:3]
+        assert kept[1].startswith(error.__name__) and kept[0] > 0

@@ -198,6 +198,37 @@ class TestCanonicalCalls:
         assert result.iterations == iterations
         assert len(calls) == len(group) * iterations
 
+    @pytest.mark.parametrize("knowledge, objects", [
+        # every member proposes one shared object
+        ({1: frozenset({"t1"}), 2: frozenset({"t1"}), 3: frozenset({"t1"})}, [1]),
+        # two knowledge sets, two objects; after the merge, one
+        ({1: frozenset({"t1", "t2"}), 2: frozenset({"t1"}), 3: frozenset({"t1"})},
+         [2, 1]),
+    ])
+    def test_once_per_plan_object_per_iteration(self, monkeypatch, knowledge,
+                                                objects):
+        calls = []
+
+        def counted(payload):
+            calls.append(payload)
+            return canonical(payload)
+
+        monkeypatch.setattr(swarmplan.negotiation, "canonical", counted)
+        plans = {}
+
+        def planner(member, know, depth):
+            # as the engine's: members that know the same share one plan object
+            if know not in plans:
+                plans[know] = sorted(item for item in know if isinstance(item, str))
+            return plans[know]
+
+        group = set(knowledge)
+        result = negotiate(Phase.SELECTION, group, complete_graph(group), ORDER,
+                           planner, knowledge)
+        assert result.iterations == len(objects)
+        assert len(calls) == sum(objects)
+        assert result.payload is plans[frozenset().union(*knowledge.values())]
+
     def test_key_is_canonical_payload(self):
         plan = SelectionPlan(assignment={1: 2, 3: None})
         assert proposal(plan, proposer=1).key == canonical(plan)

@@ -32,6 +32,18 @@ class TestSweepSpec:
         with pytest.raises(InvalidTemplateError, match="bogus"):
             spec(laws=["t_low_e", "bogus"])
 
+    @pytest.mark.parametrize("field, value", [("world_size", "abc"),
+                                              ("required_per_task", "two"),
+                                              ("task_priority_order", 5),
+                                              ("cata", {"weight": 1.0})])
+    def test_rejects_bad_template_value(self, field, value):
+        with pytest.raises(InvalidTemplateError, match="bad template field"):
+            spec(template={**TEMPLATE, field: value})
+
+    def test_template_law_is_left_to_the_cells(self):
+        rows, _ = run_sweep(spec(template={**TEMPLATE, "law": "bogus"}))
+        assert [(r["law"], r["error"]) for r in rows] == [("t_low_e", "")]
+
     def test_rejects_bad_trials(self):
         with pytest.raises(InvalidTemplateError):
             spec(trials=0)
