@@ -91,11 +91,17 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     with open(args.trace) as fh:
-        for line in fh:
-            event = json.loads(line)
-            subjects = ",".join(str(s) for s in event["subjects"])
+        for number, line in enumerate(fh, 1):
+            try:
+                event = json.loads(line)
+                subjects = ",".join(str(s) for s in event["subjects"])
+                head = f"[{event['tick']:>5}] {event['kind']:<18}"
+            except (KeyError, TypeError, ValueError) as exc:
+                print(f"error: {args.trace}:{number}: not a trace event: {exc!r}",
+                      file=sys.stderr)
+                return 2
             detail = f"  {event['detail']}" if event.get("detail") else ""
-            print(f"[{event['tick']:>5}] {event['kind']:<18} {subjects}{detail}")
+            print(f"{head} {subjects}{detail}")
     return 0
 
 
@@ -142,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidScenarioError, InvalidTemplateError, FileNotFoundError,
+    except (InvalidScenarioError, InvalidTemplateError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

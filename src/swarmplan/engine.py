@@ -10,22 +10,22 @@ the scenario: identical inputs give byte-identical metrics and traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip
-from .formation import DistanceMatrix, formation_assign
+from .formation import DistanceMatrix, formation_assign, slot_swaps
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
                       next_step, resolve, track_progress, yield_steps)
 from .scenario import Scenario
-from .selection import SelectionPlan, select
+from .selection import SelectionPlan, open_tasks, select
 from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
-                    euclidean, polygon_vertices)
+                    euclidean, left_sum, polygon_vertices)
 
 _ARRIVAL_TOLERANCE = 0.1
 _UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
@@ -80,13 +80,6 @@ class RunMetrics:
     max_negotiation_iterations: int = 0
 
 
-class _TaskStatus(Enum):
-    PENDING = "pending"
-    ACTIVE = "active"
-    COMPLETED = "completed"
-    TIMED_OUT = "timed_out"
-
-
 class Engine:
     """Owns all mutable state for one run; strictly single-threaded."""
 
@@ -99,9 +92,13 @@ class Engine:
             for r in scenario.robots
         }
         self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
-        self.status: dict[int, _TaskStatus] = {t.id: _TaskStatus.PENDING
-                                               for t in scenario.tasks}
-        self.hold: dict[int, int] = {t.id: 0 for t in scenario.tasks}
+        # a task id is pending until its arrival tick, then active (ascending
+        # ids, mapped to its consecutive ticks in formation) until it
+        # completes or times out
+        self.pending: list[int] = sorted(self.tasks)
+        self.active: dict[int, int] = {}
+        self.completed = 0
+        self.timed_out = 0
         self.vertices: dict[int, list[Position]] = {
             t.id: polygon_vertices(t.center, t.required, scenario.formation_radius)
             for t in scenario.tasks
@@ -109,7 +106,6 @@ class Engine:
         self.known_tasks: dict[int, frozenset[int]] = {
             rid: frozenset() for rid in self.robots
         }
-        self.at_slot: set[int] = set()  # robots standing on their formation vertex
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
         self.ledger = EnergyLedger()
@@ -122,7 +118,8 @@ class Engine:
         self.conflict_frequency = 0
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
-        self._rank = self._task_ranks()
+        self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
+        self._rank = {tid: k for k, tid in enumerate(self._ranked)}
         # the tick view every phase reads: the ids and the law never change,
         # the alive list only when a robot dies (see ``_bury``), the comm
         # graph and the team's gossip rounds also when a robot moves at a
@@ -134,12 +131,6 @@ class Engine:
         self._keys = tuple(c.key for c in self._order if c.key != "id")
 
     # ---------------------------------------------------------------- helpers
-
-    def _task_ranks(self) -> dict[int, int]:
-        order = self.scenario.task_priority_order
-        if order is None:
-            order = sorted(self.tasks)
-        return {tid: k for k, tid in enumerate(order)}
 
     def _alive(self) -> list[RobotState]:
         """Alive robots in ``robots`` order; callers must not mutate it."""
@@ -218,7 +209,6 @@ class Engine:
         robot.group = None
         robot.slot = None
         robot.goal = None
-        self.at_slot.discard(rid)
 
     def _negotiate(self, phase: Phase, group: list[int], graph: CommGraph,
                    plan_for: Callable[[frozenset], Any],
@@ -267,22 +257,22 @@ class Engine:
 
     # phase 1: new tasks reach the nearest alive robot only
     def _phase_arrivals(self) -> None:
+        arrived = [tid for tid in self.pending
+                   if self.tasks[tid].arrival_tick <= self.tick_no]
+        if not arrived:
+            return
+        self.pending = [tid for tid in self.pending if tid not in arrived]
+        self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
         alive = self._alive()
-        for tid in sorted(self.tasks):
-            task = self.tasks[tid]
-            if self.status[tid] is _TaskStatus.PENDING and task.arrival_tick <= self.tick_no:
-                self.status[tid] = _TaskStatus.ACTIVE
-                if alive:
-                    nearest = min(alive, key=lambda r: (euclidean(r.pos, task.center), r.id))
-                    self.known_tasks[nearest.id] |= {tid}
-                    self._emit(EventKind.TASK_ARRIVED, (tid,),
-                               f"revealed_to={nearest.id}")
-                    self._preempt()
-
-    def _preempt(self) -> None:
-        """New work arrived: everyone not already holding a slot re-selects."""
-        for r in self._alive():
-            if r.id not in self.at_slot and r.group is not None:
+        for tid in arrived:
+            if alive:
+                task = self.tasks[tid]
+                nearest = min(alive, key=lambda r: (euclidean(r.pos, task.center), r.id))
+                self.known_tasks[nearest.id] |= {tid}
+                self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={nearest.id}")
+        # new work arrived: everyone not standing on its slot re-selects
+        for r in alive:
+            if r.pos != r.goal and r.group is not None:
                 self._release(r.id)
 
     # phase 2: gossip all robot state to equilibrium over the full graph
@@ -312,8 +302,8 @@ class Engine:
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
         if not free:
             return
-        open_need = self._open_requirements()
-        chosen = self._feasible_tasks(open_need, len(free))
+        ranked = [self.tasks[tid] for tid in self._ranked if tid in self.active]
+        chosen = open_tasks(ranked, self._members_by_task(), len(free))
         if not chosen:
             return
 
@@ -347,31 +337,10 @@ class Engine:
         if assigned:
             self._emit(EventKind.AGREE, tuple(assigned), "phase=selection")
 
-    def _open_requirements(self) -> dict[int, int]:
-        open_need: dict[int, int] = {}
-        members_of = self._members_by_task()
-        for tid in sorted(self.tasks):
-            if self.status[tid] is _TaskStatus.ACTIVE:
-                missing = self.tasks[tid].required - len(members_of.get(tid, ()))
-                if missing > 0:
-                    open_need[tid] = missing
-        return open_need
-
-    def _feasible_tasks(self, open_need: dict[int, int], budget: int) -> list[Task]:
-        """Open tasks in priority order that fit the free-robot budget."""
-        chosen: list[Task] = []
-        for tid in sorted(open_need, key=lambda t: (self._rank.get(t, _UNRANKED), t)):
-            if open_need[tid] <= budget:
-                chosen.append(replace(self.tasks[tid], required=open_need[tid]))
-                budget -= open_need[tid]
-        return chosen
-
     # phase 4: grouped robots without a slot negotiate vertex assignments
     def _phase_formation(self, graph: CommGraph | None) -> None:
         members_of = self._members_by_task()
-        for tid in sorted(self.tasks):
-            if self.status[tid] is not _TaskStatus.ACTIVE:
-                continue
+        for tid in self.active:
             members = members_of.get(tid, ())
             if len(members) != self.tasks[tid].required:
                 continue
@@ -399,44 +368,21 @@ class Engine:
         self._rebalance_slots(members_of)
 
     def _rebalance_slots(self, members_of: dict[int, list[int]]) -> None:
-        """Swap vertex assignments between groupmates when it shortens both
-        journeys combined; ``members_of`` is the formation phase's map (a
-        robot that died since holds no slot, so it is skipped).
-
-        The greedy assignment can leave robot A parked next to B's vertex
-        while its own vertex lies behind B; the two then block each other
-        indefinitely. Distance-reducing 2-opt swaps strictly shrink total
-        remaining travel, so the rebalance terminates and cannot oscillate.
-
-        This is formation-stage conflict avoidance and belongs to the
-        needs-hierarchy laws; the utility-matrix baseline considers
-        conflicts only while routing, so it keeps whatever vertex
-        assignment the greedy pass produced.
-        """
+        """Apply each task's ``slot_swaps`` (none under CATA_U); ``members_of``
+        is the formation phase's map (a robot that died since holds no slot,
+        so it is skipped)."""
         if self.scenario.law is PriorityLaw.CATA_U:
             return
-        for tid in sorted(self.tasks):
-            if self.status[tid] is not _TaskStatus.ACTIVE:
-                continue
+        for tid in self.active:
             verts = self.vertices[tid]
-            en_route = [rid for rid in members_of.get(tid, ())
+            en_route = [self.robots[rid] for rid in members_of.get(tid, ())
                         if self.robots[rid].slot is not None
-                        and rid not in self.at_slot]
-            improved = True
-            while improved:
-                improved = False
-                for i, a in enumerate(en_route):
-                    for b in en_route[i + 1:]:
-                        ra, rb = self.robots[a], self.robots[b]
-                        now = (euclidean(ra.pos, verts[ra.slot])
-                               + euclidean(rb.pos, verts[rb.slot]))
-                        swapped = (euclidean(ra.pos, verts[rb.slot])
-                                   + euclidean(rb.pos, verts[ra.slot]))
-                        if swapped < now - 1e-9:
-                            ra.slot, rb.slot = rb.slot, ra.slot
-                            ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
-                            self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
-                            improved = True
+                        and self.robots[rid].pos != self.robots[rid].goal]
+            for a, b in slot_swaps(en_route, verts):
+                ra, rb = self.robots[a], self.robots[b]
+                ra.slot, rb.slot = rb.slot, ra.slot
+                ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
+                self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
 
     # phase 5: routing with conflict clustering and safe execution
     def _phase_routing(self) -> dict[int, Position]:
@@ -446,9 +392,7 @@ class Engine:
         moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
                  for r in alive
                  if r.goal is not None and euclidean(r.pos, r.goal) > 0.0}
-        active_vertices = [v for tid in sorted(self.tasks)
-                           if self.status[tid] is _TaskStatus.ACTIVE
-                           for v in self.vertices[tid]]
+        active_vertices = [v for tid in self.active for v in self.vertices[tid]]
         moves = yield_steps(current, moves,
                             [r.id for r in alive if r.id not in moves and r.group is None],
                             active_vertices, self.geometry)
@@ -510,17 +454,13 @@ class Engine:
                            f"to=({robot.pos.x:.3f},{robot.pos.y:.3f})")
             if rid in died:
                 self._bury(rid)
-            if robot.goal is not None and robot.pos == robot.goal:
-                self.at_slot.add(rid)
             self._goal_mark[rid], self._stall[rid] = track_progress(
                 self._goal_mark[rid], self._stall[rid], robot.pos, robot.goal)
 
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:
         members_of = self._members_by_task()
-        for tid in sorted(self.tasks):
-            if self.status[tid] is not _TaskStatus.ACTIVE:
-                continue
+        for tid, held in list(self.active.items()):
             task = self.tasks[tid]
             members = members_of.get(tid, ())
             in_place = (
@@ -531,50 +471,43 @@ class Engine:
                         <= _ARRIVAL_TOLERANCE
                         for rid in members)
             )
-            if in_place:
-                self.hold[tid] += 1
-            else:
-                self.hold[tid] = 0
-            if self.hold[tid] >= task.duration:
-                self.status[tid] = _TaskStatus.COMPLETED
+            self.active[tid] = held = held + 1 if in_place else 0
+            if held >= task.duration:
+                self.completed += 1
                 self._emit(EventKind.TASK_COMPLETED, tuple(members))
-                for rid in members:
-                    self._release(rid)
-                continue
-            if self.tick_no - task.arrival_tick + 1 >= task.timeout:
-                self.status[tid] = _TaskStatus.TIMED_OUT
+            elif self.tick_no - task.arrival_tick + 1 >= task.timeout:
+                self.timed_out += 1
                 self._emit(EventKind.TASK_TIMED_OUT, tuple(members), f"task={tid}")
-                for rid in members:
-                    self._release(rid)
+            else:
+                continue
+            del self.active[tid]
+            for rid in members:
+                self._release(rid)
 
     # ------------------------------------------------------------------- run
 
     def finished(self) -> bool:
         # with no tasks at all nothing can arrive, so the run is over too
-        return not self._alive() or all(
-            s in (_TaskStatus.COMPLETED, _TaskStatus.TIMED_OUT)
-            for s in self.status.values())
+        return not self._alive() or not (self.pending or self.active)
 
     def metrics(self) -> RunMetrics:
         batteries = [r.battery for r in self.robots.values()]
-        gossip_total = sum(self.ledger.comm_gossip.values())
-        nego_total = sum(self.ledger.comm_negotiation.values())
+        gossip_total = left_sum(self.ledger.comm_gossip.values())
+        nego_total = left_sum(self.ledger.comm_negotiation.values())
         return RunMetrics(
             conflict_frequency=self.conflict_frequency,
-            energy_moving=sum(self.ledger.moving.values()),
-            energy_idle=sum(self.ledger.idle.values()),
+            energy_moving=left_sum(self.ledger.moving.values()),
+            energy_idle=left_sum(self.ledger.idle.values()),
             energy_comm=gossip_total + nego_total,
             energy_comm_negotiation=nego_total,
             total_distance=self.total_distance,
             per_task_comm=dict(sorted(self.ledger.per_task_comm.items())),
             residual_max=max(batteries),
             residual_min=min(batteries),
-            residual_mean=sum(batteries) / len(batteries),
+            residual_mean=left_sum(batteries) / len(batteries),
             ticks_elapsed=self.tick_no,
-            tasks_completed=sum(1 for s in self.status.values()
-                                if s is _TaskStatus.COMPLETED),
-            tasks_timed_out=sum(1 for s in self.status.values()
-                                if s is _TaskStatus.TIMED_OUT),
+            tasks_completed=self.completed,
+            tasks_timed_out=self.timed_out,
             max_negotiation_iterations=self.max_negotiation_iterations,
         )
 

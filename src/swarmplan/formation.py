@@ -64,6 +64,38 @@ def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
     return FormationPlan(slot_of=slot_of, task=task)
 
 
+def slot_swaps(robots: Sequence[RobotState],
+               vertices: Sequence[Position]) -> list[tuple[int, int]]:
+    """2-opt slot swaps among one task's members en route, in the order
+    they apply: a pair swaps when that shortens both journeys combined.
+
+    The greedy assignment can leave robot A parked next to B's vertex
+    while its own vertex lies behind B; the two then block each other
+    indefinitely. Each swap strictly shrinks the total remaining travel,
+    so the loop ends and cannot oscillate. This is formation-stage
+    conflict avoidance for the needs-hierarchy laws: the utility-matrix
+    baseline (CATA_U) considers conflicts only while routing, so it keeps
+    whatever vertex assignment the greedy pass produced.
+    """
+    slot = {r.id: r.slot for r in robots}
+    swaps: list[tuple[int, int]] = []
+    improved = True
+    while improved:
+        improved = False
+        for i, ra in enumerate(robots):
+            for rb in robots[i + 1:]:
+                a, b = ra.id, rb.id
+                now = (euclidean(ra.pos, vertices[slot[a]])
+                       + euclidean(rb.pos, vertices[slot[b]]))
+                swapped = (euclidean(ra.pos, vertices[slot[b]])
+                           + euclidean(rb.pos, vertices[slot[a]]))
+                if swapped < now - 1e-9:
+                    slot[a], slot[b] = slot[b], slot[a]
+                    swaps.append((a, b))
+                    improved = True
+    return swaps
+
+
 def hungarian_oracle(matrix: DistanceMatrix) -> tuple[dict[int, int], float]:
     """Exact minimum total-distance assignment (test oracle, <= 20x20)."""
     # scipy comes with the dev extra, not the runtime: only the oracle needs it

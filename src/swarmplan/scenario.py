@@ -170,6 +170,12 @@ def _settings(doc: dict) -> dict:
     }
 
 
+def _battery(template: dict) -> tuple[float, float]:
+    """A template's battery mean and standard deviation, parsed."""
+    return (float(template.get("battery_mean", 90.0)),
+            float(template.get("battery_sd", 10.0)))
+
+
 def generate(template: dict, seed: int) -> Scenario:
     """Build a concrete scenario from a template, deterministically.
 
@@ -183,8 +189,7 @@ def generate(template: dict, seed: int) -> Scenario:
     try:
         world = float(template["world_size"])
         n_robots = int(template["n_robots"])
-        mean = float(template.get("battery_mean", 90.0))
-        sd = float(template.get("battery_sd", 10.0))
+        mean, sd = _battery(template)
         tasks = [_task(t) for t in template["tasks"]]
         settings = _settings(template)
         positions = ([(float(x), float(y)) for x, y in template["positions"]]

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .priority import PriorityLaw, compile_law, sort_queue
-from .world import EnergyModel, RobotState, Task, euclidean
+from .world import EnergyModel, RobotState, Task, euclidean, left_sum
 
 
 class InsufficientRobotsError(Exception):
@@ -42,6 +42,20 @@ def estimate_cost(
     """Estimated moving energy for the robot to reach the task center."""
     steps = math.ceil(euclidean(robot.pos, task.center) / step_length)
     return model.move_cost * steps
+
+
+def open_tasks(ranked_tasks: Sequence[Task], members_of: Mapping[int, Sequence[int]],
+               budget: int) -> list[Task]:
+    """The active ``ranked_tasks`` (in priority order) still short of
+    members, each cut to its shortfall, taken while the ``budget`` of free
+    robots covers it; a task that does not fit is passed over."""
+    chosen: list[Task] = []
+    for task in ranked_tasks:
+        missing = task.required - len(members_of.get(task.id, ()))
+        if 0 < missing <= budget:
+            chosen.append(replace(task, required=missing))
+            budget -= missing
+    return chosen
 
 
 def select(
@@ -108,7 +122,7 @@ def _min_cost_cut(cost: list[list[float]], sizes: list[int]) -> list[range]:
             if i >= 1 and f[i - 1][j] < f[i][j]:
                 f[i][j] = f[i - 1][j]
             if i >= s and f[i - s][j - 1] < inf:
-                c = f[i - s][j - 1] + sum(cost[x][j - 1] for x in range(i - s, i))
+                c = f[i - s][j - 1] + left_sum(cost[x][j - 1] for x in range(i - s, i))
                 if c < f[i][j]:
                     f[i][j] = c
                     choice[i][j] = True

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .engine import run
 from .priority import PriorityLaw
-from .scenario import InvalidTemplateError, _settings, generate
+from .scenario import InvalidTemplateError, _battery, _settings, generate
 
 CSV_COLUMNS = [
     "law", "scale", "style", "trial", "seed",
@@ -78,6 +78,7 @@ class SweepSpec:
         # cell sets its own law
         try:
             _settings({k: v for k, v in self.template.items() if k != "law"})
+            _battery(self.template)
             for s in self.scales:
                 scale_template(self.template, s, "static")
         except (TypeError, ValueError) as exc:

@@ -9,8 +9,10 @@ ledger sum, per robot) can be checked exactly after any run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Mapping
 
 
@@ -29,6 +31,12 @@ class Position:
 def euclidean(a: Position, b: Position) -> float:
     """Straight-line distance between two points, in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float total added left to right, the same bits on every Python
+    (``sum`` compensates its rounding from CPython 3.12 on)."""
+    return reduce(operator.add, values, 0.0)
 
 
 def polygon_vertices(center: Position, n: int, radius: float) -> list[Position]:

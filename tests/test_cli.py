@@ -108,6 +108,10 @@ class TestRun:
         assert (out / "trace.jsonl").read_text() == ""
         assert "ticks=0" in capsys.readouterr().out
 
+    def test_directory_scenario_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_scenario_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -208,6 +212,19 @@ class TestSweepAndSummarize:
         assert capsys.readouterr().err.startswith("error: bad template field: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("battery_mean", "abc"),
+                                              ("battery_sd", [1])])
+    def test_bad_battery_exits_2(self, tmp_path, capsys, field, value):
+        # generate alone reads these two fields, once per cell
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "template": {**TEMPLATE, field: value},
+            "laws": ["t_low_e", "low_e"], "scales": ["R5+T1"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad template field: ")
+        assert not out.exists()
+
     def test_unknown_law_flag_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"template": dict(TEMPLATE),
@@ -254,3 +271,14 @@ class TestReplay:
         lines = capsys.readouterr().out.splitlines()
         assert lines
         assert any("task_completed" in line for line in lines)
+
+    @pytest.mark.parametrize("line", ["{}", '{"tick": 1, "kind": "move"}',
+                                      "[]", "not json"])
+    def test_bad_event_names_its_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "trace.jsonl"
+        good = '{"tick": 0, "kind": "move", "subjects": [1], "detail": ""}'
+        trace.write_text(f"{good}\n{line}\n{good}\n")
+        assert main(["replay", "--trace", str(trace)]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith(f"error: {trace}:2: ")
+        assert len(out.out.splitlines()) == 1

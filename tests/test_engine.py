@@ -50,7 +50,7 @@ class TestSingleRobot:
         for _ in range(3):
             engine.tick()
         assert engine.robots[1].pos == Position(5.0, 6.0)
-        assert engine.at_slot == {1}
+        assert engine.robots[1].pos == engine.robots[1].goal
         for _ in range(2):
             engine.tick()
         metrics = engine.metrics()
@@ -128,6 +128,24 @@ class TestDynamics:
         while engine.tick_no < s.max_ticks and not engine.finished():
             engine.tick()
         assert engine.metrics().tasks_completed == 2
+
+    def test_later_arrival_with_lower_id_keeps_id_order(self):
+        # task 2 arrives first; task 1 arrives at tick 4 and preempts, so
+        # both tasks form again in that tick: task 1 must come first
+        s = scenario([RobotSpec(1, 2.0, 2.0, 90.0),
+                      RobotSpec(2, 4.0, 2.0, 80.0),
+                      RobotSpec(3, 6.0, 2.0, 70.0),
+                      RobotSpec(4, 8.0, 2.0, 60.0)],
+                     [task(2, 15.0, 25.0, required=2, timeout=300),
+                      task(1, 4.0, 10.0, required=2, arrival_tick=4, timeout=300)])
+        metrics, events = run(s)
+        formed: dict[int, list[int]] = {}
+        for e in events:
+            if e.kind is EventKind.AGREE and e.detail.startswith("phase=formation"):
+                formed.setdefault(e.tick, []).append(int(e.detail.split("task=")[1]))
+        assert formed[4] == [1, 2]
+        assert all(tids == sorted(tids) for tids in formed.values())
+        assert metrics.tasks_completed == 2
 
 
 class TestTermination:

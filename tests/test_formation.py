@@ -2,15 +2,17 @@ import itertools
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarmplan
 from swarmplan.formation import (DistanceMatrix, FormationPlan,
                                  formation_assign, hungarian_oracle,
-                                 plan_total)
-from swarmplan.world import Position
+                                 plan_total, slot_swaps)
+from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
 
@@ -138,3 +140,89 @@ class TestDistanceMatrixBuild:
         assert m.row(7)[0] == pytest.approx(5.0)
         assert m.row(7)[1] == pytest.approx(4.0)
         assert all(d >= 0 for row in m.entries for d in row)
+
+
+def ref_slot_swaps(robots, verts):
+    """Reference: the engine's former in-place 2-opt loop, run on copies of
+    ``robots`` and recording each swap as it applied it."""
+    robots = {r.id: replace(r) for r in robots}
+    en_route = list(robots)
+    swaps = []
+    improved = True
+    while improved:
+        improved = False
+        for i, a in enumerate(en_route):
+            for b in en_route[i + 1:]:
+                ra, rb = robots[a], robots[b]
+                now = (euclidean(ra.pos, verts[ra.slot])
+                       + euclidean(rb.pos, verts[rb.slot]))
+                swapped = (euclidean(ra.pos, verts[rb.slot])
+                           + euclidean(rb.pos, verts[ra.slot]))
+                if swapped < now - 1e-9:
+                    ra.slot, rb.slot = rb.slot, ra.slot
+                    ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
+                    swaps.append((a, b))
+                    improved = True
+    return swaps
+
+
+coords = st.floats(0.0, 30.0, allow_nan=False)
+
+
+@st.composite
+def slotted_teams(draw, parked=False):
+    """Vertices, robots under sparse ids each holding a distinct slot, and
+    (with ``parked``) more robots standing exactly on their own vertex,
+    mixed into the list at random places."""
+    n_verts = draw(st.integers(1, 8))
+    verts = [Position(draw(coords), draw(coords)) for _ in range(n_verts)]
+    slots = draw(st.permutations(range(n_verts)))
+    n_parked = draw(st.integers(0, n_verts)) if parked else 0
+    n_moving = draw(st.integers(0, n_verts - n_parked))
+    ids = draw(st.lists(st.integers(0, 99), unique=True,
+                        min_size=n_parked + n_moving, max_size=n_parked + n_moving))
+    moving = []
+    for rid, slot in zip(ids, slots[:n_moving]):
+        robot = make_robot(rid, draw(coords), draw(coords))
+        robot.slot, robot.goal = slot, verts[slot]
+        moving.append(robot)
+    standing = []
+    for rid, slot in zip(ids[n_moving:], slots[n_moving:n_moving + n_parked]):
+        robot = make_robot(rid, verts[slot].x, verts[slot].y)
+        robot.slot, robot.goal = slot, verts[slot]
+        standing.append(robot)
+    mixed = list(moving)
+    for robot in standing:
+        mixed.insert(draw(st.integers(0, len(mixed))), robot)
+    return verts, moving, mixed
+
+
+class TestSlotSwaps:
+    def test_parked_before_the_other_vertex(self):
+        # A stands next to B's vertex while its own lies behind B
+        verts = [Position(2.5, 0.0), Position(5.0, 0.0)]
+        a, b = make_robot(1, 2.0, 0.0), make_robot(2, 4.0, 0.0)
+        a.slot, b.slot = 1, 0
+        assert slot_swaps([a, b], verts) == [(1, 2)]
+        assert (a.slot, b.slot) == (1, 0)  # the caller applies the swaps
+
+    def test_no_swap_without_a_gain(self):
+        verts = [Position(0.0, 0.0), Position(10.0, 0.0)]
+        a, b = make_robot(1, 1.0, 0.0), make_robot(2, 9.0, 0.0)
+        a.slot, b.slot = 0, 1
+        assert slot_swaps([a, b], verts) == []
+
+    @given(slotted_teams())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, team):
+        verts, robots, _ = team
+        before = [replace(r) for r in robots]
+        assert slot_swaps(robots, verts) == ref_slot_swaps(robots, verts)
+        assert robots == before
+
+    @given(slotted_teams(parked=True))
+    @settings(deadline=None, max_examples=300)
+    def test_robots_on_their_vertex_change_nothing(self, team):
+        # triangle inequality: |A vb| + |B va| >= |B vb| when A stands on va
+        verts, moving, mixed = team
+        assert slot_swaps(mixed, verts) == slot_swaps(moving, verts)

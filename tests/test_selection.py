@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmplan.priority import PriorityLaw
 from swarmplan.selection import (InsufficientRobotsError, estimate_cost,
-                                 plan_cost, select, selection_oracle)
+                                 open_tasks, plan_cost, select, selection_oracle)
 from swarmplan.world import EnergyModel, Position, Task
 from helpers import make_robot
 
@@ -146,3 +148,59 @@ class TestOracle:
             for t in tasks:
                 assert len(plan.group(t.id)) == t.required
             assert plan_cost(plan, robots, tasks, MODEL) >= oracle_cost - 1e-9
+
+
+def ref_open_tasks(tasks, active, members_of, rank, budget):
+    """Reference: the engine's former ``_open_requirements`` followed by
+    ``_feasible_tasks``, over every task, the active ids and the ranks."""
+    open_need = {}
+    for tid in sorted(tasks):
+        if tid in active:
+            missing = tasks[tid].required - len(members_of.get(tid, ()))
+            if missing > 0:
+                open_need[tid] = missing
+    chosen = []
+    for tid in sorted(open_need, key=lambda t: (rank.get(t, 1_000_000), t)):
+        if open_need[tid] <= budget:
+            chosen.append(replace(tasks[tid], required=open_need[tid]))
+            budget -= open_need[tid]
+    return chosen
+
+
+@st.composite
+def task_books(draw):
+    """Tasks under sparse ids, a rank permutation, the active ids, each
+    task's members (short of, at or past its required count) and a budget."""
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=7))
+    tasks = {tid: task(tid, 0, 0, required=draw(st.integers(1, 5))) for tid in ids}
+    order = draw(st.permutations(ids))
+    active = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    members_of = {}
+    for tid in ids:
+        count = draw(st.integers(0, tasks[tid].required + 1))
+        if count:
+            members_of[tid] = list(range(100 * tid, 100 * tid + count))
+    return tasks, order, active, members_of, draw(st.integers(0, 12))
+
+
+class TestOpenTasks:
+    def test_shortfall_in_rank_order_within_budget(self):
+        tasks = [task(3, 0, 0, required=4), task(1, 0, 0, required=2),
+                 task(2, 0, 0, required=3)]
+        # task 3 lacks 3 and fits; task 1 is staffed; task 2 lacks 3 > 2 left
+        chosen = open_tasks(tasks, {3: [7], 1: [8, 9]}, budget=5)
+        assert [(t.id, t.required) for t in chosen] == [(3, 3)]
+
+    def test_skips_a_task_that_does_not_fit(self):
+        tasks = [task(1, 0, 0, required=3), task(2, 0, 0, required=1)]
+        assert [t.id for t in open_tasks(tasks, {}, budget=2)] == [2]
+
+    @given(task_books())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, book):
+        tasks, order, active, members_of, budget = book
+        rank = {tid: k for k, tid in enumerate(order)}
+        ranked = [tasks[tid] for tid in order if tid in active]
+        assert open_tasks(ranked, members_of, budget) == ref_open_tasks(
+            tasks, active, members_of, rank, budget)
+

@@ -40,6 +40,12 @@ class TestSweepSpec:
         with pytest.raises(InvalidTemplateError, match="bad template field"):
             spec(template={**TEMPLATE, field: value})
 
+    @pytest.mark.parametrize("field, value", [("battery_mean", "abc"),
+                                              ("battery_sd", None)])
+    def test_rejects_bad_battery(self, field, value):
+        with pytest.raises(InvalidTemplateError, match="bad template field"):
+            spec(template={**TEMPLATE, field: value})
+
     def test_template_law_is_left_to_the_cells(self):
         rows, _ = run_sweep(spec(template={**TEMPLATE, "law": "bogus"}))
         assert [(r["law"], r["error"]) for r in rows] == [("t_low_e", "")]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.world import (ChargeKind, EnergyLedger, EnergyModel, Position,
-                             RobotState, Task, euclidean, polygon_vertices)
+                             RobotState, Task, euclidean, left_sum,
+                             polygon_vertices)
 from helpers import make_robot
 
 
@@ -33,6 +34,15 @@ class TestEuclidean:
     def test_symmetric_nonnegative(self, ax, ay, bx, by):
         a, b = Position(ax, ay), Position(bx, by)
         assert euclidean(a, b) == euclidean(b, a) >= 0.0
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # a compensated sum (``sum`` on CPython 3.12+) gives 1.0 here
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_is_float_zero(self):
+        assert repr(left_sum([])) == "0.0"
 
 
 class TestPolygonVertices:
