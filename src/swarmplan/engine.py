@@ -16,7 +16,8 @@ from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip
-from .formation import DistanceMatrix, formation_assign, slot_swaps
+from .formation import (DistanceMatrix, formation_assign, in_formation,
+                        open_vertices, slot_swaps)
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
@@ -184,15 +185,14 @@ class Engine:
             self._comm_view = graph, rounds
         return self._comm_view
 
-    def _charge_comm(self, robot_ids: Iterable[int], rounds: int, *,
-                     negotiation: bool,
+    def _charge_comm(self, robot_ids: Iterable[int], rounds: int,
                      task_of: dict[int, int | None] | None = None) -> list[int]:
-        """Charge ``rounds`` comm rounds to each robot, ascending ids;
+        """Charge ``rounds`` comm rounds to each robot, ascending ids, as
+        negotiation for the tasks ``task_of`` names or else as gossip;
         returns the ids of the robots it killed."""
         died = self.ledger.charge_many(
             [self.robots[rid] for rid in sorted(robot_ids)], ChargeKind.COMM_ROUND,
-            self.scenario.energy, negotiation=negotiation, task_of=task_of,
-            times=rounds)
+            self.scenario.energy, task_of=task_of, times=rounds)
         for robot in died:
             self._bury(robot.id)
         return [robot.id for robot in died]
@@ -235,8 +235,7 @@ class Engine:
         result = negotiate(phase, frozenset(group), graph, self._order, planner,
                            knowledge)
         if result.comm_rounds:
-            self._charge_comm(group, result.comm_rounds, negotiation=True,
-                              task_of=task_of(result.payload))
+            self._charge_comm(group, result.comm_rounds, task_of(result.payload))
             self._emit(EventKind.NEGOTIATE, tuple(group),
                        f"{detail} iterations={result.iterations}")
         self.max_negotiation_iterations = max(self.max_negotiation_iterations,
@@ -292,7 +291,7 @@ class Engine:
             self.known_tasks[r.id] = union
         if rounds:
             ids = [r.id for r in alive]
-            self._charge_comm(ids, rounds, negotiation=False)
+            self._charge_comm(ids, rounds)
             self._emit(EventKind.GOSSIP, tuple(sorted(ids)), f"rounds={rounds}")
         return graph
 
@@ -321,8 +320,7 @@ class Engine:
                                             weights=scenario.cata,
                                             safety_radius=scenario.safety_radius)
             return select(robots, known, scenario.law, scenario.energy, context,
-                          step_length=scenario.step_length,
-                          task_order=scenario.task_priority_order)
+                          step_length=scenario.step_length)
 
         members = sorted(r.id for r in self._alive())
         plan = self._negotiate(
@@ -347,12 +345,11 @@ class Engine:
             free = [rid for rid in members if self.robots[rid].slot is None]
             if not free:
                 continue
-            taken = {self.robots[rid].slot for rid in members} - {None}
-            open_vertices = [v for v in range(self.tasks[tid].required)
-                             if v not in taken]
+            vacant = open_vertices((self.robots[rid].slot for rid in members),
+                                   self.tasks[tid].required)
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
-                                          [verts[v] for v in open_vertices])
+                                          [verts[v] for v in vacant])
             queue = sort_queue(free, self._context(free), self._order)
             detail = f"phase=formation task={tid}"
             plan = self._negotiate(
@@ -362,7 +359,7 @@ class Engine:
             for rid, col in plan.slot_of.items():
                 robot = self.robots[rid]
                 if robot.alive:  # a robot that died negotiating takes no slot
-                    robot.slot = open_vertices[col]
+                    robot.slot = vacant[col]
                     robot.goal = verts[robot.slot]
             self._emit(EventKind.AGREE, tuple(free), detail)
         self._rebalance_slots(members_of)
@@ -423,8 +420,7 @@ class Engine:
         for rid in decision.losers:
             self._emit(EventKind.STOP, (rid,), "conflict")
         task_of = {rid: self.robots[rid].group for rid in decision.members}
-        return self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS,
-                                 negotiation=True, task_of=task_of)
+        return self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS, task_of)
 
     # phase 6: execute motion and charge energy
     def _phase_charge(self, final: dict[int, Position]) -> None:
@@ -441,8 +437,6 @@ class Engine:
                 idlers.append(robot)
         if movers and self.scenario.comm_range != COMPLETE:
             self._comm_view = None  # the graph's edges follow the positions
-        # ``dropped`` lists dead robots in charge order; a dead robot never
-        # moves, so charging the movers first keeps it in id order
         model = self.scenario.energy
         died = {r.id for r in self.ledger.charge_many(movers, ChargeKind.MOVE, model)}
         died.update(r.id for r in self.ledger.charge_many(idlers, ChargeKind.IDLE, model))
@@ -463,14 +457,8 @@ class Engine:
         for tid, held in list(self.active.items()):
             task = self.tasks[tid]
             members = members_of.get(tid, ())
-            in_place = (
-                len(members) == task.required
-                and all(self.robots[rid].slot is not None
-                        and euclidean(self.robots[rid].pos,
-                                      self.vertices[tid][self.robots[rid].slot])
-                        <= _ARRIVAL_TOLERANCE
-                        for rid in members)
-            )
+            in_place = in_formation([self.robots[rid] for rid in members],
+                                    task.required, _ARRIVAL_TOLERANCE)
             self.active[tid] = held = held + 1 if in_place else 0
             if held >= task.duration:
                 self.completed += 1

@@ -9,7 +9,7 @@ extra) is kept alongside as a test oracle so the greedy gap stays measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .world import Position, RobotState, euclidean
 
@@ -62,6 +62,21 @@ def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
         claimed.add(best)
         slot_of[robot_id] = best
     return FormationPlan(slot_of=slot_of, task=task)
+
+
+def open_vertices(slots: Iterable[int | None], n: int) -> list[int]:
+    """The vertex indices below ``n`` that none of ``slots`` holds, ascending."""
+    taken = set(slots)
+    return [v for v in range(n) if v not in taken]
+
+
+def in_formation(robots: Sequence[RobotState], required: int,
+                 tolerance: float) -> bool:
+    """Whether ``robots`` are a full team of ``required`` members, each
+    within ``tolerance`` of its goal vertex."""
+    return len(robots) == required and all(
+        r.goal is not None and euclidean(r.pos, r.goal) <= tolerance
+        for r in robots)
 
 
 def slot_swaps(robots: Sequence[RobotState],

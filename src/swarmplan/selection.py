@@ -1,7 +1,7 @@
 """Grouping robots to tasks by cutting a priority-ordered sequence.
 
-Robots are first ordered by the active priority law, tasks by priority
-rank. The ordered robot sequence is then cut into contiguous blocks, one
+Robots are first ordered by the active priority law; the caller ranks the
+tasks. The ordered robot sequence is then cut into contiguous blocks, one
 per task, sized exactly by each task's required count; a dynamic program
 places the cut points (surplus robots may be skipped between blocks) to
 minimize the total estimated moving energy. An exhaustive oracle over
@@ -65,12 +65,11 @@ def select(
     model: EnergyModel,
     context: Mapping[int, Mapping[str, float]],
     step_length: float = 1.0,
-    task_order: Sequence[int] | None = None,
 ) -> SelectionPlan:
-    """Partition ``robots`` over ``tasks`` by the law-ordered linear cut.
+    """Partition ``robots`` over ``tasks``, given in priority rank order
+    (as :func:`open_tasks` returns them), by the law-ordered linear cut.
 
-    ``context`` supplies the per-robot sort keys for the law. ``task_order``
-    overrides the default priority ranking (ascending task id). Raises
+    ``context`` supplies the per-robot sort keys for the law. Raises
     :class:`InsufficientRobotsError` when the required counts cannot be met.
     """
     if not tasks:
@@ -80,27 +79,19 @@ def select(
     if need > len(alive):
         raise InsufficientRobotsError(f"need {need} robots, have {len(alive)} alive")
 
-    ranked_tasks = _rank_tasks(tasks, task_order)
     ordered_ids = sort_queue([r.id for r in alive], context, compile_law(law))
     by_id = {r.id: r for r in alive}
     ordered = [by_id[i] for i in ordered_ids]
 
-    cost = [[estimate_cost(r, t, model, step_length) for t in ranked_tasks]
+    cost = [[estimate_cost(r, t, model, step_length) for t in tasks]
             for r in ordered]
-    blocks = _min_cost_cut(cost, [t.required for t in ranked_tasks])
+    blocks = _min_cost_cut(cost, [t.required for t in tasks])
 
     assignment: dict[int, int | None] = {r.id: None for r in robots}
     for j, block in enumerate(blocks):
         for i in block:
-            assignment[ordered[i].id] = ranked_tasks[j].id
+            assignment[ordered[i].id] = tasks[j].id
     return SelectionPlan(assignment=assignment)
-
-
-def _rank_tasks(tasks: Sequence[Task], task_order: Sequence[int] | None) -> list[Task]:
-    if task_order is None:
-        return sorted(tasks, key=lambda t: t.id)
-    rank = {tid: k for k, tid in enumerate(task_order)}
-    return sorted(tasks, key=lambda t: rank[t.id])
 
 
 def _min_cost_cut(cost: list[list[float]], sizes: list[int]) -> list[range]:

@@ -144,7 +144,6 @@ class EnergyLedger:
         self.comm_gossip: dict[int, float] = {}
         self.comm_negotiation: dict[int, float] = {}
         self.per_task_comm: dict[int, float] = {}
-        self.dropped: list[tuple[int, ChargeKind]] = []
 
     def register(self, robot: RobotState) -> None:
         self.initial[robot.id] = robot.battery
@@ -157,51 +156,43 @@ class EnergyLedger:
         kind: ChargeKind,
         model: EnergyModel,
         *,
-        negotiation: bool = False,
         task_of: Mapping[int, int | None] | None = None,
         times: int = 1,
     ) -> list[RobotState]:
-        """Deduct the cost of ``times`` actions of one kind from each robot
-        in turn and record it, attributing a negotiation charge to the task
-        ``task_of`` names for the robot; returns the robots the charge
-        killed, in charge order.
+        """Deduct the cost of ``times`` actions of one kind from each alive
+        robot in turn and record it; returns the robots it killed, in order.
 
-        Charging a dead robot is a no-op recorded in ``dropped``, once per
-        action. The battery clamps at zero; only the actually-deducted
-        amount enters the accumulators, so conservation holds exactly. Each
-        action is deducted and accumulated on its own, so ``times=k`` leaves
-        every float and ``dropped`` entry exactly as ``k`` single charges
+        A comm charge with ``task_of`` is negotiation, attributed to the task
+        ``task_of`` names for the robot; one without it is gossip. Move and
+        idle charges ignore ``task_of``. The battery clamps at zero; only the
+        actually-deducted amount enters the accumulators, so conservation
+        holds exactly. Each action is deducted and accumulated on its own,
+        so ``times=k`` leaves every float exactly as ``k`` single charges
         would.
         """
-        per_task = False
         if kind is ChargeKind.MOVE:
-            cost, acc = model.move_cost, self.moving
+            cost, acc, task_of = model.move_cost, self.moving, None
         elif kind is ChargeKind.IDLE:
-            cost, acc = model.idle_cost, self.idle
+            cost, acc, task_of = model.idle_cost, self.idle, None
         elif kind is ChargeKind.COMM_ROUND:
             cost = model.comm_cost
-            if negotiation:
-                acc, per_task = self.comm_negotiation, task_of is not None
-            else:
-                acc = self.comm_gossip
+            acc = self.comm_gossip if task_of is None else self.comm_negotiation
         else:
             raise ValueError(f"unknown charge kind {kind!r}")
         per_task_comm = self.per_task_comm
         died = []
         for robot in robots:
-            rid = robot.id
             if not robot.alive:
-                self.dropped.extend([(rid, kind)] * times)
                 continue
-            task = task_of.get(rid) if per_task else None
-            for done in range(1, times + 1):
+            rid = robot.id
+            task = None if task_of is None else task_of.get(rid)
+            for _ in range(times):
                 spent = min(cost, robot.battery)
                 robot.battery -= spent
                 acc[rid] += spent
                 if task is not None:
                     per_task_comm[task] = per_task_comm.get(task, 0.0) + spent
                 if not robot.alive:
-                    self.dropped.extend([(rid, kind)] * (times - done))
                     died.append(robot)
                     break
         return died

@@ -250,6 +250,20 @@ class TestSweepAndSummarize:
         assert err.startswith("error: ") and "law, scale, style" in err
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_summarize_non_finite_exits_2(self, tmp_path, capsys, value):
+        rows = tmp_path / "rows.csv"
+        row = {c: "1.0" for c in CSV_COLUMNS}
+        row.update(law="low_e", scale="R5+T1", style="static", error="",
+                   energy_moving=value)
+        rows.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+        assert main(["summarize", "--rows", str(rows),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite energy_moving" in err
+        assert not (tmp_path / "summary").exists()
+
     def test_failing_rows_exit_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import swarmplan
 from swarmplan.formation import (DistanceMatrix, FormationPlan,
                                  formation_assign, hungarian_oracle,
-                                 plan_total, slot_swaps)
+                                 in_formation, open_vertices, plan_total,
+                                 slot_swaps)
 from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
@@ -226,3 +228,79 @@ class TestSlotSwaps:
         # triangle inequality: |A vb| + |B va| >= |B vb| when A stands on va
         verts, moving, mixed = team
         assert slot_swaps(mixed, verts) == slot_swaps(moving, verts)
+
+
+def ref_open_vertices(robots, required):
+    """Reference: the engine's former inline vacancy check."""
+    taken = {r.slot for r in robots} - {None}
+    return [v for v in range(required) if v not in taken]
+
+
+def ref_in_formation(robots, required, verts, tolerance):
+    """Reference: the engine's former inline completion check, which read
+    each member's vertex through its slot."""
+    return (len(robots) == required
+            and all(r.slot is not None
+                    and euclidean(r.pos, verts[r.slot]) <= tolerance
+                    for r in robots))
+
+
+@st.composite
+def formation_teams(draw):
+    """Vertices, a required count that may differ from the team size, and
+    robots under distinct slots or none, each with ``goal = vertices[slot]``
+    and standing on, near or far from its vertex."""
+    n_verts = draw(st.integers(1, 8))
+    verts = [Position(draw(coords), draw(coords)) for _ in range(n_verts)]
+    slots = draw(st.permutations(range(n_verts)))
+    robots = []
+    for rid in range(draw(st.integers(0, n_verts))):
+        slot = draw(st.none() | st.just(slots[rid]))
+        at = verts[slot] if slot is not None else verts[0]
+        where = draw(st.sampled_from(["on", "near", "far"]))
+        if where == "far":
+            robot = make_robot(rid, draw(coords), draw(coords))
+        else:
+            off = st.just(0.0) if where == "on" else st.floats(-0.1, 0.1)
+            robot = make_robot(rid, at.x + draw(off), at.y + draw(off))
+        robot.slot = slot
+        robot.goal = None if slot is None else verts[slot]
+        robots.append(robot)
+    required = draw(st.integers(1, n_verts))
+    return verts, required, robots
+
+
+class TestFormationChecks:
+    def test_open_vertices(self):
+        assert open_vertices([None, 2, 0], 4) == [1, 3]
+        assert open_vertices([], 3) == [0, 1, 2]
+        assert open_vertices([1, 0], 2) == []
+
+    def test_tolerance_boundary(self):
+        robot = make_robot(1, 0.1, 0.0)
+        robot.slot, robot.goal = 0, Position(0.0, 0.0)
+        assert in_formation([robot], 1, 0.1)
+        robot.pos = Position(math.nextafter(0.1, 1.0), 0.0)
+        assert not in_formation([robot], 1, 0.1)
+
+    def test_goal_less_member_is_out(self):
+        placed, loose = make_robot(1), make_robot(2, 5.0, 0.0)
+        placed.slot, placed.goal = 0, Position(0.0, 0.0)
+        assert not in_formation([placed, loose], 2, 0.1)
+
+    def test_member_count_must_match(self):
+        robots = [make_robot(rid, float(rid), 0.0) for rid in range(3)]
+        for robot in robots:
+            robot.slot, robot.goal = robot.id, robot.pos
+        assert in_formation(robots, 3, 0.1)
+        assert not in_formation(robots[:2], 3, 0.1)
+        assert not in_formation(robots, 2, 0.1)
+
+    @given(formation_teams(), st.sampled_from([0.0, 0.1, 1.0]))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, team, tolerance):
+        verts, required, robots = team
+        slots = [r.slot for r in robots]
+        assert open_vertices(slots, required) == ref_open_vertices(robots, required)
+        assert (in_formation(robots, required, tolerance)
+                == ref_in_formation(robots, required, verts, tolerance))

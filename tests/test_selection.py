@@ -79,13 +79,12 @@ class TestSelect:
         assert plan.assignment == {1: None, 2: 1}
 
     def test_task_order_override(self):
-        # with rank 2 > 1, the head of the queue serves task 2 first
+        # tasks come ranked 2 before 1: the head of the queue serves task 2
         robots = [make_robot(1, 0, 0, battery=10.0),
                   make_robot(2, 0, 2, battery=90.0)]
         context = equal_ctx(robots)
-        tasks = [task(1, 0, 0), task(2, 0, 2)]
-        plan = select(robots, tasks, PriorityLaw.LOW_E, MODEL, context,
-                      task_order=[2, 1])
+        tasks = [task(2, 0, 2), task(1, 0, 0)]
+        plan = select(robots, tasks, PriorityLaw.LOW_E, MODEL, context)
         assert plan.assignment == {1: 2, 2: 1}
 
     def test_determinism(self):

@@ -1,13 +1,19 @@
 import csv
+import hashlib
 import io
+import random
 
 import pytest
 
 from swarmplan.scenario import InvalidTemplateError
-from swarmplan.sweep import (CSV_COLUMNS, PER_TASK_COLUMNS, SCALES, STYLES,
-                             SweepSpec, rows_to_csv, run_sweep, scale_template,
-                             summarize, write_files)
+from swarmplan.sweep import (_AGGREGATE_FIELDS, CSV_COLUMNS, PER_TASK_COLUMNS,
+                             SCALES, STYLES, SweepSpec, rows_to_csv, run_sweep,
+                             scale_template, summarize, write_files)
 from helpers import TEMPLATE
+
+#: sha256 of ``test_summarize_digest``'s summary files; CPython 3.10's
+#: ``statistics.stdev`` changes 9 of their 36 ``_sd`` cells
+DIGEST = "a7cd0dca552377fb430d72e7135b6a3d14f112ca0ea4b87e3f8952ae1cd4a535"
 
 
 def spec(**overrides):
@@ -163,6 +169,23 @@ class TestCsvAndSummaries:
         assert set(files) == {"summary.csv", "conflicts.csv",
                               "energy_split.csv", "distance.csv",
                               "residual_battery.csv", "per_task_comm.csv"}
+
+    def test_summarize_digest(self):
+        """Every summary byte, ``_sd`` digits included, is pinned; CPython
+        3.10's ``statistics.stdev`` rounds differently from 3.11+."""
+        rng = random.Random(2020)
+        rows = []
+        for law in ("low_e", "t_low_e"):
+            for scale in ("R5+T1", "R10+T2"):
+                for trial in range(3):
+                    row = {"law": law, "scale": scale, "style": "static",
+                           "trial": trial, "seed": trial, "error": ""}
+                    for name in _AGGREGATE_FIELDS:
+                        row[name] = repr(round(rng.uniform(0.0, 100.0), 2))
+                    rows.append(row)
+        files = summarize(rows)
+        text = "".join(f"{name}\n{files[name]}" for name in sorted(files))
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
 
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):

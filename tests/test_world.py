@@ -109,10 +109,10 @@ class TestEnergyModel:
             EnergyModel(move_cost=-0.1)
 
 
-def reference_charge(ledger, robot, kind, model, negotiation=False, task=None):
-    """One action charged the way the ledger charged before it batched."""
+def reference_charge(ledger, robot, kind, model, task_of=None):
+    """One action charged the way the ledger charged before it batched; a
+    comm charge with ``task_of`` is negotiation."""
     if not robot.alive:
-        ledger.dropped.append((robot.id, kind))
         return
     if kind is ChargeKind.MOVE:
         cost, acc = model.move_cost, ledger.moving
@@ -120,11 +120,12 @@ def reference_charge(ledger, robot, kind, model, negotiation=False, task=None):
         cost, acc = model.idle_cost, ledger.idle
     else:
         cost = model.comm_cost
-        acc = ledger.comm_negotiation if negotiation else ledger.comm_gossip
+        acc = ledger.comm_gossip if task_of is None else ledger.comm_negotiation
     spent = min(cost, robot.battery)
     robot.battery -= spent
     acc[robot.id] += spent
-    if kind is ChargeKind.COMM_ROUND and negotiation and task is not None:
+    task = None if task_of is None else task_of.get(robot.id)
+    if kind is ChargeKind.COMM_ROUND and task is not None:
         ledger.per_task_comm[task] = ledger.per_task_comm.get(task, 0.0) + spent
 
 
@@ -154,17 +155,18 @@ class TestEnergyLedger:
 
     def test_dead_robot_charge_is_dropped(self):
         ledger, robot = self._ledger_robot(0.0)
-        robot.battery = 0.0
-        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
-        assert ledger.dropped == [(1, ChargeKind.MOVE)]
+        before = self._state(ledger, robot)
+        for kind in ChargeKind:
+            assert ledger.charge_many([robot], kind, EnergyModel(), task_of={1: 7},
+                                      times=3) == []
+        assert self._state(ledger, robot) == before
         assert ledger.spent(1) == 0.0
 
     def test_negotiation_and_task_attribution(self):
         ledger, robot = self._ledger_robot(50.0)
         model = EnergyModel()
         ledger.charge_many([robot], ChargeKind.COMM_ROUND, model)
-        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model, negotiation=True,
-                           task_of={1: 7})
+        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model, task_of={1: 7})
         assert ledger.comm_gossip[1] == pytest.approx(0.01)
         assert ledger.comm_negotiation[1] == pytest.approx(0.01)
         assert ledger.per_task_comm == {7: pytest.approx(0.01)}
@@ -182,44 +184,48 @@ class TestEnergyLedger:
     @staticmethod
     def _state(ledger, robot):
         return repr((robot.battery, ledger.moving, ledger.idle, ledger.comm_gossip,
-                     ledger.comm_negotiation, ledger.per_task_comm, ledger.dropped))
+                     ledger.comm_negotiation, ledger.per_task_comm))
 
     @given(battery=st.floats(0.0, 1.0), kind=st.sampled_from(list(ChargeKind)),
-           negotiation=st.booleans(), task=st.none() | st.integers(0, 2),
+           attribute=st.booleans(), task=st.none() | st.integers(0, 2),
            times=st.integers(0, 40), earlier=st.booleans(),
            model=st.builds(EnergyModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3),
                            st.floats(0.0, 0.3)))
-    # dies in the fourth of ten rounds; the last six are dropped
-    @example(battery=0.035, kind=ChargeKind.COMM_ROUND, negotiation=True, task=7,
+    # dies in the fourth of ten rounds; the last six are not charged
+    @example(battery=0.035, kind=ChargeKind.COMM_ROUND, attribute=True, task=7,
              times=10, earlier=False, model=EnergyModel())
     @settings(deadline=None, max_examples=200)
-    def test_batched_charge_equals_single_charges(self, battery, kind, negotiation,
+    def test_batched_charge_equals_single_charges(self, battery, kind, attribute,
                                                   task, times, earlier, model):
+        task_of = {1: task} if attribute else None
         batched, single = self._ledger_robot(battery), self._ledger_robot(battery)
         for ledger, robot in (batched, single):
             if earlier:  # a task total that already exists
                 ledger.charge_many([robot], ChargeKind.COMM_ROUND, model,
-                                   negotiation=True, task_of={1: task})
-        batched[0].charge_many([batched[1]], kind, model, negotiation=negotiation,
-                               task_of={1: task}, times=times)
+                                   task_of={1: task})
+        batched[0].charge_many([batched[1]], kind, model, task_of=task_of,
+                               times=times)
         for _ in range(times):
-            single[0].charge_many([single[1]], kind, model, negotiation=negotiation,
-                                  task_of={1: task})
+            single[0].charge_many([single[1]], kind, model, task_of=task_of)
         assert self._state(*batched) == self._state(*single)
 
     @given(batteries=st.lists(st.floats(0.0, 1.0) | st.just(0.0), max_size=6),
-           kind=st.sampled_from(list(ChargeKind)), negotiation=st.booleans(),
+           kind=st.sampled_from(list(ChargeKind)),
            tasks=st.lists(st.none() | st.integers(0, 2), min_size=6, max_size=6),
            attribute=st.booleans(), times=st.integers(0, 12),
            model=st.builds(EnergyModel, st.floats(0.0, 0.3), st.floats(0.0, 0.3),
                            st.floats(0.0, 0.3)))
     # an already-dead robot, then one dying in the fourth of ten rounds
     @example(batteries=[0.5, 0.0, 0.035, 0.9], kind=ChargeKind.COMM_ROUND,
-             negotiation=True, tasks=[7, 7, 7, None, 2, 2], attribute=True,
-             times=10, model=EnergyModel())
+             tasks=[7, 7, 7, None, 2, 2], attribute=True, times=10,
+             model=EnergyModel())
+    # a move charge names tasks too, but move energy is never a task's
+    @example(batteries=[0.5, 0.9], kind=ChargeKind.MOVE,
+             tasks=[7, 7, 7, None, 2, 2], attribute=True, times=3,
+             model=EnergyModel())
     @settings(deadline=None, max_examples=200)
-    def test_charge_many_equals_single_charges(self, batteries, kind, negotiation,
-                                               tasks, attribute, times, model):
+    def test_charge_many_equals_single_charges(self, batteries, kind, tasks,
+                                               attribute, times, model):
         """``charge_many`` equals ``times`` reference charges per robot, in
         order, and returns the robots those killed."""
         def team():
@@ -232,14 +238,13 @@ class TestEnergyLedger:
         task_of = ({3 * k + 1: t for k, t in enumerate(tasks) if k % 2 == 0}
                    if attribute else None)
         (batched, robots), (single, copies) = team(), team()
-        died = batched.charge_many(robots, kind, model, negotiation=negotiation,
-                                   task_of=task_of, times=times)
+        died = batched.charge_many(robots, kind, model, task_of=task_of,
+                                   times=times)
         expected = []
         for robot in copies:
             was_alive = robot.alive
             for _ in range(times):
-                reference_charge(single, robot, kind, model, negotiation,
-                                 task_of.get(robot.id) if task_of else None)
+                reference_charge(single, robot, kind, model, task_of)
             if was_alive and not robot.alive:
                 expected.append(robot.id)
         assert [r.id for r in died] == expected
