@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .priority import PriorityLaw, compile_law, sort_queue
-from .selection import InsufficientRobotsError, SelectionPlan
+from .selection import SelectionPlan, alive_team
 from .routing import _segment_distance
 from .world import Position, RobotState, Task, euclidean
 
@@ -63,15 +63,10 @@ def cata_select(
     Each robot in turn claims the open-slot task with the highest utility
     (ties to the lower task id), the utility accounting for collision
     penalties against peers that have already claimed. Surplus robots stay
-    unassigned once all slots are filled.
+    unassigned once all slots are filled. Raises as
+    :func:`selection.alive_team` does.
     """
-    if not tasks:
-        raise ValueError("no tasks to select for")
-    alive = [r for r in robots if r.alive]
-    need = sum(t.required for t in tasks)
-    if need > len(alive):
-        raise InsufficientRobotsError(f"need {need} robots, have {len(alive)} alive")
-
+    alive = alive_team(robots, tasks)
     by_id = {r.id: r for r in alive}
     order = sort_queue([r.id for r in alive], context, compile_law(PriorityLaw.LOW_E))
     open_slots = {t.id: t.required for t in tasks}

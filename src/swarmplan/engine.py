@@ -10,6 +10,7 @@ the scenario: identical inputs give byte-identical metrics and traces.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable
@@ -98,8 +99,6 @@ class Engine:
         # completes or times out
         self.pending: list[int] = sorted(self.tasks)
         self.active: dict[int, int] = {}
-        self.completed = 0
-        self.timed_out = 0
         self.vertices: dict[int, list[Position]] = {
             t.id: polygon_vertices(t.center, t.required, scenario.formation_radius)
             for t in scenario.tasks
@@ -116,7 +115,6 @@ class Engine:
         self._stall: dict[int, int] = {rid: 0 for rid in self.robots}
         self._goal_mark: dict[int, tuple[Position, float] | None] = {
             rid: None for rid in self.robots}
-        self.conflict_frequency = 0
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
         self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
@@ -148,7 +146,6 @@ class Engine:
         Build it right before sorting them: no phase changes a robot's keys
         between its start and the robot's first sort.
         """
-        cata = self.scenario.cata
         ctx: dict[int, dict[str, float]] = {}
         for rid in ids:
             r = self.robots[rid]
@@ -156,8 +153,8 @@ class Engine:
             if "task_rank" in self._keys:
                 keys["task_rank"] = float(self._rank.get(r.group, _UNRANKED))
             if "utility" in self._keys:
-                keys["utility"] = (0.0 if r.group is None else cata.base - cata.w_d
-                                   * euclidean(r.pos, self.tasks[r.group].center))
+                keys["utility"] = (0.0 if r.group is None else cata_mod.utility(
+                    r, self.tasks[r.group], (), self.scenario.cata))
             ctx[rid] = keys
         return ctx
 
@@ -354,7 +351,7 @@ class Engine:
             detail = f"phase=formation task={tid}"
             plan = self._negotiate(
                 Phase.FORMATION, free, graph,
-                lambda knowledge: formation_assign(queue, matrix, task=tid),
+                lambda knowledge: formation_assign(queue, matrix),
                 lambda plan: dict.fromkeys(free, tid), detail)
             for rid, col in plan.slot_of.items():
                 robot = self.robots[rid]
@@ -388,7 +385,7 @@ class Engine:
         current = {r.id: r.pos for r in alive}
         moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
                  for r in alive
-                 if r.goal is not None and euclidean(r.pos, r.goal) > 0.0}
+                 if r.goal is not None and r.pos != r.goal}
         active_vertices = [v for tid in self.active for v in self.vertices[tid]]
         moves = yield_steps(current, moves,
                             [r.id for r in alive if r.id not in moves and r.group is None],
@@ -396,11 +393,8 @@ class Engine:
         if not self.scenario.conflict_negotiation:
             return {**current, **moves}
 
-        clusters = []
-        if len(alive) >= 2:
-            pairs = detect_conflicts(current, {**current, **moves},
-                                     self.scenario.safety_radius)
-            clusters = cluster_conflicts(pairs)
+        clusters = cluster_conflicts(detect_conflicts(
+            current, {**current, **moves}, self.scenario.safety_radius))
         # one strict total order serves every cluster and the separation pass
         involved = set(moves).union(*clusters)
         priority = (sort_queue(involved, self._context(involved), self._order)
@@ -415,7 +409,6 @@ class Engine:
     def _replay_cluster(self, decision: ClusterDecision) -> list[int]:
         """Emit a settled cluster's events and charge its negotiation;
         returns the members that died paying, which must not move."""
-        self.conflict_frequency += 1
         self._emit(EventKind.CONFLICT_DETECTED, decision.members)
         for rid in decision.losers:
             self._emit(EventKind.STOP, (rid,), "conflict")
@@ -461,10 +454,8 @@ class Engine:
                                     task.required, _ARRIVAL_TOLERANCE)
             self.active[tid] = held = held + 1 if in_place else 0
             if held >= task.duration:
-                self.completed += 1
                 self._emit(EventKind.TASK_COMPLETED, tuple(members))
             elif self.tick_no - task.arrival_tick + 1 >= task.timeout:
-                self.timed_out += 1
                 self._emit(EventKind.TASK_TIMED_OUT, tuple(members), f"task={tid}")
             else:
                 continue
@@ -480,10 +471,12 @@ class Engine:
 
     def metrics(self) -> RunMetrics:
         batteries = [r.battery for r in self.robots.values()]
+        # the run's outcome counts are the trace's, so the two cannot disagree
+        counts = Counter(e.kind for e in self.events)
         gossip_total = left_sum(self.ledger.comm_gossip.values())
         nego_total = left_sum(self.ledger.comm_negotiation.values())
         return RunMetrics(
-            conflict_frequency=self.conflict_frequency,
+            conflict_frequency=counts[EventKind.CONFLICT_DETECTED],
             energy_moving=left_sum(self.ledger.moving.values()),
             energy_idle=left_sum(self.ledger.idle.values()),
             energy_comm=gossip_total + nego_total,
@@ -494,8 +487,8 @@ class Engine:
             residual_min=min(batteries),
             residual_mean=left_sum(batteries) / len(batteries),
             ticks_elapsed=self.tick_no,
-            tasks_completed=self.completed,
-            tasks_timed_out=self.timed_out,
+            tasks_completed=counts[EventKind.TASK_COMPLETED],
+            tasks_timed_out=counts[EventKind.TASK_TIMED_OUT],
             max_negotiation_iterations=self.max_negotiation_iterations,
         )
 

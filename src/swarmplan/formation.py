@@ -37,11 +37,9 @@ class FormationPlan:
     """Bijection from group members to vertex indices of one task."""
 
     slot_of: Mapping[int, int]
-    task: int
 
 
-def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
-                     task: int = -1) -> FormationPlan:
+def formation_assign(queue: Sequence[int], matrix: DistanceMatrix) -> FormationPlan:
     """Greedy serial vertex choice in queue order.
 
     Each robot takes its nearest unclaimed vertex; distance ties break
@@ -61,7 +59,7 @@ def formation_assign(queue: Sequence[int], matrix: DistanceMatrix,
                    key=lambda v: (row[v], v))
         claimed.add(best)
         slot_of[robot_id] = best
-    return FormationPlan(slot_of=slot_of, task=task)
+    return FormationPlan(slot_of=slot_of)
 
 
 def open_vertices(slots: Iterable[int | None], n: int) -> list[int]:

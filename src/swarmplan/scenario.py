@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cata import CataWeights
@@ -102,16 +102,13 @@ class Scenario:
             "law": self.law.value,
             "task_priority_order": self.task_priority_order,
             "comm_range": self.comm_range,
-            "energy": {"move_cost": self.energy.move_cost,
-                       "comm_cost": self.energy.comm_cost,
-                       "idle_cost": self.energy.idle_cost},
+            "energy": asdict(self.energy),
             "step_length": self.step_length,
             "safety_radius": self.safety_radius,
             "formation_radius": self.formation_radius,
             "seed": self.seed,
             "max_ticks": self.max_ticks,
-            "cata": {"base": self.cata.base, "w_d": self.cata.w_d,
-                     "w_c": self.cata.w_c},
+            "cata": asdict(self.cata),
             "conflict_negotiation": self.conflict_negotiation,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -129,7 +126,7 @@ class Scenario:
                                   y=float(r["y"]), battery=float(r["battery"]))
                         for r in doc["robots"]],
                 tasks=[_task(t) for t in doc["tasks"]],
-                seed=int(doc.get("seed", 0)),
+                seed=int(doc.get("seed", cls.seed)),
                 **_settings(doc),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -150,23 +147,26 @@ def _task(doc: dict) -> Task:
 
 def _settings(doc: dict) -> dict:
     """The optional scenario fields of a scenario or template document,
-    parsed, with their defaults."""
-    comm_range = doc.get("comm_range", COMPLETE)
-    order = doc.get("task_priority_order")
+    parsed, with :class:`Scenario`'s defaults."""
+    def get(name: str):
+        return doc.get(name, getattr(Scenario, name))
+
+    comm_range = get("comm_range")
+    order = get("task_priority_order")
     if order is not None and not (isinstance(order, list)
                                   and all(type(tid) is int for tid in order)):
         raise ValueError("task_priority_order: must be null or a list of task ids")
     return {
-        "law": PriorityLaw(doc.get("law", "t_low_e")),
+        "law": PriorityLaw(get("law")),
         "task_priority_order": order,
         "comm_range": comm_range if comm_range == COMPLETE else float(comm_range),
         "energy": EnergyModel(**doc.get("energy", {})),
-        "step_length": float(doc.get("step_length", 1.0)),
-        "safety_radius": float(doc.get("safety_radius", 0.5)),
-        "formation_radius": float(doc.get("formation_radius", 5.0)),
-        "max_ticks": int(doc.get("max_ticks", 10_000)),
+        "step_length": float(get("step_length")),
+        "safety_radius": float(get("safety_radius")),
+        "formation_radius": float(get("formation_radius")),
+        "max_ticks": int(get("max_ticks")),
         "cata": CataWeights(**doc.get("cata", {})),
-        "conflict_negotiation": bool(doc.get("conflict_negotiation", True)),
+        "conflict_negotiation": bool(get("conflict_negotiation")),
     }
 
 

@@ -58,6 +58,19 @@ def open_tasks(ranked_tasks: Sequence[Task], members_of: Mapping[int, Sequence[i
     return chosen
 
 
+def alive_team(robots: Sequence[RobotState], tasks: Sequence[Task]) -> list[RobotState]:
+    """The alive ``robots``, the selection planners' one precondition: raises
+    ``ValueError`` without ``tasks``, :class:`InsufficientRobotsError` when
+    fewer robots are alive than the tasks require in total."""
+    if not tasks:
+        raise ValueError("no tasks to select for")
+    alive = [r for r in robots if r.alive]
+    need = sum(t.required for t in tasks)
+    if need > len(alive):
+        raise InsufficientRobotsError(f"need {need} robots, have {len(alive)} alive")
+    return alive
+
+
 def select(
     robots: Sequence[RobotState],
     tasks: Sequence[Task],
@@ -69,16 +82,10 @@ def select(
     """Partition ``robots`` over ``tasks``, given in priority rank order
     (as :func:`open_tasks` returns them), by the law-ordered linear cut.
 
-    ``context`` supplies the per-robot sort keys for the law. Raises
-    :class:`InsufficientRobotsError` when the required counts cannot be met.
+    ``context`` supplies the per-robot sort keys for the law. Raises as
+    :func:`alive_team` does.
     """
-    if not tasks:
-        raise ValueError("no tasks to select for")
-    alive = [r for r in robots if r.alive]
-    need = sum(t.required for t in tasks)
-    if need > len(alive):
-        raise InsufficientRobotsError(f"need {need} robots, have {len(alive)} alive")
-
+    alive = alive_team(robots, tasks)
     ordered_ids = sort_queue([r.id for r in alive], context, compile_law(law))
     by_id = {r.id: r for r in alive}
     ordered = [by_id[i] for i in ordered_ids]

@@ -23,11 +23,15 @@ from .engine import run
 from .priority import PriorityLaw
 from .scenario import InvalidTemplateError, _battery, _settings, generate
 
-CSV_COLUMNS = [
-    "law", "scale", "style", "trial", "seed",
+#: The run metrics a sweep row carries and ``summarize`` aggregates.
+_AGGREGATE_FIELDS = [
     "conflict_frequency", "energy_moving", "energy_idle", "energy_comm",
     "energy_comm_negotiation", "total_distance",
     "residual_max", "residual_min", "residual_mean",
+]
+
+CSV_COLUMNS = [
+    "law", "scale", "style", "trial", "seed", *_AGGREGATE_FIELDS,
     "ticks", "tasks_completed", "tasks_timed_out", "error",
 ]
 
@@ -172,23 +176,15 @@ def run_sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
                         row["error"] = f"{type(exc).__name__}: {exc}"
                         rows.append(row)
                         continue
-                    row = dict(key)
-                    row.update({
-                        "conflict_frequency": metrics.conflict_frequency,
-                        "energy_moving": repr(metrics.energy_moving),
-                        "energy_idle": repr(metrics.energy_idle),
-                        "energy_comm": repr(metrics.energy_comm),
-                        "energy_comm_negotiation": repr(metrics.energy_comm_negotiation),
-                        "total_distance": repr(metrics.total_distance),
-                        "residual_max": repr(metrics.residual_max),
-                        "residual_min": repr(metrics.residual_min),
-                        "residual_mean": repr(metrics.residual_mean),
+                    rows.append({
+                        **key,
+                        **{name: repr(getattr(metrics, name))
+                           for name in _AGGREGATE_FIELDS},
                         "ticks": metrics.ticks_elapsed,
                         "tasks_completed": metrics.tasks_completed,
                         "tasks_timed_out": metrics.tasks_timed_out,
                         "error": "",
                     })
-                    rows.append(row)
                     for task_id, comm in metrics.per_task_comm.items():
                         task_rows.append({**key, "task": task_id, "comm": repr(comm)})
     return rows, task_rows
@@ -202,12 +198,6 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
         writer.writerow({c: row.get(c, "") for c in columns})
     return buf.getvalue()
 
-
-_AGGREGATE_FIELDS = [
-    "conflict_frequency", "energy_moving", "energy_idle", "energy_comm",
-    "energy_comm_negotiation", "total_distance",
-    "residual_max", "residual_min", "residual_mean",
-]
 
 #: Figure-family plot files and the row fields each one carries.
 PLOT_FAMILIES = {

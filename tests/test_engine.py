@@ -297,20 +297,23 @@ class TestFormationPlans:
         # tasks still plan separately: every other robot forgets them all
         for rid in engine._ids[::2]:
             engine.known_tasks[rid] = frozenset()
+        # each task's group, the robots its plans assign
+        groups = {frozenset(engine._members_by_task()[tid]): tid for tid in engine.tasks}
         original = swarmplan.engine.formation_assign
-        computed = {}  # task -> (args, kwargs) of each computation
+        computed = {}  # robots -> (args, kwargs) of each computation
 
         def counted(*args, **kwargs):
-            computed.setdefault(kwargs["task"], []).append((args, kwargs))
+            computed.setdefault(frozenset(args[0]), []).append((args, kwargs))
             return original(*args, **kwargs)
 
-        proposals = {}  # task -> (member, knowledge, plan) of each proposal
+        proposals = {}  # robots -> (member, knowledge, plan) of each proposal
         negotiate = swarmplan.engine.negotiate
 
         def recording(phase, group, graph, order, planner, knowledge):
             def recorded(member, know, depth):
                 plan = planner(member, know, depth)
-                proposals.setdefault(plan.task, []).append((member, know, plan))
+                proposals.setdefault(frozenset(plan.slot_of), []).append(
+                    (member, know, plan))
                 return plan
             return negotiate(phase, group, graph, order, recorded, knowledge)
 
@@ -318,13 +321,13 @@ class TestFormationPlans:
         monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
         engine._phase_formation(graph)
 
-        assert set(proposals) == set(computed) == set(engine.tasks)
-        for tid, made in proposals.items():
+        assert set(proposals) == set(computed) == set(groups)
+        for robots, made in proposals.items():
             distinct = {know for _, know, _ in made}
             assert len(distinct) == 2
-            assert len(made) == engine.tasks[tid].required  # one iteration
-            assert len(computed[tid]) == len(distinct)
-            args, kwargs = computed[tid][0]  # the same inputs every time
+            assert len(made) == engine.tasks[groups[robots]].required  # one iteration
+            assert len(computed[robots]) == len(distinct)
+            args, kwargs = computed[robots][0]  # the same inputs every time
             for _, _, plan in made:
                 assert plan == original(*args, **kwargs)
 

@@ -66,8 +66,7 @@ class Wrapped:
 _ids = st.integers(-3, 40)
 _values = st.none() | _ids | st.floats(allow_nan=False)
 _selection = st.builds(SelectionPlan, st.dictionaries(_ids, _values, max_size=8))
-_formation = st.builds(FormationPlan, st.dictionaries(_ids, _values, max_size=8),
-                       _values)
+_formation = st.builds(FormationPlan, st.dictionaries(_ids, _values, max_size=8))
 _plan = _selection | _formation
 _payloads = (_plan | st.lists(_plan, max_size=3)
              | st.builds(Wrapped, st.lists(_plan, max_size=3).map(tuple),
