@@ -382,7 +382,9 @@ class Engine:
     def _phase_routing(self) -> dict[int, Position]:
         """Decide final positions for this tick; returns executed targets."""
         alive = self._alive()
-        current = {r.id: r.pos for r in alive}
+        here = {r.id: r.pos for r in alive}
+        # bodies are obstacles: steps keep clear of them, but they never move
+        current = {r.id: r.pos for r in self.robots.values()}
         moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
                  for r in alive
                  if r.goal is not None and r.pos != r.goal}
@@ -391,10 +393,10 @@ class Engine:
                             [r.id for r in alive if r.id not in moves and r.group is None],
                             active_vertices, self.geometry)
         if not self.scenario.conflict_negotiation:
-            return {**current, **moves}
+            return {**here, **moves}
 
         clusters = cluster_conflicts(detect_conflicts(
-            current, {**current, **moves}, self.scenario.safety_radius))
+            here, {**here, **moves}, self.scenario.safety_radius))
         # one strict total order serves every cluster and the separation pass
         involved = set(moves).union(*clusters)
         priority = (sort_queue(involved, self._context(involved), self._order)
@@ -404,7 +406,7 @@ class Engine:
                                  self._stall, self.geometry, self._replay_cluster)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
-        return final
+        return {rid: final[rid] for rid in here}
 
     def _replay_cluster(self, decision: ClusterDecision) -> list[int]:
         """Emit a settled cluster's events and charge its negotiation;

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 
 from swarmplan.comms import CommGraph
 from swarmplan.scenario import generate
@@ -33,6 +34,22 @@ def suite_scenario(law: str, scale: str, style: str, seed: int,
     template = scale_template({**TEMPLATE, **overrides}, scale, style)
     template["law"] = law
     return generate(template, seed)
+
+
+def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False):
+    """The suite's R20+T3 static scenario with batteries drawn from U(0.5, 6),
+    so that robots die mid-run; ``shuffle`` also lists the robots out of id
+    order under sparse ids."""
+    s = suite_scenario(law, "R20+T3", "static", seed,
+                       energy={"comm_cost": comm_cost})
+    rng = random.Random(seed)
+    robots = [replace(r, battery=rng.uniform(0.5, 6.0)) for r in s.robots]
+    if shuffle:
+        ids = rng.sample(range(100), len(robots))
+        robots = [replace(r, id=i) for r, i in zip(robots, ids)]
+        rng.shuffle(robots)
+    s.robots = robots
+    return s
 
 
 def random_connected_graph(rng: random.Random, n: int) -> CommGraph:

@@ -1,6 +1,4 @@
 import json
-import random
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +10,7 @@ from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
 from swarmplan.world import EnergyModel, Position, Task, euclidean
-from helpers import suite_scenario
+from helpers import low_battery, suite_scenario
 
 
 def scenario(robots, tasks, **overrides):
@@ -332,26 +330,10 @@ class TestFormationPlans:
                 assert plan == original(*args, **kwargs)
 
 
-def low_battery(law, seed, comm_cost, shuffle=False):
-    """The suite's R20+T3 static scenario with batteries drawn from U(0.5, 6),
-    so that robots die mid-run; ``shuffle`` also lists the robots out of id
-    order under sparse ids."""
-    s = suite_scenario(law, "R20+T3", "static", seed,
-                       energy={"comm_cost": comm_cost})
-    rng = random.Random(seed)
-    robots = [replace(r, battery=rng.uniform(0.5, 6.0)) for r in s.robots]
-    if shuffle:
-        ids = rng.sample(range(100), len(robots))
-        robots = [replace(r, id=i) for r, i in zip(robots, ids)]
-        rng.shuffle(robots)
-    s.robots = robots
-    return s
-
-
 #: low-battery runs in which a robot dies paying for a conflict cluster's
 #: negotiation while it was about to move
 CLUSTER_DEATHS = [("t_low_e", 20, 0.1), ("low_e", 22, 0.03),
-                  ("cata_u", 59, 0.1), ("cata_u", 143, 0.1)]
+                  ("cata_u", 59, 0.1), ("cata_u", 140, 0.1)]
 
 
 class TestTickView:

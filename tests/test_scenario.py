@@ -1,12 +1,21 @@
+import json
 import math
 import statistics
+from dataclasses import MISSING, fields
 
 import pytest
 
+from swarmplan.cata import CataWeights
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import (InvalidScenarioError, InvalidTemplateError,
                                 RobotSpec, Scenario, generate)
-from swarmplan.world import Position, Task
+from swarmplan.world import EnergyModel, Position, Task
+
+
+#: Every optional scenario field and its default, read off the dataclass.
+_DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+             for f in fields(Scenario)
+             if f.default is not MISSING or f.default_factory is not MISSING}
 
 
 def template(**overrides):
@@ -162,3 +171,26 @@ class TestSerialization:
         path = tmp_path / "s.json"
         path.write_text(scenario.to_json())
         assert Scenario.load(path).to_json() == scenario.to_json()
+
+    def test_unset_optional_fields_load_to_the_defaults(self):
+        doc = {"world_size": 10.0, "robots": [{"id": 1, "x": 1.0, "y": 1.0,
+                                              "battery": 50.0}], "tasks": []}
+        assert {f.name for f in fields(Scenario)} - set(_DEFAULTS) == set(doc)
+        scenario = Scenario.from_json(json.dumps(doc))
+        for name, default in _DEFAULTS.items():
+            assert getattr(scenario, name) == default, name
+
+    def test_every_optional_field_round_trips(self):
+        scenario = Scenario(
+            world_size=10.0, robots=[RobotSpec(1, 1.0, 1.0, 50.0)],
+            tasks=[Task(id=1, center=Position(5.0, 5.0), required=1, duration=2,
+                        timeout=9), Task(id=2, center=Position(3.0, 2.0), required=1,
+                                         duration=2, timeout=9)],
+            law=PriorityLaw.CATA_U, task_priority_order=[2, 1], comm_range=7.5,
+            energy=EnergyModel(move_cost=0.2, comm_cost=0.03, idle_cost=0.05),
+            step_length=0.5, safety_radius=0.25, formation_radius=2.0, seed=3,
+            max_ticks=77, cata=CataWeights(base=50.0, w_d=2.0, w_c=3.0),
+            conflict_negotiation=False)
+        for name, default in _DEFAULTS.items():
+            assert getattr(scenario, name) != default, name
+        assert Scenario.from_json(scenario.to_json()) == scenario
