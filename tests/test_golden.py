@@ -64,9 +64,9 @@ def death_runs():
         closest = math.inf
         while engine.tick_no < s.max_ticks and not engine.finished():
             engine.tick()
+            live = [r.pos for r in engine.robots.values() if r.alive]
             bodies = [r.pos for r in engine.robots.values() if not r.alive]
-            closest = min([closest, *(euclidean(r.pos, body) for r in engine._alive()
-                                      for body in bodies)])
+            closest = min([closest, *(euclidean(a, b) for a in live for b in bodies)])
         runs.append((s, closest, engine.metrics(), engine.events))
     return runs
 

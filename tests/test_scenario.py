@@ -183,9 +183,8 @@ class TestSerialization:
     def test_every_optional_field_round_trips(self):
         scenario = Scenario(
             world_size=10.0, robots=[RobotSpec(1, 1.0, 1.0, 50.0)],
-            tasks=[Task(id=1, center=Position(5.0, 5.0), required=1, duration=2,
-                        timeout=9), Task(id=2, center=Position(3.0, 2.0), required=1,
-                                         duration=2, timeout=9)],
+            tasks=[Task(id=1, center=Position(5.0, 5.0), required=1, duration=2, timeout=9),
+                   Task(id=2, center=Position(3.0, 2.0), required=1, duration=2, timeout=9)],
             law=PriorityLaw.CATA_U, task_priority_order=[2, 1], comm_range=7.5,
             energy=EnergyModel(move_cost=0.2, comm_cost=0.03, idle_cost=0.05),
             step_length=0.5, safety_radius=0.25, formation_radius=2.0, seed=3,
