@@ -2,8 +2,8 @@
 
 Tasks arrive in stages (one per stage, two-then-one, one-then-two). A new
 task is revealed to the nearest robot only; gossip spreads it, and every
-robot not already holding a formation slot re-enters selection. The table
-shows how the arrival pattern shifts energy between movement and
+robot not already standing on its formation slot re-enters selection. The
+table shows how the arrival pattern shifts energy between movement and
 communication. Run with:
 
     python3 demos/03_dynamic_arrivals.py

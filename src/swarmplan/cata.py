@@ -10,6 +10,7 @@ the native planner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,8 +29,8 @@ class CataWeights:
     w_c: float = 10.0  # per conflicting peer
 
     def __post_init__(self) -> None:
-        if min(self.base, self.w_d, self.w_c) <= 0:
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in (self.base, self.w_d, self.w_c)):
+            raise ValueError("weights must be positive and finite")
 
 
 def collision_penalty(robot_i: RobotState, robot_j: RobotState,

@@ -16,8 +16,8 @@ from pathlib import Path
 from .engine import run as run_scenario
 from .scenario import (InvalidScenarioError, InvalidTemplateError, Scenario,
                        generate)
-from .sweep import (CSV_COLUMNS, SweepSpec, rows_to_csv, run_sweep, summarize,
-                    write_files)
+from .sweep import (CSV_COLUMNS, PER_TASK_COLUMNS, SweepSpec, rows_to_csv,
+                    run_sweep, summarize, write_files)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -38,15 +38,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.load(args.scenario)
     metrics, events = run_scenario(scenario)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {k: v for k, v in vars(metrics).items()}
+    doc = dict(vars(metrics))
     doc["per_task_comm"] = {str(k): v for k, v in metrics.per_task_comm.items()}
-    (out_dir / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    files = {"metrics.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
     if args.trace:
-        with open(out_dir / "trace.jsonl", "w") as fh:
-            for event in events:
-                fh.write(event.to_json() + "\n")
+        files["trace.jsonl"] = "".join(event.to_json() + "\n" for event in events)
+    write_files(files, args.out or ".")
     print(f"completed={metrics.tasks_completed} timed_out={metrics.tasks_timed_out} "
           f"ticks={metrics.ticks_elapsed} conflicts={metrics.conflict_frequency}")
     return 0
@@ -59,13 +56,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # replace() validates the overridden spec again
     spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     rows, task_rows = run_sweep(spec)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "rows.csv").write_text(rows_to_csv(rows, CSV_COLUMNS))
+    files = {"rows.csv": rows_to_csv(rows, CSV_COLUMNS)}
     if task_rows:
-        from .sweep import PER_TASK_COLUMNS
-        (out_dir / "per_task_rows.csv").write_text(
-            rows_to_csv(task_rows, PER_TASK_COLUMNS))
+        files["per_task_rows.csv"] = rows_to_csv(task_rows, PER_TASK_COLUMNS)
+    out_dir = Path(args.out or ".")
+    write_files(files, out_dir)
     failed = sum(1 for r in rows if r.get("error"))
     print(f"rows={len(rows)} failed={failed} -> {out_dir / 'rows.csv'}")
     return 1 if failed else 0
@@ -83,7 +78,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     except ValueError as exc:  # no rows, missing columns, non-numeric fields
         print(f"error: {args.rows}: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out or ".")
     write_files(files, out_dir)
     print(f"wrote {', '.join(sorted(files))} to {out_dir}")
     return 0

@@ -1,7 +1,7 @@
 """Per-tick motion: straight-line steps, conflict detection and resolution.
 
-The world is obstacle-free, so a robot's path is the straight segment to
-its goal, advanced ``step_length`` per tick. Robots without a goal step
+There are no fixed obstacles, so a robot's path is the straight segment
+to its goal, advanced ``step_length`` per tick. Robots without a goal step
 out of the way of movers. Two robots conflict when their intended motion
 segments for the tick pass within twice the safety radius. A cluster is
 one connected component of the conflicting pairs, a plain frozenset of

@@ -29,6 +29,11 @@ class InvalidTemplateError(Exception):
     """Generator template failed validation."""
 
 
+#: What parsing a document field can raise: a missing key, a value of the
+#: wrong type or form, or a number ``int()`` cannot hold (JSON ``1e309``).
+FIELD_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
+
+
 @dataclass(frozen=True)
 class RobotSpec:
     id: int
@@ -56,8 +61,8 @@ class Scenario:
 
     def validate(self) -> None:
         problems = []
-        if not self.world_size > 0:
-            problems.append("world_size: must be positive")
+        if not 0 < self.world_size < math.inf:
+            problems.append("world_size: must be positive and finite")
         if not self.robots:
             problems.append("robots: need at least one robot")
         ids = [r.id for r in self.robots]
@@ -83,34 +88,20 @@ class Scenario:
         if self.comm_range != COMPLETE and not (
                 isinstance(self.comm_range, (int, float)) and self.comm_range > 0):
             problems.append("comm_range: must be positive or 'complete'")
-        if self.step_length <= 0 or self.safety_radius <= 0 or self.formation_radius <= 0:
-            problems.append("geometry: step_length/safety_radius/formation_radius must be positive")
+        if not all(0 < v < math.inf for v in (self.step_length, self.safety_radius,
+                                               self.formation_radius)):
+            problems.append("geometry: step_length/safety_radius/formation_radius "
+                            "must be positive and finite")
         if self.max_ticks < 1:
             problems.append("max_ticks: must be >= 1")
         if problems:
             raise InvalidScenarioError("; ".join(problems))
 
     def to_json(self) -> str:
-        doc = {
-            "world_size": self.world_size,
-            "robots": [{"id": r.id, "x": r.x, "y": r.y, "battery": r.battery}
-                       for r in self.robots],
-            "tasks": [{"id": t.id, "x": t.center.x, "y": t.center.y,
-                       "required": t.required, "duration": t.duration,
-                       "timeout": t.timeout, "arrival_tick": t.arrival_tick}
-                      for t in self.tasks],
-            "law": self.law.value,
-            "task_priority_order": self.task_priority_order,
-            "comm_range": self.comm_range,
-            "energy": asdict(self.energy),
-            "step_length": self.step_length,
-            "safety_radius": self.safety_radius,
-            "formation_radius": self.formation_radius,
-            "seed": self.seed,
-            "max_ticks": self.max_ticks,
-            "cata": asdict(self.cata),
-            "conflict_negotiation": self.conflict_negotiation,
-        }
+        doc = asdict(self)
+        doc["law"] = self.law.value
+        for task in doc["tasks"]:
+            task.update(task.pop("center"))  # a task's center is its x and y
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -129,7 +120,7 @@ class Scenario:
                 seed=int(doc.get("seed", cls.seed)),
                 **_settings(doc),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise InvalidScenarioError(f"bad scenario field: {exc}") from exc
         scenario.validate()
         return scenario
@@ -156,6 +147,9 @@ def _settings(doc: dict) -> dict:
     if order is not None and not (isinstance(order, list)
                                   and all(type(tid) is int for tid in order)):
         raise ValueError("task_priority_order: must be null or a list of task ids")
+    negotiation = get("conflict_negotiation")
+    if type(negotiation) is not bool:
+        raise ValueError("conflict_negotiation: must be true or false")
     return {
         "law": PriorityLaw(get("law")),
         "task_priority_order": order,
@@ -166,14 +160,17 @@ def _settings(doc: dict) -> dict:
         "formation_radius": float(get("formation_radius")),
         "max_ticks": int(get("max_ticks")),
         "cata": CataWeights(**doc.get("cata", {})),
-        "conflict_negotiation": bool(get("conflict_negotiation")),
+        "conflict_negotiation": negotiation,
     }
 
 
 def _battery(template: dict) -> tuple[float, float]:
     """A template's battery mean and standard deviation, parsed."""
-    return (float(template.get("battery_mean", 90.0)),
-            float(template.get("battery_sd", 10.0)))
+    mean, sd = (float(template.get("battery_mean", 90.0)),
+                float(template.get("battery_sd", 10.0)))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("battery_mean/battery_sd: must be finite")
+    return mean, sd
 
 
 def generate(template: dict, seed: int) -> Scenario:
@@ -194,12 +191,12 @@ def generate(template: dict, seed: int) -> Scenario:
         settings = _settings(template)
         positions = ([(float(x), float(y)) for x, y in template["positions"]]
                      if "positions" in template else None)
-    except (KeyError, TypeError, ValueError) as exc:
+    except FIELD_ERRORS as exc:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
         raise InvalidTemplateError("n_robots must be >= 1")
-    if not world > 0:  # sampling could never place a robot
-        raise InvalidTemplateError("world_size: must be positive")
+    if not 0 < world < math.inf:  # sampling could never place a robot
+        raise InvalidTemplateError("world_size: must be positive and finite")
 
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]

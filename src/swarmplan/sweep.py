@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .engine import run
 from .priority import PriorityLaw
-from .scenario import InvalidTemplateError, _battery, _settings, generate
+from .scenario import (FIELD_ERRORS, InvalidTemplateError, _battery, _settings,
+                       generate)
 
 #: The run metrics a sweep row carries and ``summarize`` aggregates.
 _AGGREGATE_FIELDS = [
@@ -69,16 +70,12 @@ class SweepSpec:
             raise InvalidTemplateError("template: must be a JSON object")
         if self.trials < 1:
             raise InvalidTemplateError("trials must be >= 1")
-        known_laws = {law.value for law in PriorityLaw}
-        for law in self.laws:
-            if law not in known_laws:
-                raise InvalidTemplateError(f"unknown law {law!r}")
-        for s in self.scales:
-            if s not in SCALES:
-                raise InvalidTemplateError(f"unknown scale {s!r}")
-        for s in self.styles:
-            if s not in STYLES:
-                raise InvalidTemplateError(f"unknown style {s!r}")
+        for kind, names, known in (("law", self.laws, {law.value for law in PriorityLaw}),
+                                   ("scale", self.scales, SCALES),
+                                   ("style", self.styles, STYLES)):
+            for name in names:
+                if name not in known:
+                    raise InvalidTemplateError(f"unknown {kind} {name!r}")
         # a value no cell could parse is bad input, not a failed run; each
         # cell sets its own law
         try:
@@ -86,19 +83,19 @@ class SweepSpec:
             _battery(self.template)
             for s in self.scales:
                 scale_template(self.template, s, "static")
-        except (TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise InvalidTemplateError(f"bad template field: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         try:
             doc = json.loads(text)
-            return cls(template=doc["template"], laws=list(doc["laws"]),
-                       scales=list(doc.get("scales", ["R20+T3"])),
-                       styles=list(doc.get("styles", ["static"])),
-                       trials=int(doc.get("trials", 1)),
-                       base_seed=int(doc.get("base_seed", 0)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            # an absent key keeps the dataclass default
+            optional = {name: parse(doc[name]) for name, parse in
+                        (("scales", list), ("styles", list), ("trials", int),
+                         ("base_seed", int)) if name in doc}
+            return cls(template=doc["template"], laws=list(doc["laws"]), **optional)
+        except FIELD_ERRORS as exc:  # JSONDecodeError is a ValueError
             raise InvalidTemplateError(f"bad sweep spec: {exc}") from exc
 
 

@@ -118,8 +118,9 @@ class EnergyModel:
     idle_cost: float = 0.04
 
     def __post_init__(self) -> None:
-        if min(self.move_cost, self.comm_cost, self.idle_cost) < 0:
-            raise ValueError("energy costs must be non-negative")
+        if not all(0 <= c < math.inf for c in (self.move_cost, self.comm_cost,
+                                               self.idle_cost)):
+            raise ValueError("energy costs must be non-negative and finite")
 
 
 class ChargeKind(Enum):

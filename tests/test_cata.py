@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from swarmplan.cata import (CataWeights, cata_select, collision_penalty,
@@ -25,6 +27,12 @@ class TestCataWeights:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             CataWeights(w_d=0.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["base", "w_d", "w_c"])
+    def test_rejects_non_finite(self, name, weight):
+        with pytest.raises(ValueError, match="finite"):
+            CataWeights(**{name: weight})
 
 
 class TestCollisionPenalty:

@@ -275,6 +275,51 @@ class TestSweepAndSummarize:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+#: Inputs that used to crash or run nonsense, and must exit 2: the command,
+#: the path of the field in its document, and the value as a raw JSON literal
+#: (Python's json module reads NaN and Infinity, and 1e309 as infinity).
+BAD_INPUTS = [
+    ("run", ("seed",), "1e309"),
+    ("run", ("max_ticks",), "1e309"),
+    ("run", ("step_length",), "NaN"),
+    ("run", ("formation_radius",), "NaN"),
+    ("run", ("formation_radius",), "Infinity"),
+    ("run", ("energy", "move_cost"), "NaN"),
+    ("run", ("safety_radius",), "NaN"),
+    ("run", ("energy", "comm_cost"), "Infinity"),
+    ("run", ("cata", "w_d"), "NaN"),
+    ("run", ("conflict_negotiation",), '"false"'),
+    ("generate", ("max_ticks",), "1e309"),
+    ("generate", ("battery_mean",), "NaN"),
+    ("sweep", ("trials",), "1e309"),
+    ("sweep", ("base_seed",), "1e309"),
+    ("sweep", ("template", "stage_gap"), "1e309"),
+    ("sweep", ("template", "task_duration"), "1e309"),
+]
+
+
+@pytest.mark.parametrize("command, path, literal", BAD_INPUTS,
+                         ids=[f"{c}-{'.'.join(p)}-{v}" for c, p, v in BAD_INPUTS])
+def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
+                           command, path, literal):
+    doc, flag = {
+        "run": (json.loads(scenario_file.read_text()), "--scenario"),
+        "generate": (json.loads(template_file.read_text()), "--template"),
+        "sweep": ({"template": dict(TEMPLATE), "laws": ["t_low_e"],
+                   "scales": ["R5+T1"]}, "--spec"),
+    }[command]
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = "@value@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@value@"', literal))
+    out = tmp_path / "out"
+    assert main([command, flag, str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestReplay:
     def test_pretty_prints_events(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "run"

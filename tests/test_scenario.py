@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import statistics
@@ -153,6 +154,14 @@ class TestValidation:
         with pytest.raises(InvalidScenarioError, match="world_size"):
             s.validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["world_size", "step_length", "safety_radius",
+                                      "formation_radius"])
+    def test_non_finite_length(self, name, value):
+        s = self._scenario(**{name: value})
+        with pytest.raises(InvalidScenarioError, match=f"{name}.*finite"):
+            s.validate()
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -193,3 +202,33 @@ class TestSerialization:
         for name, default in _DEFAULTS.items():
             assert getattr(scenario, name) != default, name
         assert Scenario.from_json(scenario.to_json()) == scenario
+
+    def test_document_bytes_are_pinned(self):
+        # a generator template with none of the optional fields, each in
+        # turn, and all of them; the round trip above cannot see a change
+        # in the written bytes, such as a key added to a task record
+        assert set(_PINNED_SETTINGS) == set(_DEFAULTS) - {"seed"}
+        base = template(n_robots=6, tasks=[
+            {"id": 1, "x": 8.0, "y": 12.0, "required": 2, "duration": 3,
+             "timeout": 100},
+            {"id": 2, "x": 14.0, "y": 6.0, "required": 3, "duration": 2,
+             "timeout": 90, "arrival_tick": 7}])
+        templates = [base, *({**base, name: value}
+                             for name, value in _PINNED_SETTINGS.items()),
+                     {**base, **_PINNED_SETTINGS}]
+        text = "".join(generate(t, seed).to_json() + "\n"
+                       for t in templates for seed in range(4))
+        assert hashlib.sha256(text.encode()).hexdigest() == DOCUMENT_SHA256
+
+
+#: A non-default value for every optional scenario field but ``seed``.
+_PINNED_SETTINGS = {
+    "law": "cata_u", "task_priority_order": [2, 1], "comm_range": 14.0,
+    "energy": {"move_cost": 0.2, "comm_cost": 0.03, "idle_cost": 0.05},
+    "step_length": 0.5, "safety_radius": 0.75, "formation_radius": 3.0,
+    "max_ticks": 77, "cata": {"base": 50.0, "w_d": 2.0, "w_c": 3.0},
+    "conflict_negotiation": False,
+}
+
+#: sha256 of ``test_document_bytes_are_pinned``'s 48 scenario documents.
+DOCUMENT_SHA256 = "3f175c8c30ffbcc74763994c6356843d54361f11b30d5a18c88318602d633c35"

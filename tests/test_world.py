@@ -108,6 +108,12 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             EnergyModel(move_cost=-0.1)
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["move_cost", "comm_cost", "idle_cost"])
+    def test_rejects_non_finite(self, name, cost):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyModel(**{name: cost})
+
 
 def reference_charge(ledger, robot, kind, model, task_of=None):
     """One action charged the way the ledger charged before it batched; a
