@@ -2,11 +2,13 @@
 
 There are no fixed obstacles, so a robot's path is the straight segment
 to its goal, advanced ``step_length`` per tick. Robots without a goal step
-out of the way of movers. Two robots conflict when their intended motion
-segments for the tick pass within twice the safety radius. A cluster is
-one connected component of the conflicting pairs, a plain frozenset of
-robot ids (:func:`comms.components`); each cluster lets one mover step
-and stops the rest. Separation enforcement then turns crowding
+out of the way of movers; a broad phase tests the exact yield rule only
+for those within reach of an active vertex or a mover. Two robots
+conflict when their intended motion segments for the tick pass within
+twice the safety radius. A cluster is one connected component of the
+conflicting pairs, a plain frozenset of robot ids
+(:func:`comms.components`); each cluster lets one mover step and stops
+the rest. Separation enforcement then turns crowding
 steps into one-sided detours or stops. A tick is ``current`` (every
 robot's position) and ``moves`` (each mover's intended step); one
 predicate, ``_crowds``, answers every clearance question. These are pure
@@ -222,13 +224,28 @@ def yield_steps(current: Mapping[int, Position], moves: Mapping[int, Position],
 
     The goal-less robots of ``idle`` decide in order, each seeing the
     yields before it as moves. Without yielding, surplus robots form
-    static walls that starve routing progress forever.
+    static walls that starve routing progress forever. A broad phase
+    asks :func:`yield_step` only of robots within ``reach`` of a threat
+    (an active vertex or a mover's current position), since it yields
+    to nothing farther than the vertex clearance or the mover band.
     """
     moves = dict(moves)
+    threats = [(p.x, p.y) for p in chain(vertices, map(current.__getitem__, moves))]
+    if not threats:
+        return moves
+    reach = 2.0 * geometry.safety_radius + max(0.2, 2.0 * geometry.step_length)
+    hypot = math.hypot
     for rid in idle:
+        x, y = current[rid].x, current[rid].y
+        for tx, ty in threats:
+            if hypot(x - tx, y - ty) < reach:
+                break
+        else:
+            continue
         step = yield_step(rid, current, moves, vertices, geometry)
         if step is not None:
             moves[rid] = step
+            threats.append((x, y))  # later robots see this yield as a move
     return moves
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .cata import CataWeights
 from .comms import COMPLETE
 from .priority import PriorityLaw
-from .world import EnergyModel, Position, Task
+from .world import EnergyModel, Position, Task, polygon_vertices
 
 
 class InvalidScenarioError(Exception):
@@ -33,6 +33,9 @@ class InvalidTemplateError(Exception):
 #: wrong type or form, or a number ``int()`` cannot hold (JSON ``1e309``).
 FIELD_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
 
+#: The scenario lengths besides ``world_size``, each positive and finite.
+_LENGTHS = ("step_length", "safety_radius", "formation_radius")
+
 
 @dataclass(frozen=True)
 class RobotSpec:
@@ -44,6 +47,12 @@ class RobotSpec:
 
 @dataclass
 class Scenario:
+    """One run's inputs. Robots and every task's formation vertices lie in
+    ``[0, world_size]²``. With ``conflict_negotiation`` off (the paper's
+    no-negotiation ablation) routing neither clusters conflicts nor
+    enforces separation, so robots may come closer than twice the safety
+    radius."""
+
     world_size: float
     robots: list[RobotSpec]
     tasks: list[Task]
@@ -60,9 +69,13 @@ class Scenario:
     conflict_negotiation: bool = True
 
     def validate(self) -> None:
-        problems = []
-        if not 0 < self.world_size < math.inf:
-            problems.append("world_size: must be positive and finite")
+        problems = _geometry_problems(self.world_size,
+                                      [getattr(self, name) for name in _LENGTHS])
+        lengths_valid = not problems
+
+        def inside(x: float, y: float) -> bool:
+            return 0.0 <= x <= self.world_size and 0.0 <= y <= self.world_size
+
         if not self.robots:
             problems.append("robots: need at least one robot")
         ids = [r.id for r in self.robots]
@@ -72,13 +85,16 @@ class Scenario:
         if len(set(tids)) != len(tids):
             problems.append("tasks: duplicate ids")
         for r in self.robots:
-            if not (0.0 <= r.x <= self.world_size and 0.0 <= r.y <= self.world_size):
+            if not inside(r.x, r.y):
                 problems.append(f"robot {r.id}: position outside world bounds")
             if not (0.0 <= r.battery <= 100.0):
                 problems.append(f"robot {r.id}: battery outside [0, 100]")
         for t in self.tasks:
             if t.required > len(self.robots):
                 problems.append(f"task {t.id}: requires more robots than exist")
+            if lengths_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
+                    t.center, t.required, self.formation_radius)):
+                problems.append(f"task {t.id}: formation vertex outside world bounds")
         arrivals = [t.arrival_tick for t in self.tasks]
         if arrivals != sorted(arrivals):
             problems.append("tasks: arrival ticks must be non-decreasing")
@@ -88,10 +104,6 @@ class Scenario:
         if self.comm_range != COMPLETE and not (
                 isinstance(self.comm_range, (int, float)) and self.comm_range > 0):
             problems.append("comm_range: must be positive or 'complete'")
-        if not all(0 < v < math.inf for v in (self.step_length, self.safety_radius,
-                                               self.formation_radius)):
-            problems.append("geometry: step_length/safety_radius/formation_radius "
-                            "must be positive and finite")
         if self.max_ticks < 1:
             problems.append("max_ticks: must be >= 1")
         if problems:
@@ -112,12 +124,12 @@ class Scenario:
             raise InvalidScenarioError(f"not valid JSON: {exc}") from exc
         try:
             scenario = cls(
-                world_size=float(doc["world_size"]),
-                robots=[RobotSpec(id=int(r["id"]), x=float(r["x"]),
-                                  y=float(r["y"]), battery=float(r["battery"]))
+                world_size=_number(doc["world_size"]),
+                robots=[RobotSpec(id=_number(r["id"], int), x=_number(r["x"]),
+                                  y=_number(r["y"]), battery=_number(r["battery"]))
                         for r in doc["robots"]],
                 tasks=[_task(t) for t in doc["tasks"]],
-                seed=int(doc.get("seed", cls.seed)),
+                seed=_number(doc.get("seed", cls.seed), int),
                 **_settings(doc),
             )
         except FIELD_ERRORS as exc:
@@ -130,10 +142,31 @@ class Scenario:
         return cls.from_json(Path(path).read_text())
 
 
+def _geometry_problems(world_size: float, lengths: list[float]) -> list[str]:
+    """The finite-number rule for the world size and the ``_LENGTHS``."""
+    problems = []
+    if not 0 < world_size < math.inf:
+        problems.append("world_size: must be positive and finite")
+    if not all(0 < v < math.inf for v in lengths):
+        problems.append(f"geometry: {'/'.join(_LENGTHS)} must be positive and finite")
+    return problems
+
+
+def _number(value, kind=float):
+    """A document's number as ``kind``, or as written when ``kind`` is None.
+    A JSON boolean is refused: Python counts ``true`` as the int 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return value if kind is None else kind(value)
+
+
 def _task(doc: dict) -> Task:
-    return Task(id=int(doc["id"]), center=Position(float(doc["x"]), float(doc["y"])),
-                required=int(doc["required"]), duration=int(doc["duration"]),
-                timeout=int(doc["timeout"]), arrival_tick=int(doc.get("arrival_tick", 0)))
+    return Task(id=_number(doc["id"], int),
+                center=Position(_number(doc["x"]), _number(doc["y"])),
+                required=_number(doc["required"], int),
+                duration=_number(doc["duration"], int),
+                timeout=_number(doc["timeout"], int),
+                arrival_tick=_number(doc.get("arrival_tick", 0), int))
 
 
 def _settings(doc: dict) -> dict:
@@ -153,21 +186,25 @@ def _settings(doc: dict) -> dict:
     return {
         "law": PriorityLaw(get("law")),
         "task_priority_order": order,
-        "comm_range": comm_range if comm_range == COMPLETE else float(comm_range),
-        "energy": EnergyModel(**doc.get("energy", {})),
-        "step_length": float(get("step_length")),
-        "safety_radius": float(get("safety_radius")),
-        "formation_radius": float(get("formation_radius")),
-        "max_ticks": int(get("max_ticks")),
-        "cata": CataWeights(**doc.get("cata", {})),
+        "comm_range": comm_range if comm_range == COMPLETE else _number(comm_range),
+        "energy": EnergyModel(**_block(doc, "energy")),
+        **{name: _number(get(name)) for name in _LENGTHS},
+        "max_ticks": _number(get("max_ticks"), int),
+        "cata": CataWeights(**_block(doc, "cata")),
         "conflict_negotiation": negotiation,
     }
 
 
+def _block(doc: dict, name: str) -> dict:
+    """The fields of a document's ``energy`` or ``cata`` block, each number
+    kept as written (an int stays an int in the written scenario)."""
+    return {key: _number(value, None) for key, value in dict(doc.get(name, {})).items()}
+
+
 def _battery(template: dict) -> tuple[float, float]:
     """A template's battery mean and standard deviation, parsed."""
-    mean, sd = (float(template.get("battery_mean", 90.0)),
-                float(template.get("battery_sd", 10.0)))
+    mean, sd = (_number(template.get("battery_mean", 90.0)),
+                _number(template.get("battery_sd", 10.0)))
     if not (math.isfinite(mean) and math.isfinite(sd)):
         raise ValueError("battery_mean/battery_sd: must be finite")
     return mean, sd
@@ -184,19 +221,21 @@ def generate(template: dict, seed: int) -> Scenario:
     radius so the starting configuration already satisfies separation.
     """
     try:
-        world = float(template["world_size"])
-        n_robots = int(template["n_robots"])
+        world = _number(template["world_size"])
+        n_robots = _number(template["n_robots"], int)
         mean, sd = _battery(template)
         tasks = [_task(t) for t in template["tasks"]]
         settings = _settings(template)
-        positions = ([(float(x), float(y)) for x, y in template["positions"]]
+        positions = ([(_number(x), _number(y)) for x, y in template["positions"]]
                      if "positions" in template else None)
     except FIELD_ERRORS as exc:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
         raise InvalidTemplateError("n_robots must be >= 1")
-    if not 0 < world < math.inf:  # sampling could never place a robot
-        raise InvalidTemplateError("world_size: must be positive and finite")
+    # sampling could never place a robot, or would reject every placement
+    problems = _geometry_problems(world, [settings[name] for name in _LENGTHS])
+    if problems:
+        raise InvalidTemplateError("; ".join(problems))
 
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]

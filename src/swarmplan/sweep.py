@@ -17,12 +17,13 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .engine import run
 from .priority import PriorityLaw
-from .scenario import (FIELD_ERRORS, InvalidTemplateError, _battery, _settings,
-                       generate)
+from .scenario import (FIELD_ERRORS, InvalidTemplateError, _battery, _number,
+                       _settings, generate)
 
 #: The run metrics a sweep row carries and ``summarize`` aggregates.
 _AGGREGATE_FIELDS = [
@@ -90,10 +91,11 @@ class SweepSpec:
     def from_json(cls, text: str) -> "SweepSpec":
         try:
             doc = json.loads(text)
+            count = partial(_number, kind=int)
             # an absent key keeps the dataclass default
             optional = {name: parse(doc[name]) for name, parse in
-                        (("scales", list), ("styles", list), ("trials", int),
-                         ("base_seed", int)) if name in doc}
+                        (("scales", list), ("styles", list), ("trials", count),
+                         ("base_seed", count)) if name in doc}
             return cls(template=doc["template"], laws=list(doc["laws"]), **optional)
         except FIELD_ERRORS as exc:  # JSONDecodeError is a ValueError
             raise InvalidTemplateError(f"bad sweep spec: {exc}") from exc
@@ -107,12 +109,12 @@ def scale_template(template: dict, scale: str, style: str) -> dict:
     evenly. Dynamic styles stagger arrival ticks by ``stage_gap``.
     """
     n_robots, n_tasks = SCALES[scale]
-    world = float(template.get("world_size", 30.0))
-    gap = int(template.get("stage_gap", 60))
-    duration = int(template.get("task_duration", 5))
-    timeout = int(template.get("task_timeout", 400))
-    required = int(template.get("required_per_task",
-                                max(1, (4 * n_robots) // (5 * n_tasks))))
+    world = _number(template.get("world_size", 30.0))
+    gap = _number(template.get("stage_gap", 60), int)
+    duration = _number(template.get("task_duration", 5), int)
+    timeout = _number(template.get("task_timeout", 400), int)
+    required = _number(template.get("required_per_task",
+                                    max(1, (4 * n_robots) // (5 * n_tasks))), int)
 
     stages = STYLES[style]
     if stages is None:

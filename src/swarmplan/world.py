@@ -183,19 +183,22 @@ class EnergyLedger:
         per_task_comm = self.per_task_comm
         died = []
         for robot in robots:
-            if not robot.alive:
+            battery = robot.battery
+            if not battery > 0.0:  # dead
                 continue
             rid = robot.id
             task = None if task_of is None else task_of.get(rid)
+            total = acc[rid]
             for _ in range(times):
-                spent = min(cost, robot.battery)
-                robot.battery -= spent
-                acc[rid] += spent
+                spent = min(cost, battery)
+                battery -= spent
+                total += spent
                 if task is not None:
                     per_task_comm[task] = per_task_comm.get(task, 0.0) + spent
-                if not robot.alive:
+                if not battery > 0.0:
                     died.append(robot)
                     break
+            robot.battery, acc[rid] = battery, total
         return died
 
     def spent(self, robot_id: int) -> float:

@@ -277,7 +277,8 @@ class TestSweepAndSummarize:
 
 #: Inputs that used to crash or run nonsense, and must exit 2: the command,
 #: the path of the field in its document, and the value as a raw JSON literal
-#: (Python's json module reads NaN and Infinity, and 1e309 as infinity).
+#: (Python's json module reads NaN and Infinity, and 1e309 as infinity; it
+#: reads true as a bool, which Python counts as the int 1).
 BAD_INPUTS = [
     ("run", ("seed",), "1e309"),
     ("run", ("max_ticks",), "1e309"),
@@ -295,11 +296,25 @@ BAD_INPUTS = [
     ("sweep", ("base_seed",), "1e309"),
     ("sweep", ("template", "stage_gap"), "1e309"),
     ("sweep", ("template", "task_duration"), "1e309"),
+    ("run", ("step_length",), "true"),
+    ("run", ("max_ticks",), "true"),
+    ("run", ("comm_range",), "true"),
+    ("run", ("robots", 0, "battery"), "true"),
+    ("run", ("tasks", 0, "required"), "true"),
+    ("run", ("energy", "move_cost"), "true"),
+    ("run", ("cata", "w_d"), "true"),
+    ("generate", ("battery_sd",), "true"),
+    ("sweep", ("trials",), "true"),
+    ("sweep", ("template", "stage_gap"), "true"),
+    # the task's north vertex, 4 m above its center, leaves the 24 m world
+    ("run", ("tasks", 0, "y"), "20.5"),
+    ("generate", ("safety_radius",), "NaN"),
+    ("generate", ("safety_radius",), "Infinity"),
 ]
 
 
 @pytest.mark.parametrize("command, path, literal", BAD_INPUTS,
-                         ids=[f"{c}-{'.'.join(p)}-{v}" for c, p, v in BAD_INPUTS])
+                         ids=[f"{c}-{'.'.join(map(str, p))}-{v}" for c, p, v in BAD_INPUTS])
 def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
                            command, path, literal):
     doc, flag = {

@@ -580,6 +580,50 @@ class TestMatchesAllScan:
         assert list(final.items()) == list(ref_final.items())
 
 
+class TestYieldBroadPhase:
+    """``yield_steps`` asks ``yield_step`` only of idle robots within
+    ``reach = 2r + max(0.2, 2·step)`` of a vertex or a mover; at these
+    geometries ``reach`` equals the vertex clearance or the mover band, so
+    a robot one float inside it yields and one exactly at it does not."""
+
+    @staticmethod
+    def check(current, moves, idle, vertices, geometry):
+        got = yield_steps(current, moves, idle, vertices, geometry)
+        assert list(got.items()) == list(
+            ref_yield_steps(current, moves, idle, vertices, geometry).items())
+        return got
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_robot_at_reach_of_a_vertex(self, inside):
+        geometry = Geometry(safety_radius=0.5, step_length=0.05, world_size=20.0)
+        reach = 2.0 * 0.5 + 0.2  # the clearance, as 2·step is below 0.2
+        x = math.nextafter(reach, 0.0) if inside else reach
+        got = self.check({1: Position(x, 5.0)}, {}, [1], [Position(0.0, 5.0)],
+                         geometry)
+        assert (1 in got) is inside
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_robot_at_reach_of_a_mover(self, inside):
+        reach = 2.0 * GEO.safety_radius + 2.0 * GEO.step_length  # the band
+        x = math.nextafter(reach, 0.0) if inside else reach
+        current = {1: Position(x, 5.0), 2: Position(0.0, 5.0)}
+        got = self.check(current, {2: Position(1.0, 5.0)}, [1], [], GEO)
+        assert (1 in got) is inside
+
+    def test_robot_threatened_only_by_an_earlier_yield(self):
+        # mover 3 closes on robot 1, which steps east toward robot 2; robot
+        # 2 is out of the mover's reach and sees only robot 1's yield
+        current = {1: Position(2.0, 5.0), 2: Position(4.5, 5.0), 3: Position(0.0, 5.0)}
+        moves = {3: Position(1.0, 5.0)}
+        assert euclidean(current[2], current[3]) >= 3.0
+        assert set(self.check(current, moves, [2, 1], [], GEO)) == {1, 3}
+        assert set(self.check(current, moves, [1, 2], [], GEO)) == {1, 2, 3}
+
+    def test_no_vertices_and_no_movers(self):
+        current = {1: Position(5.0, 5.0), 2: Position(5.5, 5.0)}
+        assert self.check(current, {}, [1, 2], [], GEO) == {}
+
+
 class TestTrackProgress:
     def test_stall_counts_ticks_without_progress(self):
         goal = Position(10, 0)

@@ -82,6 +82,12 @@ class TestGenerate:
         with pytest.raises(InvalidTemplateError, match="world_size: must be positive"):
             generate({"world_size": size, "n_robots": 3, "tasks": []}, seed=0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_safety_radius_rejected_before_sampling(self, radius):
+        # sampling would reject every placement after the first
+        with pytest.raises(InvalidTemplateError, match="safety_radius.*finite"):
+            generate(template(n_robots=20, safety_radius=radius), seed=0)
+
     def test_law_passthrough(self):
         scenario = generate(template(law="cata_u"), seed=0)
         assert scenario.law is PriorityLaw.CATA_U
@@ -146,6 +152,18 @@ class TestValidation:
         s = self._scenario(robots=[], tasks=[])
         with pytest.raises(InvalidScenarioError, match="at least one robot"):
             s.validate()
+
+    @pytest.mark.parametrize("y, valid", [(15.0, True), (15.5, False)])
+    def test_formation_vertex_inside_world(self, y, valid):
+        # one robot, so the vertex sits formation_radius (5 m) due north
+        s = self._scenario(tasks=[Task(id=7, center=Position(10, y), required=1,
+                                       duration=1, timeout=10)])
+        if valid:
+            s.validate()  # on the edge
+        else:
+            with pytest.raises(InvalidScenarioError,
+                               match="task 7: formation vertex outside world"):
+                s.validate()
 
     @pytest.mark.parametrize("size", [0.0, -5.0])
     def test_world_size_not_positive(self, size):
