@@ -71,7 +71,7 @@ class Scenario:
     def validate(self) -> None:
         problems = _geometry_problems(self.world_size,
                                       [getattr(self, name) for name in _LENGTHS])
-        lengths_valid = not problems
+        geometry_valid = not problems
 
         def inside(x: float, y: float) -> bool:
             return 0.0 <= x <= self.world_size and 0.0 <= y <= self.world_size
@@ -92,7 +92,7 @@ class Scenario:
         for t in self.tasks:
             if t.required > len(self.robots):
                 problems.append(f"task {t.id}: requires more robots than exist")
-            if lengths_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
+            if geometry_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
                     t.center, t.required, self.formation_radius)):
                 problems.append(f"task {t.id}: formation vertex outside world bounds")
         arrivals = [t.arrival_tick for t in self.tasks]
