@@ -1,6 +1,7 @@
 """Command-line front end: generate, run, sweep, summarize, replay.
 
-Exit codes: 0 on success, 1 when any sweep row recorded an error, 2 on
+Exit codes: 0 on success, 1 when a run failed (any sweep row recorded an
+error, or a finite comm range split the team or stalled its gossip), 2 on
 invalid input (bad scenario, template, or spec files).
 """
 
@@ -13,6 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .comms import DisconnectedGraphError, GossipStalledError
 from .engine import run as run_scenario
 from .scenario import (InvalidScenarioError, InvalidTemplateError, Scenario,
                        generate)
@@ -37,7 +39,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.load(args.scenario)
-    metrics, events = run_scenario(scenario)
+    try:
+        metrics, events = run_scenario(scenario)
+    except (DisconnectedGraphError, GossipStalledError) as exc:  # a failed run
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     doc = dict(vars(metrics))
     doc["per_task_comm"] = {str(k): v for k, v in metrics.per_task_comm.items()}
     files = {"metrics.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip
@@ -51,8 +51,7 @@ class EventKind(Enum):
     SLOT_SWAP = "slot_swap"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     kind: EventKind
     subjects: tuple[int, ...]
@@ -443,8 +442,10 @@ class Engine:
                            f"to=({robot.pos.x:.3f},{robot.pos.y:.3f})")
             if rid in died:
                 self._bury(rid)
-            self._goal_mark[rid], self._stall[rid] = track_progress(
-                self._goal_mark[rid], self._stall[rid], robot.pos, robot.goal)
+            mark = self._goal_mark[rid]
+            if robot.goal is not None or mark is not None:  # else stays (None, 0)
+                self._goal_mark[rid], self._stall[rid] = track_progress(
+                    mark, self._stall[rid], robot.pos, robot.goal)
 
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:

@@ -67,41 +67,38 @@ def next_step(robot: RobotState, goal: Position, step_length: float) -> Position
 def _segment_distance(p1: Position, p2: Position,
                       q1: Position, q2: Position) -> float:
     """Minimum distance between segments p1-p2 and q1-q2."""
-    def sub(a, b):
-        return (a.x - b.x, a.y - b.y)
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    d1, d2 = sub(p2, p1), sub(q2, q1)
-    r = sub(q1, p1)
-    denom = cross(d1, d2)
+    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = p1, p2, q1, q2
+    d1x, d1y = p2x - p1x, p2y - p1y
+    d2x, d2y = q2x - q1x, q2y - q1y
+    rx, ry = q1x - p1x, q1y - p1y
+    denom = d1x * d2y - d1y * d2x
     if denom != 0.0:
-        t = cross(r, d2) / denom
-        u = cross(r, d1) / denom
+        t = (rx * d2y - ry * d2x) / denom
+        u = (rx * d1y - ry * d1x) / denom
         # near-parallel segments turn t and u into rounding noise; a real
         # crossing also needs the bounding boxes to meet, which is exact
         if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0 and (
-                max(p1.x, p2.x) >= min(q1.x, q2.x) and max(q1.x, q2.x) >= min(p1.x, p2.x)
-                and max(p1.y, p2.y) >= min(q1.y, q2.y)
-                and max(q1.y, q2.y) >= min(p1.y, p2.y)):
+                max(p1x, p2x) >= min(q1x, q2x) and max(q1x, q2x) >= min(p1x, p2x)
+                and max(p1y, p2y) >= min(q1y, q2y) and max(q1y, q2y) >= min(p1y, p2y)):
             return 0.0  # proper intersection
     return min(
-        _point_segment_distance(p1, q1, q2),
-        _point_segment_distance(p2, q1, q2),
-        _point_segment_distance(q1, p1, p2),
-        _point_segment_distance(q2, p1, p2),
+        _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y),
+        _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y),
+        _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y),
+        _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y),
     )
 
 
-def _point_segment_distance(p: Position, a: Position, b: Position) -> float:
-    ax, ay = b.x - a.x, b.y - a.y
-    length_sq = ax * ax + ay * ay
+def _point_segment_distance(px: float, py: float, ax: float, ay: float,
+                            bx: float, by: float) -> float:
+    """Distance from point (px, py) to segment (ax, ay)-(bx, by)."""
+    dx, dy = bx - ax, by - ay
+    length_sq = dx * dx + dy * dy
     if length_sq == 0.0:
-        return euclidean(p, a)
-    t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / length_sq
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / length_sq
     t = max(0.0, min(1.0, t))
-    return euclidean(p, Position(a.x + t * ax, a.y + t * ay))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def detect_conflicts(
@@ -125,8 +122,10 @@ def detect_conflicts(
     # test below, so it is never handed to it
     boxes = []
     for i in proposed:
-        c, p = current[i], proposed[i]
-        boxes.append((min(c.x, p.x), max(c.x, p.x), min(c.y, p.y), max(c.y, p.y), i))
+        (cx, cy), (px, py) = current[i], proposed[i]
+        x0, x1 = (px, cx) if px < cx else (cx, px)
+        y0, y1 = (py, cy) if py < cy else (cy, py)
+        boxes.append((x0, x1, y0, y1, i))
     boxes.sort()
     pairs: set[tuple[int, int]] = set()
     for a, (_, ax1, ay0, ay1, ai) in enumerate(boxes):
@@ -230,22 +229,21 @@ def yield_steps(current: Mapping[int, Position], moves: Mapping[int, Position],
     to nothing farther than the vertex clearance or the mover band.
     """
     moves = dict(moves)
-    threats = [(p.x, p.y) for p in chain(vertices, map(current.__getitem__, moves))]
+    threats = [*vertices, *map(current.__getitem__, moves)]
     if not threats:
         return moves
     reach = 2.0 * geometry.safety_radius + max(0.2, 2.0 * geometry.step_length)
-    hypot = math.hypot
     for rid in idle:
-        x, y = current[rid].x, current[rid].y
-        for tx, ty in threats:
-            if hypot(x - tx, y - ty) < reach:
+        pos = current[rid]
+        for threat in threats:
+            if euclidean(pos, threat) < reach:
                 break
         else:
             continue
         step = yield_step(rid, current, moves, vertices, geometry)
         if step is not None:
             moves[rid] = step
-            threats.append((x, y))  # later robots see this yield as a move
+            threats.append(pos)  # later robots see this yield as a move
     return moves
 
 

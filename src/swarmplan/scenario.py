@@ -113,7 +113,7 @@ class Scenario:
         doc = asdict(self)
         doc["law"] = self.law.value
         for task in doc["tasks"]:
-            task.update(task.pop("center"))  # a task's center is its x and y
+            task.update(task.pop("center")._asdict())  # a task's center is its x and y
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod

@@ -1,9 +1,12 @@
 """Core domain records: positions, robots, tasks, and the energy ledger.
 
 Everything downstream (gossip, planning, the tick loop) works in terms of
-these value types. Energy accounting is centralized in :class:`EnergyLedger`
-so that the conservation invariant (initial battery - current battery ==
-ledger sum, per robot) can be checked exactly after any run.
+these value types. A :class:`Position` is an immutable ``(x, y)`` named
+tuple: it unpacks, equals the plain tuple of the same coordinates and
+hashes as that tuple does, so every distance is one C call. Energy
+accounting is centralized in :class:`EnergyLedger` so that the
+conservation invariant (initial battery - current battery == ledger sum,
+per robot) can be checked exactly after any run.
 """
 
 from __future__ import annotations
@@ -13,24 +16,24 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple("_Position", [("x", float), ("y", float)])):
     """A point on the continuous 2-D plane, in meters."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite position ({self.x}, {self.y})")
+    def __new__(cls, x: float, y: float) -> Position:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite position ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
 
-def euclidean(a: Position, b: Position) -> float:
-    """Straight-line distance between two points, in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+#: Straight-line distance between two points, in meters. ``math.dist`` and
+#: ``math.hypot`` share one norm routine, so ``euclidean(a, b)`` is the bits
+#: of ``math.hypot(a.x - b.x, a.y - b.y)`` on every CPython.
+euclidean = math.dist
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -57,7 +60,7 @@ def polygon_vertices(center: Position, n: int, radius: float) -> list[Position]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class RobotState:
     """Per-robot mutable state for one simulation run.
 
@@ -190,7 +193,7 @@ class EnergyLedger:
             task = None if task_of is None else task_of.get(rid)
             total = acc[rid]
             for _ in range(times):
-                spent = min(cost, battery)
+                spent = battery if battery < cost else cost  # min(cost, battery)
                 battery -= spent
                 total += spent
                 if task is not None:

@@ -5,7 +5,7 @@ import pytest
 from swarmplan.cli import main
 from swarmplan.scenario import Scenario
 from swarmplan.sweep import CSV_COLUMNS
-from helpers import TEMPLATE
+from helpers import TEMPLATE, suite_scenario
 
 
 @pytest.fixture
@@ -155,6 +155,28 @@ class TestRun:
         template.write_text(json.dumps({"world_size": 0, "n_robots": 3, "tasks": []}))
         assert main(["generate", "--template", str(template)]) == 2
         assert "error: world_size: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, message", [
+        (Scenario.from_json(json.dumps({
+            "world_size": 24.0, "comm_range": 1.0,
+            "robots": [{"id": 1, "x": 1.0, "y": 1.0, "battery": 90.0},
+                       {"id": 2, "x": 20.0, "y": 20.0, "battery": 90.0}],
+            "tasks": [{"id": 1, "x": 12.0, "y": 12.0, "required": 1,
+                       "duration": 1, "timeout": 50}]})),
+         "comm graph disconnected over [1, 2] at range 1.0"),
+        (suite_scenario("t_low_e", "R20+T3", "1+1+1", 2, comm_range=12.0),
+         "not connected, gossip stalled"),
+    ], ids=["split", "stalled"])
+    def test_failed_run_exits_1(self, tmp_path, capsys, scenario, message):
+        """A finite range that splits the team or stalls its gossip fails
+        the run, as it fails a sweep row: a message, no files, exit 1."""
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario.to_json())
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--trace"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestSweepAndSummarize:

@@ -63,6 +63,100 @@ class TestSegmentDistance:
                 _segment_distance(p[2], p[3], p[0], p[1]))
 
 
+def ref_segment_distance(p1, p2, q1, q2):
+    """``_segment_distance`` as it was written on ``Position`` objects,
+    with the ``hypot`` distance it used; the float version must match it
+    bit for bit."""
+    def sub(a, b):
+        return (a.x - b.x, a.y - b.y)
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    d1, d2 = sub(p2, p1), sub(q2, q1)
+    r = sub(q1, p1)
+    denom = cross(d1, d2)
+    if denom != 0.0:
+        t = cross(r, d2) / denom
+        u = cross(r, d1) / denom
+        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0 and (
+                max(p1.x, p2.x) >= min(q1.x, q2.x) and max(q1.x, q2.x) >= min(p1.x, p2.x)
+                and max(p1.y, p2.y) >= min(q1.y, q2.y)
+                and max(q1.y, q2.y) >= min(p1.y, p2.y)):
+            return 0.0
+    return min(
+        ref_point_segment_distance(p1, q1, q2),
+        ref_point_segment_distance(p2, q1, q2),
+        ref_point_segment_distance(q1, p1, p2),
+        ref_point_segment_distance(q2, p1, p2),
+    )
+
+
+def ref_point_segment_distance(p, a, b):
+    def hypot_distance(u, v):
+        return math.hypot(u.x - v.x, u.y - v.y)
+
+    ax, ay = b.x - a.x, b.y - a.y
+    length_sq = ax * ax + ay * ay
+    if length_sq == 0.0:
+        return hypot_distance(p, a)
+    t = ((p.x - a.x) * ax + (p.y - a.y) * ay) / length_sq
+    t = max(0.0, min(1.0, t))
+    return hypot_distance(p, Position(a.x + t * ax, a.y + t * ay))
+
+
+@st.composite
+def segment_pairs(draw):
+    """Endpoints p1, p2, q1, q2 from 1e-300 m to 1e150 m (products stay
+    finite), or ints. Each of q1 and q2 may repeat an earlier endpoint or
+    lie on the line through p1 and p2 (q2 may instead make q1-q2 parallel
+    to p1-p2), which gives degenerate, parallel and collinear segments."""
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 24.0, 1e6, 1e150]))
+    coord = st.floats(-scale, scale) | st.integers(-2**53, 2**53)
+    p1 = Position(draw(coord), draw(coord))
+    p2 = draw(st.just(p1) | st.builds(Position, coord, coord))
+    points = [p1, p2]
+    for _ in range(2):
+        kind = draw(st.sampled_from(["free", "repeat", "along", "parallel"]))
+        s = draw(st.floats(-2.0, 2.0))
+        if kind == "repeat":
+            q = draw(st.sampled_from(points))
+        elif kind == "along":
+            q = Position(p1.x + s * (p2.x - p1.x), p1.y + s * (p2.y - p1.y))
+        elif kind == "parallel" and len(points) == 3:
+            q = Position(points[2].x + s * (p2.x - p1.x), points[2].y + s * (p2.y - p1.y))
+        else:
+            q = Position(draw(coord), draw(coord))
+        points.append(q)
+    return tuple(points)
+
+
+def quad(*coordinates):
+    """Four endpoints from eight coordinates."""
+    return tuple(Position(*coordinates[k:k + 2]) for k in range(0, 8, 2))
+
+
+class TestSegmentDistanceExact:
+    @given(segment_pairs())
+    @example(quad(0, 0, 0, 0, 3, 4, 3, 4))  # two points
+    @example(quad(0.5, 1.5, 0.5, 1.5, 0, 0, 2, 0))  # a point and a segment
+    @example(quad(0, 0, 10, 0, 0, 3, 10, 3))  # parallel
+    @example(quad(0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 0.0))  # collinear, touching
+    @example(quad(0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 1.0, 1.0))  # T-touching
+    @example(quad(0, 0, 2, 2, 0, 2, 2, 0))  # crossing
+    @example(quad(0.1, 0.7, 2.3, 1.9, 0.2, 2.1, 1.9, 0.3))  # crossing off the grid
+    @example(NEAR_COLLINEAR)
+    @settings(deadline=None, max_examples=300)
+    def test_matches_position_version(self, points):
+        """Drawn and example segments give the same bits as the
+        ``Position`` version, in both segment orders."""
+        p1, p2, q1, q2 = points
+        assert (_segment_distance(p1, p2, q1, q2).hex()
+                == ref_segment_distance(p1, p2, q1, q2).hex())
+        assert (_segment_distance(q1, q2, p1, p2).hex()
+                == ref_segment_distance(q1, q2, p1, p2).hex())
+
+
 def all_pairs(current, proposed, safety_radius):
     """Reference: the exact test on every pair, lower id first."""
     limit = 2.0 * safety_radius

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,12 +10,53 @@ from swarmplan.world import (ChargeKind, EnergyLedger, EnergyModel, Position,
 from helpers import make_robot
 
 
+#: Coordinates from subnormal to 1e300, and ints that floats hold exactly.
+COORDINATES = (st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+               | st.integers(-2**53, 2**53))
+
+
 class TestPosition:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Position(float("nan"), 0.0)
         with pytest.raises(ValueError):
             Position(0.0, float("inf"))
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf),
+                                      (-math.inf, 1.0), (1, -math.nan)])
+    def test_non_finite_message(self, x, y):
+        message = re.escape(f"non-finite position ({x}, {y})")
+        with pytest.raises(ValueError, match=message):
+            Position(x, y)
+        with pytest.raises(ValueError, match="non-finite position"):
+            Position(x=x, y=y)
+
+    def test_named_tuple_of_its_coordinates(self):
+        p = Position(x=1.0, y=2.0)
+        assert repr(p) == "Position(x=1.0, y=2.0)"
+        assert p == Position(1.0, 2.0) == (1.0, 2.0)
+        assert p != Position(2.0, 1.0) and p != (2.0, 1.0)
+        x, y = p
+        assert (x, y) == (p.x, p.y) == (1.0, 2.0)
+        assert p._fields == ("x", "y")
+
+    def test_immutable(self):
+        p = Position(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            p.x = 3.0
+        with pytest.raises(AttributeError):
+            p.z = 3.0
+        assert p == (1.0, 2.0)
+
+    @given(COORDINATES, COORDINATES)
+    @example(0.0, -0.0)
+    @example(5e-324, 1e300)
+    @example(-1, 2)
+    @settings(deadline=None)
+    def test_hash_is_the_tuple_hash(self, x, y):
+        """The hash of the frozen dataclass that ``Position`` was, so no
+        set or dict of positions changes its order."""
+        assert hash(Position(x, y)) == hash((x, y))
 
 
 class TestEuclidean:
@@ -34,6 +76,18 @@ class TestEuclidean:
     def test_symmetric_nonnegative(self, ax, ay, bx, by):
         a, b = Position(ax, ay), Position(bx, by)
         assert euclidean(a, b) == euclidean(b, a) >= 0.0
+
+    @given(COORDINATES, COORDINATES, COORDINATES, COORDINATES)
+    @example(5e-324, 0.0, 0.0, 5e-324)  # subnormal differences
+    @example(1e300, -1e300, -1e300, 1e300)  # near the overflow of hypot
+    @example(3, 4, 0, 0)
+    @example(2**53, -2**53, -2**53, 2**53)
+    @settings(deadline=None, max_examples=300)
+    def test_bits_of_hypot_of_differences(self, ax, ay, bx, by):
+        """``euclidean`` is ``math.dist``; it must give the bits of the
+        ``hypot`` of the coordinate differences that it replaced."""
+        a, b = Position(ax, ay), Position(bx, by)
+        assert euclidean(a, b).hex() == math.hypot(a.x - b.x, a.y - b.y).hex()
 
 
 class TestLeftSum:
@@ -225,6 +279,15 @@ class TestEnergyLedger:
     @example(batteries=[0.5, 0.0, 0.035, 0.9], kind=ChargeKind.COMM_ROUND,
              tasks=[7, 7, 7, None, 2, 2], attribute=True, times=10,
              model=EnergyModel())
+    # a battery equal to the cost, and one just below it, both die
+    @example(batteries=[0.1, math.nextafter(0.1, 0.0)], kind=ChargeKind.MOVE,
+             tasks=[None] * 6, attribute=False, times=2, model=EnergyModel())
+    @example(batteries=[0.01, math.nextafter(0.01, 0.0)], kind=ChargeKind.COMM_ROUND,
+             tasks=[7] * 6, attribute=True, times=1, model=EnergyModel())
+    # an int cost is spent as written when the battery equals it
+    @example(batteries=[1.0, math.nextafter(1.0, 0.0)], kind=ChargeKind.IDLE,
+             tasks=[None] * 6, attribute=False, times=1,
+             model=EnergyModel(idle_cost=1))
     # a move charge names tasks too, but move energy is never a task's
     @example(batteries=[0.5, 0.9], kind=ChargeKind.MOVE,
              tasks=[7, 7, 7, None, 2, 2], attribute=True, times=3,
