@@ -5,7 +5,8 @@ every group member holds the datagram of every other member. The round
 count is deterministic and equals the eccentricity of the group subgraph
 (diameter for a whole-graph exchange). :func:`components` is the one
 connected-components routine: it checks that the graph connects every
-alive robot and groups routing's conflicting pairs into clusters.
+alive robot and groups routing's conflicting pairs into clusters. A task
+that arrives reaches one robot only, the one :func:`reveal` names.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Hashable, Mapping, Sequence
 
-from .world import RobotState, euclidean
+from .world import Position, RobotState, euclidean
 
 COMPLETE = "complete"
 
@@ -59,6 +60,14 @@ def components(adjacency: Mapping[int, AbstractSet[int]]) -> list[frozenset[int]
         seen |= component
         found.append(frozenset(component))
     return found
+
+
+def reveal(centers: Mapping[int, Position],
+           positions: Mapping[int, Position]) -> dict[int, int]:
+    """Each task of ``centers`` (id -> center, in order) mapped to the robot
+    of ``positions`` nearest it, the lower id on a tie; none without robots."""
+    return {tid: min(positions, key=lambda rid: (euclidean(positions[rid], c), rid))
+            for tid, c in centers.items() if positions}
 
 
 def build_graph(robots: Sequence[RobotState], comm_range: float | str) -> CommGraph:

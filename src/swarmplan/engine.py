@@ -3,31 +3,32 @@
 Each tick runs a fixed phase order: task arrivals (revealed to the nearest
 robot only), gossip to equilibrium, selection for free robots, formation
 for newly grouped robots, routing with conflict clustering and resolution,
-energy charging, and completion/timeout checks. Runs are pure functions of
-the scenario: identical inputs give byte-identical metrics and traces.
+energy charging, and completion/timeout checks. Each phase's decision is a
+pure function of plain data in the module that owns its rule; the engine
+only applies it: it moves robots, sets groups, slots and goals, charges
+the ledger and emits events. Runs are pure functions of the scenario:
+identical inputs give byte-identical metrics and traces.
 """
 
 from __future__ import annotations
 
-import json
-from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
-from typing import Any, Callable, Iterable, NamedTuple
+from functools import cache
+from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
-from .comms import COMPLETE, CommGraph, build_graph, gossip
-from .formation import (DistanceMatrix, formation_assign, in_formation,
-                        open_vertices, slot_swaps)
+from .comms import COMPLETE, CommGraph, build_graph, gossip, reveal
+from .formation import (DistanceMatrix, formation_assign, slot_requests,
+                        slot_swaps, task_outcomes)
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
-                      next_step, resolve, track_progress, yield_steps)
+                      next_step, resolve, track_progress, travelled, yield_steps)
 from .scenario import Scenario
 from .selection import SelectionPlan, open_tasks, select
+from .trace import EventKind, RunMetrics, TraceEvent
 from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
-                    euclidean, left_sum, polygon_vertices)
+                    polygon_vertices)
 
 _ARRIVAL_TOLERANCE = 0.1
 _UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
@@ -35,50 +36,6 @@ _UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
 # round over the cluster) and then exchanges proposals once per agreement
 # iteration (at most two with asymmetric knowledge)
 _CLUSTER_COMM_ROUNDS = 3
-
-
-class EventKind(Enum):
-    MOVE = "move"
-    STOP = "stop"
-    GOSSIP = "gossip"
-    NEGOTIATE = "negotiate"
-    AGREE = "agree"
-    CONFLICT_DETECTED = "conflict_detected"
-    TASK_ARRIVED = "task_arrived"
-    TASK_COMPLETED = "task_completed"
-    TASK_TIMED_OUT = "task_timed_out"
-    ROBOT_DEAD = "robot_dead"
-    SLOT_SWAP = "slot_swap"
-
-
-class TraceEvent(NamedTuple):
-    tick: int
-    kind: EventKind
-    subjects: tuple[int, ...]
-    detail: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps({"tick": self.tick, "kind": self.kind.value,
-                           "subjects": list(self.subjects),
-                           "detail": self.detail}, sort_keys=True)
-
-
-@dataclass
-class RunMetrics:
-    conflict_frequency: int
-    energy_moving: float
-    energy_idle: float
-    energy_comm: float
-    energy_comm_negotiation: float
-    total_distance: float
-    per_task_comm: dict[int, float]
-    residual_max: float
-    residual_min: float
-    residual_mean: float
-    ticks_elapsed: int
-    tasks_completed: int
-    tasks_timed_out: int
-    max_negotiation_iterations: int = 0
 
 
 class Engine:
@@ -102,18 +59,15 @@ class Engine:
             t.id: polygon_vertices(t.center, t.required, scenario.formation_radius)
             for t in scenario.tasks
         }
-        self.known_tasks: dict[int, frozenset[int]] = {
-            rid: frozenset() for rid in self.robots
-        }
+        self.known_tasks: dict[int, frozenset[int]] = dict.fromkeys(self.robots, frozenset())
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
         self.ledger = EnergyLedger()
         for r in self.robots.values():
             self.ledger.register(r)
         self.events: list[TraceEvent] = []
-        self._stall: dict[int, int] = {rid: 0 for rid in self.robots}
-        self._goal_mark: dict[int, tuple[Position, float] | None] = {
-            rid: None for rid in self.robots}
+        self._stall: dict[int, int] = dict.fromkeys(self.robots, 0)
+        self._goal_mark: dict[int, tuple[Position, float] | None] = dict.fromkeys(self.robots)
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
         self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
@@ -140,11 +94,9 @@ class Engine:
         self.events.append(TraceEvent(self.tick_no, kind, subjects, detail))
 
     def _context(self, ids: Iterable[int]) -> dict[int, dict[str, float]]:
-        """The sort keys the active law reads, for robots ``ids``.
-
-        Build it right before sorting them: no phase changes a robot's keys
-        between its start and the robot's first sort.
-        """
+        """The sort keys the active law reads, for robots ``ids``; build it
+        right before sorting them: no phase changes a robot's keys between
+        its start and the robot's first sort."""
         ctx: dict[int, dict[str, float]] = {}
         for rid in ids:
             r = self.robots[rid]
@@ -158,11 +110,8 @@ class Engine:
         return ctx
 
     def _members_by_task(self) -> dict[int, list[int]]:
-        """Alive robots of each task, ascending ids.
-
-        Build once per phase: charges between phases can kill robots, and
-        within a phase a death or release only touches the task in hand.
-        """
+        """Alive robots of each task, ascending ids; build it once per phase,
+        as a death or release within a phase only touches the task in hand."""
         members: dict[int, list[int]] = {}
         for rid in self._ids:
             robot = self.robots[rid]
@@ -202,34 +151,25 @@ class Engine:
 
     def _release(self, rid: int) -> None:
         robot = self.robots[rid]
-        robot.group = None
-        robot.slot = None
-        robot.goal = None
+        robot.group = robot.slot = robot.goal = None
 
     def _negotiate(self, phase: Phase, group: list[int], graph: CommGraph,
                    plan_for: Callable[[frozenset], Any],
                    task_of: Callable[[Any], dict[int, int | None]],
                    detail: str) -> Any:
         """Negotiate one plan over ``group`` (ascending ids), charge its
-        rounds and return the plan.
+        rounds to the tasks ``task_of(plan)`` names and return the plan;
+        ``detail`` opens the NEGOTIATE event's detail.
 
         ``plan_for(knowledge)`` sees neither the member nor the criterion
         depth, so members that know the same tasks share one computation
-        and propose the same plan object. ``task_of(plan)`` names the
-        task each member's charge is attributed to, and ``detail`` opens the
-        NEGOTIATE event's detail. A lone robot agrees with itself in one
-        iteration and zero rounds: it pays nothing and emits no event.
+        and propose the same plan object. A lone robot agrees with itself in
+        one iteration and zero rounds: it pays nothing and emits no event.
         """
-        plans: dict[frozenset, Any] = {}
-
-        def planner(member: int, knowledge: frozenset, depth: int):
-            if knowledge not in plans:
-                plans[knowledge] = plan_for(knowledge)
-            return plans[knowledge]
-
-        knowledge = {rid: self.known_tasks[rid] for rid in group}
-        result = negotiate(phase, frozenset(group), graph, self._order, planner,
-                           knowledge)
+        plan_once = cache(plan_for)
+        result = negotiate(phase, frozenset(group), graph, self._order,
+                           lambda member, knowledge, depth: plan_once(knowledge),
+                           {rid: self.known_tasks[rid] for rid in group})
         if result.comm_rounds:
             self._charge_comm(group, result.comm_rounds, task_of(result.payload))
             self._emit(EventKind.NEGOTIATE, tuple(group),
@@ -237,6 +177,26 @@ class Engine:
         self.max_negotiation_iterations = max(self.max_negotiation_iterations,
                                               result.iterations)
         return result.payload
+
+    def _selection_planner(self, chosen: list[Task],
+                           free: list[int]) -> Callable[[frozenset], SelectionPlan]:
+        """The plan of free robots ``free`` (ascending ids) for the tasks of
+        ``chosen`` that a knowledge names; reads their keys now."""
+        scenario = self.scenario
+        robots = [self.robots[rid] for rid in free]
+        context = self._context(free)
+
+        def plan_for(knowledge: frozenset) -> SelectionPlan:
+            known = [t for t in chosen if t.id in knowledge]
+            if not known:
+                return SelectionPlan(assignment=dict.fromkeys(free))
+            if scenario.law is PriorityLaw.CATA_U:
+                return cata_mod.cata_select(robots, known, context,
+                                            weights=scenario.cata,
+                                            safety_radius=scenario.safety_radius)
+            return select(robots, known, scenario.law, scenario.energy, context,
+                          step_length=scenario.step_length)
+        return plan_for
 
     # ------------------------------------------------------------------ tick
 
@@ -259,12 +219,10 @@ class Engine:
         self.pending = [tid for tid in self.pending if tid not in arrived]
         self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
         alive = self._alive()
-        for tid in arrived:
-            if alive:
-                task = self.tasks[tid]
-                nearest = min(alive, key=lambda r: (euclidean(r.pos, task.center), r.id))
-                self.known_tasks[nearest.id] |= {tid}
-                self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={nearest.id}")
+        centers = {tid: self.tasks[tid].center for tid in arrived}
+        for tid, rid in reveal(centers, {r.id: r.pos for r in alive}).items():
+            self.known_tasks[rid] |= {tid}
+            self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={rid}")
         # new work arrived: everyone not standing on its slot re-selects
         for r in alive:
             if r.pos != r.goal and r.group is not None:
@@ -272,12 +230,9 @@ class Engine:
 
     # phase 2: gossip all robot state to equilibrium over the full graph
     def _phase_gossip(self) -> CommGraph | None:
-        """The tick's comm graph, or None when no robot is alive.
-
-        At equilibrium every robot holds every alive robot's knowledge, so
-        only the round count needs the graph, and both stay in the tick
-        view until a death or, at a finite range, a move.
-        """
+        """The tick's comm graph, or None when no robot is alive. At
+        equilibrium every robot holds every alive robot's knowledge, so only
+        the round count needs the graph (see ``_comm``)."""
         alive = self._alive()
         if not alive:
             return None
@@ -293,38 +248,20 @@ class Engine:
 
     # phase 3: free robots negotiate a selection plan
     def _phase_selection(self, graph: CommGraph | None) -> None:
-        free = [r for r in self._alive()
+        free = [r.id for r in self._alive()
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
-        if not free:
-            return
         ranked = [self.tasks[tid] for tid in self._ranked if tid in self.active]
-        chosen = open_tasks(ranked, self._members_by_task(), len(free))
+        chosen = open_tasks(ranked, self._members_by_task(), len(free)) if free else []
         if not chosen:
             return
-
-        scenario = self.scenario
-        free_ids = sorted(r.id for r in free)
-        robots = [self.robots[rid] for rid in free_ids]
-        context = self._context(free_ids)
-
-        def plan_for(knowledge: frozenset) -> SelectionPlan:
-            known = [t for t in chosen if t.id in knowledge]
-            if not known:
-                return SelectionPlan(assignment=dict.fromkeys(free_ids))
-            if scenario.law is PriorityLaw.CATA_U:
-                return cata_mod.cata_select(robots, known, context,
-                                            weights=scenario.cata,
-                                            safety_radius=scenario.safety_radius)
-            return select(robots, known, scenario.law, scenario.energy, context,
-                          step_length=scenario.step_length)
-
+        free.sort()
         members = sorted(r.id for r in self._alive())
         plan = self._negotiate(
-            Phase.SELECTION, members, graph, plan_for,
+            Phase.SELECTION, members, graph, self._selection_planner(chosen, free),
             lambda plan: {rid: plan.assignment.get(rid) for rid in members},
             "phase=selection")
         # a robot that died negotiating takes no task
-        assigned = [rid for rid in free_ids
+        assigned = [rid for rid in free
                     if plan.assignment.get(rid) is not None and self.robots[rid].alive]
         for rid in assigned:
             self.robots[rid].group = plan.assignment[rid]
@@ -334,15 +271,8 @@ class Engine:
     # phase 4: grouped robots without a slot negotiate vertex assignments
     def _phase_formation(self, graph: CommGraph | None) -> None:
         members_of = self._members_by_task()
-        for tid in self.active:
-            members = members_of.get(tid, ())
-            if len(members) != self.tasks[tid].required:
-                continue
-            free = [rid for rid in members if self.robots[rid].slot is None]
-            if not free:
-                continue
-            vacant = open_vertices((self.robots[rid].slot for rid in members),
-                                   self.tasks[tid].required)
+        active = [self.tasks[tid] for tid in self.active]
+        for tid, free, vacant in slot_requests(active, members_of, self.robots):
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
                                           [verts[v] for v in vacant])
@@ -358,42 +288,36 @@ class Engine:
                     robot.slot = vacant[col]
                     robot.goal = verts[robot.slot]
             self._emit(EventKind.AGREE, tuple(free), detail)
-        self._rebalance_slots(members_of)
+        if self.scenario.law is not PriorityLaw.CATA_U:
+            for tid in self.active:  # a robot that died since holds no slot
+                self._swap_slots(tid, members_of.get(tid, ()))
 
-    def _rebalance_slots(self, members_of: dict[int, list[int]]) -> None:
-        """Apply each task's ``slot_swaps`` (none under CATA_U); ``members_of``
-        is the formation phase's map (a robot that died since holds no slot,
-        so it is skipped)."""
-        if self.scenario.law is PriorityLaw.CATA_U:
-            return
-        for tid in self.active:
-            verts = self.vertices[tid]
-            en_route = [self.robots[rid] for rid in members_of.get(tid, ())
-                        if self.robots[rid].slot is not None
-                        and self.robots[rid].pos != self.robots[rid].goal]
-            for a, b in slot_swaps(en_route, verts):
-                ra, rb = self.robots[a], self.robots[b]
-                ra.slot, rb.slot = rb.slot, ra.slot
-                ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
-                self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
+    def _swap_slots(self, tid: int, members: list[int]) -> None:
+        """Apply task ``tid``'s ``slot_swaps`` among ``members`` en route."""
+        verts = self.vertices[tid]
+        en_route = [self.robots[rid] for rid in members
+                    if self.robots[rid].slot is not None
+                    and self.robots[rid].pos != self.robots[rid].goal]
+        for a, b in slot_swaps(en_route, verts):
+            ra, rb = self.robots[a], self.robots[b]
+            ra.slot, rb.slot = rb.slot, ra.slot
+            ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
+            self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
 
-    # phase 5: routing with conflict clustering and safe execution
+    # phase 5: routing with conflict clustering; returns alive robots' final positions
     def _phase_routing(self) -> dict[int, Position]:
-        """Decide final positions for this tick; returns executed targets."""
         alive = self._alive()
         here = {r.id: r.pos for r in alive}
         # bodies are obstacles: steps keep clear of them, but they never move
         current = {r.id: r.pos for r in self.robots.values()}
         moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
-                 for r in alive
-                 if r.goal is not None and r.pos != r.goal}
-        active_vertices = [v for tid in self.active for v in self.vertices[tid]]
+                 for r in alive if r.goal is not None and r.pos != r.goal}
         moves = yield_steps(current, moves,
                             [r.id for r in alive if r.id not in moves and r.group is None],
-                            active_vertices, self.geometry)
+                            [v for tid in self.active for v in self.vertices[tid]],
+                            self.geometry)
         if not self.scenario.conflict_negotiation:
             return {**here, **moves}
-
         clusters = cluster_conflicts(detect_conflicts(
             here, {**here, **moves}, self.scenario.safety_radius))
         # one strict total order serves every cluster and the separation pass
@@ -419,25 +343,20 @@ class Engine:
     # phase 6: execute motion and charge energy
     def _phase_charge(self, final: dict[int, Position]) -> None:
         ids = sorted(final)
-        movers, idlers = [], []
-        for rid in ids:
-            robot = self.robots[rid]
-            moved = euclidean(robot.pos, final[rid])
-            if moved > 0.0:
-                robot.pos = final[rid]
-                self.total_distance += moved
-                movers.append(robot)
-            else:
-                idlers.append(robot)
-        if movers and self.scenario.comm_range != COMPLETE:
+        moved = travelled(self.robots, final)
+        for rid, distance in moved.items():
+            self.robots[rid].pos = final[rid]
+            self.total_distance += distance
+        if moved and self.scenario.comm_range != COMPLETE:
             self._comm_view = None  # the graph's edges follow the positions
         model = self.scenario.energy
-        died = {r.id for r in self.ledger.charge_many(movers, ChargeKind.MOVE, model)}
-        died.update(r.id for r in self.ledger.charge_many(idlers, ChargeKind.IDLE, model))
-        moving = {r.id for r in movers}
+        died = {r.id for r in self.ledger.charge_many(
+            [self.robots[rid] for rid in moved], ChargeKind.MOVE, model)}
+        died.update(r.id for r in self.ledger.charge_many(
+            [self.robots[rid] for rid in ids if rid not in moved], ChargeKind.IDLE, model))
         for rid in ids:
             robot = self.robots[rid]
-            if rid in moving:
+            if rid in moved:
                 self._emit(EventKind.MOVE, (rid,),
                            f"to=({robot.pos.x:.3f},{robot.pos.y:.3f})")
             if rid in died:
@@ -450,19 +369,14 @@ class Engine:
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:
         members_of = self._members_by_task()
-        for tid, held in list(self.active.items()):
-            task = self.tasks[tid]
-            members = members_of.get(tid, ())
-            in_place = in_formation([self.robots[rid] for rid in members],
-                                    task.required, _ARRIVAL_TOLERANCE)
-            self.active[tid] = held = held + 1 if in_place else 0
-            if held >= task.duration:
-                self._emit(EventKind.TASK_COMPLETED, tuple(members))
-            elif self.tick_no - task.arrival_tick + 1 >= task.timeout:
-                self._emit(EventKind.TASK_TIMED_OUT, tuple(members), f"task={tid}")
+        self.active, ended = task_outcomes(self.active, self.tasks, members_of,
+                                           self.robots, self.tick_no, _ARRIVAL_TOLERANCE)
+        for tid, completed in ended.items():
+            members = tuple(members_of.get(tid, ()))
+            if completed:
+                self._emit(EventKind.TASK_COMPLETED, members)
             else:
-                continue
-            del self.active[tid]
+                self._emit(EventKind.TASK_TIMED_OUT, members, f"task={tid}")
             for rid in members:
                 self._release(rid)
 
@@ -473,27 +387,9 @@ class Engine:
         return not self._alive() or not (self.pending or self.active)
 
     def metrics(self) -> RunMetrics:
-        batteries = [r.battery for r in self.robots.values()]
-        # the run's outcome counts are the trace's, so the two cannot disagree
-        counts = Counter(e.kind for e in self.events)
-        gossip_total = left_sum(self.ledger.comm_gossip.values())
-        nego_total = left_sum(self.ledger.comm_negotiation.values())
-        return RunMetrics(
-            conflict_frequency=counts[EventKind.CONFLICT_DETECTED],
-            energy_moving=left_sum(self.ledger.moving.values()),
-            energy_idle=left_sum(self.ledger.idle.values()),
-            energy_comm=gossip_total + nego_total,
-            energy_comm_negotiation=nego_total,
-            total_distance=self.total_distance,
-            per_task_comm=dict(sorted(self.ledger.per_task_comm.items())),
-            residual_max=max(batteries),
-            residual_min=min(batteries),
-            residual_mean=left_sum(batteries) / len(batteries),
-            ticks_elapsed=self.tick_no,
-            tasks_completed=counts[EventKind.TASK_COMPLETED],
-            tasks_timed_out=counts[EventKind.TASK_TIMED_OUT],
-            max_negotiation_iterations=self.max_negotiation_iterations,
-        )
+        return RunMetrics.count(self.events, self.ledger,
+                                [r.battery for r in self.robots.values()], self.tick_no,
+                                self.total_distance, self.max_negotiation_iterations)
 
 
 def run(scenario: Scenario) -> tuple[RunMetrics, list[TraceEvent]]:

@@ -1,9 +1,12 @@
-"""Vertex assignment within a task's polygon formation.
+"""Vertex assignment within a task's polygon formation, and its outcome.
 
-Group members pick vertices greedily in priority-queue order: each robot
-in turn claims the nearest still-unclaimed vertex. This is deliberately
-not an optimal assignment; an exact min-sum solver (scipy, from the ``dev``
-extra) is kept alongside as a test oracle so the greedy gap stays measurable.
+A full team whose members lack slots asks for its vacant vertices, and
+the members pick them greedily in priority-queue order: each robot in turn
+claims the nearest still-unclaimed vertex. This is deliberately not an
+optimal assignment; an exact min-sum solver (scipy, from the ``dev``
+extra) is kept alongside as a test oracle so the greedy gap stays
+measurable. A task completes once its team has held formation long
+enough, and times out otherwise.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .world import Position, RobotState, euclidean
+from .world import Position, RobotState, Task, euclidean
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,23 @@ def open_vertices(slots: Iterable[int | None], n: int) -> list[int]:
     return [v for v in range(n) if v not in taken]
 
 
+def slot_requests(tasks: Iterable[Task], members_of: Mapping[int, Sequence[int]],
+                  robots: Mapping[int, RobotState]) -> list[tuple[int, list[int], list[int]]]:
+    """``(task id, members without a slot, vacant vertices)`` for each of
+    ``tasks``, in order, whose team (``members_of``, ascending ids) is full
+    and has a member without a slot."""
+    requests = []
+    for task in tasks:
+        members = members_of.get(task.id, ())
+        if len(members) != task.required:
+            continue
+        free = [rid for rid in members if robots[rid].slot is None]
+        if free:
+            vacant = open_vertices((robots[rid].slot for rid in members), task.required)
+            requests.append((task.id, free, vacant))
+    return requests
+
+
 def in_formation(robots: Sequence[RobotState], required: int,
                  tolerance: float) -> bool:
     """Whether ``robots`` are a full team of ``required`` members, each
@@ -75,6 +95,28 @@ def in_formation(robots: Sequence[RobotState], required: int,
     return len(robots) == required and all(
         r.goal is not None and euclidean(r.pos, r.goal) <= tolerance
         for r in robots)
+
+
+def task_outcomes(active: Mapping[int, int], tasks: Mapping[int, Task],
+                  members_of: Mapping[int, Sequence[int]], robots: Mapping[int, RobotState],
+                  tick: int, tolerance: float) -> tuple[dict[int, int], dict[int, bool]]:
+    """The tasks of ``active`` (id -> consecutive ticks :func:`in_formation`)
+    that stay active after tick ``tick``, with their new counts, and those
+    that end in it: True once the count reaches the task's ``duration``,
+    else False on the ``timeout``-th tick since its arrival."""
+    held: dict[int, int] = {}
+    ended: dict[int, bool] = {}
+    for tid, count in active.items():
+        task = tasks[tid]
+        team = [robots[rid] for rid in members_of.get(tid, ())]
+        count = count + 1 if in_formation(team, task.required, tolerance) else 0
+        if count >= task.duration:
+            ended[tid] = True
+        elif tick - task.arrival_tick + 1 >= task.timeout:
+            ended[tid] = False
+        else:
+            held[tid] = count
+    return held, ended
 
 
 def slot_swaps(robots: Sequence[RobotState],

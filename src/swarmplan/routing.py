@@ -402,6 +402,18 @@ def resolve(current: Mapping[int, Position], moves: Mapping[int, Position],
         goals, stall, geometry)
 
 
+def travelled(robots: Mapping[int, RobotState],
+              final: Mapping[int, Position]) -> dict[int, float]:
+    """The robots ``final`` moves off their position, ascending ids, each
+    with the distance it covers; the others stand idle."""
+    moved = {}
+    for rid in sorted(final):
+        distance = euclidean(robots[rid].pos, final[rid])
+        if distance > 0.0:
+            moved[rid] = distance
+    return moved
+
+
 def track_progress(mark: tuple[Position, float] | None, stall: int,
                    pos: Position, goal: Position | None,
                    ) -> tuple[tuple[Position, float] | None, int]:

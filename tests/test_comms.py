@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmplan.comms import (COMPLETE, CommGraph, DisconnectedGraphError,
-                             GossipStalledError, build_graph, components, gossip)
-from swarmplan.world import euclidean
+                             GossipStalledError, build_graph, components, gossip,
+                             reveal)
+from swarmplan.world import Position, euclidean
 from helpers import eccentricity, make_robot, random_connected_graph
 
 
@@ -219,3 +220,45 @@ class TestComponents:
                 build_graph(robots, comm_range)
         else:
             assert build_graph(robots, comm_range).adjacency == adjacency
+
+
+def ref_reveal(centers, robots):
+    """Reference: the engine's former arrival loop, which told each task to
+    the nearest of the alive ``robots`` while any was alive."""
+    revealed = {}
+    for tid, center in centers.items():
+        if robots:
+            nearest = min(robots, key=lambda r: (euclidean(r.pos, center), r.id))
+            revealed[tid] = nearest.id
+    return revealed
+
+
+#: grid coordinates, so that equal distances (ties) are common
+grid = st.integers(0, 4).map(float)
+
+
+class TestReveal:
+    def test_nearest_robot_learns_each_task(self):
+        positions = {1: Position(0.0, 0.0), 2: Position(10.0, 0.0)}
+        centers = {7: Position(8.0, 0.0), 3: Position(1.0, 1.0)}
+        revealed = reveal(centers, positions)
+        assert revealed == {7: 2, 3: 1}
+        assert list(revealed) == [7, 3]  # in the order of ``centers``
+
+    def test_tie_goes_to_the_lower_id(self):
+        positions = {5: Position(0.0, 0.0), 2: Position(2.0, 0.0)}
+        assert reveal({1: Position(1.0, 0.0)}, positions) == {1: 2}
+
+    def test_without_robots_no_one_learns(self):
+        assert reveal({1: Position(1.0, 0.0)}, {}) == {}
+
+    @given(st.lists(st.tuples(grid, grid), max_size=4),
+           st.lists(st.tuples(st.integers(0, 50), grid, grid), max_size=6,
+                    unique_by=lambda robot: robot[0]))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_reference(self, tasks, robots):
+        centers = {10 - k: Position(x, y) for k, (x, y) in enumerate(tasks)}
+        team = [make_robot(rid, x, y) for rid, x, y in robots]  # any id order
+        positions = {r.id: r.pos for r in team}
+        revealed = reveal(centers, positions)
+        assert list(revealed.items()) == list(ref_reveal(centers, team).items())

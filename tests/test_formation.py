@@ -13,8 +13,8 @@ import swarmplan
 from swarmplan.formation import (DistanceMatrix, FormationPlan,
                                  formation_assign, hungarian_oracle,
                                  in_formation, open_vertices, plan_total,
-                                 slot_swaps)
-from swarmplan.world import Position, euclidean
+                                 slot_requests, slot_swaps, task_outcomes)
+from swarmplan.world import Position, Task, euclidean
 from helpers import make_robot
 
 
@@ -304,3 +304,133 @@ class TestFormationChecks:
         assert open_vertices(slots, required) == ref_open_vertices(robots, required)
         assert (in_formation(robots, required, tolerance)
                 == ref_in_formation(robots, required, verts, tolerance))
+
+
+def task(tid, required, duration=3, timeout=20, arrival_tick=0):
+    return Task(id=tid, center=Position(10.0, 10.0), required=required,
+                duration=duration, timeout=timeout, arrival_tick=arrival_tick)
+
+
+def slotted(rid, slot, x=0.0, y=0.0, goal=None):
+    robot = make_robot(rid, x, y)
+    robot.slot, robot.goal = slot, goal
+    return robot
+
+
+def ref_slot_requests(tasks, members_of, robots):
+    """Reference: the engine's former formation loop, which skipped each
+    task whose team was not full or held no member without a slot."""
+    requests = []
+    for t in tasks:
+        members = members_of.get(t.id, ())
+        if len(members) != t.required:
+            continue
+        free = [rid for rid in members if robots[rid].slot is None]
+        if not free:
+            continue
+        taken = {robots[rid].slot for rid in members}
+        requests.append((t.id, free, [v for v in range(t.required) if v not in taken]))
+    return requests
+
+
+class TestSlotRequests:
+    def test_full_team_with_a_slotless_member(self):
+        robots = {1: slotted(1, 2), 4: slotted(4, None), 6: slotted(6, None)}
+        assert slot_requests([task(9, 3)], {9: [1, 4, 6]}, robots) == [
+            (9, [4, 6], [0, 1])]
+
+    def test_team_short_of_members_waits(self):
+        robots = {1: slotted(1, None), 2: slotted(2, None)}
+        assert slot_requests([task(9, 3)], {9: [1, 2]}, robots) == []
+        assert slot_requests([task(9, 3)], {}, robots) == []
+
+    def test_every_member_slotted_asks_nothing(self):
+        robots = {1: slotted(1, 1), 2: slotted(2, 0)}
+        assert slot_requests([task(9, 2)], {9: [1, 2]}, robots) == []
+
+    def test_in_task_order(self):
+        robots = {1: slotted(1, None), 2: slotted(2, None)}
+        tasks = [task(8, 1), task(3, 1)]
+        assert slot_requests(tasks, {3: [1], 8: [2]}, robots) == [
+            (8, [2], [0]), (3, [1], [0])]
+
+    @given(st.lists(formation_teams(), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference(self, teams):
+        tasks, members_of, robots = [], {}, {}
+        for k, (_, required, team) in enumerate(teams):
+            for robot in team:
+                robot.id += 10 * k
+                robots[robot.id] = robot
+            tasks.append(task(k, required))
+            if team:
+                members_of[k] = [r.id for r in team]
+        assert (slot_requests(tasks, members_of, robots)
+                == ref_slot_requests(tasks, members_of, robots))
+
+
+def ref_task_outcomes(active, tasks, members_of, robots, tick, tolerance):
+    """Reference: the engine's former completion loop, run on a copy of
+    ``active``, which it updated in place while recording each ending."""
+    active, ended = dict(active), {}
+    for tid, held in list(active.items()):
+        t = tasks[tid]
+        members = members_of.get(tid, ())
+        in_place = in_formation([robots[rid] for rid in members], t.required, tolerance)
+        active[tid] = held = held + 1 if in_place else 0
+        if held >= t.duration:
+            ended[tid] = True
+        elif tick - t.arrival_tick + 1 >= t.timeout:
+            ended[tid] = False
+        else:
+            continue
+        del active[tid]
+    return active, ended
+
+
+class TestTaskOutcomes:
+    PLACED = {1: slotted(1, 0, goal=Position(0.0, 0.0))}
+    ASTRAY = {1: slotted(1, 0, goal=Position(5.0, 0.0))}
+
+    def outcome(self, robots, held, tick=4, **timing):
+        return task_outcomes({7: held}, {7: task(7, 1, **timing)}, {7: [1]},
+                             robots, tick, 0.1)
+
+    def test_hold_count_grows_in_formation_and_resets_out_of_it(self):
+        assert self.outcome(self.PLACED, 1) == ({7: 2}, {})
+        assert self.outcome(self.ASTRAY, 2) == ({7: 0}, {})
+
+    def test_completes_when_the_count_reaches_the_duration(self):
+        assert self.outcome(self.PLACED, 2) == ({}, {7: True})
+
+    def test_times_out_on_the_timeout_th_tick_since_arrival(self):
+        # arrival tick 2 is the task's first tick, so tick 7 is its sixth
+        timing = {"timeout": 6, "arrival_tick": 2}
+        assert self.outcome(self.ASTRAY, 0, tick=7, **timing) == ({}, {7: False})
+        assert self.outcome(self.ASTRAY, 0, tick=6, **timing) == ({7: 0}, {})
+
+    def test_completion_wins_over_a_timeout_on_the_same_tick(self):
+        assert self.outcome(self.PLACED, 2, tick=19) == ({}, {7: True})
+
+    def test_a_team_without_members_holds_nothing(self):
+        assert task_outcomes({7: 3}, {7: task(7, 1)}, {}, {}, 0, 0.1) == ({7: 0}, {})
+
+    @given(st.lists(st.tuples(formation_teams(), st.integers(0, 4),
+                              st.integers(1, 4), st.integers(0, 6),
+                              st.integers(0, 8)), max_size=4),
+           st.integers(0, 12), st.sampled_from([0.0, 0.1, 1.0]))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference(self, entries, tick, tolerance):
+        active, tasks, members_of, robots = {}, {}, {}, {}
+        for k, ((_, required, team), held, duration, extra, arrival) in enumerate(entries):
+            for robot in team:
+                robot.id += 10 * k
+                robots[robot.id] = robot
+            tasks[k] = task(k, required, duration, duration + extra, arrival)
+            members_of[k] = [r.id for r in team]
+            active[k] = held
+        held, ended = task_outcomes(active, tasks, members_of, robots, tick, tolerance)
+        ref_held, ref_ended = ref_task_outcomes(active, tasks, members_of, robots,
+                                                tick, tolerance)
+        assert list(held.items()) == list(ref_held.items())
+        assert list(ended.items()) == list(ref_ended.items())
