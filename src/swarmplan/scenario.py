@@ -48,10 +48,10 @@ class RobotSpec:
 @dataclass
 class Scenario:
     """One run's inputs. Robots and every task's formation vertices lie in
-    ``[0, world_size]²``. With ``conflict_negotiation`` off (the paper's
+    ``[0, world_size]²``. With ``conflict_negotiation`` on, robots start at
+    least twice the safety radius apart; with it off (the paper's
     no-negotiation ablation) routing neither clusters conflicts nor
-    enforces separation, so robots may come closer than twice the safety
-    radius."""
+    enforces separation, so robots may start or come closer."""
 
     world_size: float
     robots: list[RobotSpec]
@@ -84,11 +84,17 @@ class Scenario:
         tids = [t.id for t in self.tasks]
         if len(set(tids)) != len(tids):
             problems.append("tasks: duplicate ids")
-        for r in self.robots:
+        for k, r in enumerate(self.robots):
             if not inside(r.x, r.y):
                 problems.append(f"robot {r.id}: position outside world bounds")
             if not (0.0 <= r.battery <= 100.0):
                 problems.append(f"robot {r.id}: battery outside [0, 100]")
+            if geometry_valid and self.conflict_negotiation:
+                # ``generate``'s placement rule, so every generated scenario
+                # passes; negotiation would flag a closer pair on every tick
+                problems += [f"robots {o.id} and {r.id}: start closer than twice"
+                             " the safety radius" for o in self.robots[:k]
+                             if math.hypot(r.x - o.x, r.y - o.y) < 2.0 * self.safety_radius]
         for t in self.tasks:
             if t.required > len(self.robots):
                 problems.append(f"task {t.id}: requires more robots than exist")

@@ -29,6 +29,12 @@ class Position(NamedTuple("_Position", [("x", float), ("y", float)])):
             raise ValueError(f"non-finite position ({x}, {y})")
         return tuple.__new__(cls, (x, y))
 
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Position:
+        """The named tuple's builder, which ``_replace`` also calls, made to
+        go through ``__new__``'s finiteness check."""
+        return cls(*iterable)
+
 
 #: Straight-line distance between two points, in meters. ``math.dist`` and
 #: ``math.hypot`` share one norm routine, so ``euclidean(a, b)`` is the bits

@@ -332,6 +332,8 @@ BAD_INPUTS = [
     ("run", ("tasks", 0, "y"), "20.5"),
     ("generate", ("safety_radius",), "NaN"),
     ("generate", ("safety_radius",), "Infinity"),
+    # robots must start 40 m apart, more than the 24 m world's diagonal
+    ("run", ("safety_radius",), "20.0"),
 ]
 
 

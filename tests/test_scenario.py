@@ -153,6 +153,28 @@ class TestValidation:
         with pytest.raises(InvalidScenarioError, match="at least one robot"):
             s.validate()
 
+    @pytest.mark.parametrize("x, valid", [(3.0, True), (2.5, False)])
+    def test_robots_start_twice_the_safety_radius_apart(self, x, valid):
+        # with negotiation on, a closer pair would be a conflict every tick
+        s = self._scenario(robots=[RobotSpec(3, 2.0, 2.0, 90.0),
+                                   RobotSpec(5, 9.0, 9.0, 90.0),
+                                   RobotSpec(8, x, 2.0, 90.0)])
+        if valid:
+            s.validate()  # exactly 2 * 0.5 m apart
+        else:
+            with pytest.raises(InvalidScenarioError, match="robots 3 and 8: start "
+                               "closer than twice the safety radius"):
+                s.validate()
+        s.conflict_negotiation = False
+        s.validate()  # without negotiation nothing keeps robots apart anyway
+
+    def test_every_generated_scenario_starts_apart(self):
+        for seed in range(20):
+            s = generate({"world_size": 6.0, "n_robots": 8, "safety_radius": 0.6,
+                          "tasks": []}, seed)
+            assert s.conflict_negotiation
+            s.validate()
+
     @pytest.mark.parametrize("y, valid", [(15.0, True), (15.5, False)])
     def test_formation_vertex_inside_world(self, y, valid):
         # one robot, so the vertex sits formation_radius (5 m) due north

@@ -31,6 +31,24 @@ class TestPosition:
         with pytest.raises(ValueError, match="non-finite position"):
             Position(x=x, y=y)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf),
+                                      (-math.inf, 1.0)])
+    def test_make_and_replace_reject_non_finite(self, x, y):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite position ({x}, {y})")):
+            Position._make([x, y])
+        with pytest.raises(ValueError, match="non-finite position"):
+            Position(1.0, 2.0)._replace(x=x, y=y)
+        with pytest.raises(ValueError, match="non-finite position"):
+            Position(1.0, 2.0)._replace(y=math.nan)
+
+    def test_make_and_replace_build_positions(self):
+        moved = Position(1.0, 2.0)._replace(y=3.0)
+        assert type(moved) is Position and moved == Position._make((1.0, 3.0))
+        with pytest.raises(TypeError):
+            Position._make([1.0])
+        with pytest.raises(ValueError):
+            Position(1.0, 2.0)._replace(z=3.0)
+
     def test_named_tuple_of_its_coordinates(self):
         p = Position(x=1.0, y=2.0)
         assert repr(p) == "Position(x=1.0, y=2.0)"
