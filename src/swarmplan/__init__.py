@@ -13,10 +13,9 @@ from .comms import COMPLETE, CommGraph, KnowledgeSet, build_graph, gossip
 from .priority import (PriorityLaw, Criterion, NeedsOrderQueue,
                        compile_law, sort_queue, ExhaustedCriteriaError,
                        LOW_BATTERY_WITHDRAWAL)
-from .selection import (SelectionPlan, estimate_cost, select, selection_oracle,
+from .selection import (SelectionPlan, estimate_cost, select,
                         InsufficientRobotsError)
-from .formation import (DistanceMatrix, FormationPlan, formation_assign,
-                        hungarian_oracle)
+from .formation import DistanceMatrix, FormationPlan, formation_assign
 from .routing import next_step, detect_conflicts, cluster_conflicts
 from .negotiation import (Phase, Proposal, AgreementOutcome, agreement,
                           negotiate, NegotiationResult)

@@ -3,10 +3,8 @@
 A full team whose members lack slots asks for its vacant vertices, and
 the members pick them greedily in priority-queue order: each robot in turn
 claims the nearest still-unclaimed vertex. This is deliberately not an
-optimal assignment; an exact min-sum solver (scipy, from the ``dev``
-extra) is kept alongside as a test oracle so the greedy gap stays
-measurable. A task completes once its team has held formation long
-enough, and times out otherwise.
+optimal assignment. A task completes once its team has held formation
+long enough, and times out otherwise.
 """
 
 from __future__ import annotations
@@ -149,23 +147,3 @@ def slot_swaps(robots: Sequence[RobotState],
                     swaps.append((a, b))
                     improved = True
     return swaps
-
-
-def hungarian_oracle(matrix: DistanceMatrix) -> tuple[dict[int, int], float]:
-    """Exact minimum total-distance assignment (test oracle, <= 20x20)."""
-    # scipy comes with the dev extra, not the runtime: only the oracle needs it
-    from scipy.optimize import linear_sum_assignment
-    n = len(matrix.entries)
-    if any(len(row) != n for row in matrix.entries):
-        raise ValueError("matrix must be square")
-    if n > 20:
-        raise ValueError("oracle limited to 20x20")
-    rows, cols = linear_sum_assignment(matrix.entries)
-    slot_of = {matrix.robot_ids[r]: int(c) for r, c in zip(rows, cols)}
-    total = float(sum(matrix.entries[r][c] for r, c in zip(rows, cols)))
-    return slot_of, total
-
-
-def plan_total(plan: FormationPlan, matrix: DistanceMatrix) -> float:
-    """Total robot-to-vertex distance of a formation plan."""
-    return float(sum(matrix.row(r)[v] for r, v in plan.slot_of.items()))

@@ -10,7 +10,6 @@ unrestricted groupings measures the contiguity gap in tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -135,70 +134,3 @@ def _min_cost_cut(cost: list[list[float]], sizes: list[int]) -> list[range]:
             i -= 1
     blocks.reverse()
     return blocks
-
-
-def selection_oracle(
-    robots: Sequence[RobotState],
-    tasks: Sequence[Task],
-    model: EnergyModel,
-    step_length: float = 1.0,
-) -> tuple[dict[int, int | None], float]:
-    """Exhaustive minimum-cost grouping, contiguity not required.
-
-    Desk-scale only (<= 10 robots, <= 3 tasks); used as the independent
-    reference that bounds the planner's cost from below.
-    """
-    alive = [r for r in robots if r.alive]
-    if len(alive) > 10 or len(tasks) > 3:
-        raise ValueError("oracle limited to 10 robots / 3 tasks")
-    need = sum(t.required for t in tasks)
-    if need > len(alive):
-        raise InsufficientRobotsError(f"need {need} robots, have {len(alive)} alive")
-
-    ids = [r.id for r in alive]
-    by_id = {r.id: r for r in alive}
-    ordered_tasks = sorted(tasks, key=lambda t: t.id)
-    best_cost = float("inf")
-    best: dict[int, int | None] = {}
-
-    def recurse(remaining: list[int], idx: int, acc: float,
-                partial: dict[int, int | None]) -> None:
-        nonlocal best_cost, best
-        if acc >= best_cost:
-            return
-        if idx == len(ordered_tasks):
-            if acc < best_cost:
-                best_cost = acc
-                best = dict(partial)
-                for i in remaining:
-                    best[i] = None
-            return
-        task = ordered_tasks[idx]
-        for combo in itertools.combinations(remaining, task.required):
-            extra = sum(estimate_cost(by_id[i], task, model, step_length)
-                        for i in combo)
-            for i in combo:
-                partial[i] = task.id
-            rest = [i for i in remaining if i not in combo]
-            recurse(rest, idx + 1, acc + extra, partial)
-            for i in combo:
-                del partial[i]
-
-    recurse(ids, 0, 0.0, {})
-    return best, best_cost
-
-
-def plan_cost(
-    plan: SelectionPlan,
-    robots: Sequence[RobotState],
-    tasks: Sequence[Task],
-    model: EnergyModel,
-    step_length: float = 1.0,
-) -> float:
-    """Total estimated moving energy of a selection plan."""
-    by_robot = {r.id: r for r in robots}
-    by_task = {t.id: t for t in tasks}
-    return sum(
-        estimate_cost(by_robot[r], by_task[t], model, step_length)
-        for r, t in plan.assignment.items() if t is not None
-    )

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from swarmplan.comms import CommGraph, gossip
 from swarmplan.engine import Engine, run
-from swarmplan.formation import (DistanceMatrix, formation_assign,
-                                 hungarian_oracle, plan_total)
+from swarmplan.formation import DistanceMatrix, formation_assign
 from swarmplan.negotiation import AgreementOutcome, Phase, Proposal, agreement
 from swarmplan.priority import PriorityLaw
-from swarmplan.selection import plan_cost, select, selection_oracle
+from swarmplan.selection import select
 from swarmplan.sweep import SweepSpec, rows_to_csv, run_sweep, CSV_COLUMNS
 from swarmplan.world import EnergyModel, Position, Task, euclidean
+from oracles import hungarian_oracle, plan_cost, plan_total, selection_oracle
 from helpers import (ALL_LAWS, TEMPLATE, eccentricity, make_robot,
                      random_connected_graph, suite_scenario)
 

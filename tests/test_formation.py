@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import swarmplan
 from swarmplan.formation import (DistanceMatrix, FormationPlan,
-                                 formation_assign, hungarian_oracle,
-                                 in_formation, open_vertices, plan_total,
+                                 formation_assign, in_formation, open_vertices,
                                  slot_requests, slot_swaps, task_outcomes)
 from swarmplan.world import Position, Task, euclidean
 from helpers import make_robot
+from oracles import hungarian_oracle, plan_total
 
 
 def matrix(entries, ids=None):

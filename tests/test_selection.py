@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from swarmplan.priority import PriorityLaw
 from swarmplan.selection import (InsufficientRobotsError, estimate_cost,
-                                 open_tasks, plan_cost, select, selection_oracle)
+                                 open_tasks, select)
 from swarmplan.world import EnergyModel, Position, Task
 from helpers import make_robot
+from oracles import plan_cost, selection_oracle
 
 
 def task(tid, x, y, required=1, duration=1, timeout=100):
