@@ -180,8 +180,8 @@ class Engine:
 
     def _selection_planner(self, chosen: list[Task],
                            free: list[int]) -> Callable[[frozenset], SelectionPlan]:
-        """The plan of free robots ``free`` (ascending ids) for the tasks of
-        ``chosen`` that a knowledge names; reads their keys now."""
+        """Selection's ``plan_for``: the plan of free robots ``free`` (ascending
+        ids) for the tasks of ``chosen`` that a knowledge names."""
         scenario = self.scenario
         robots = [self.robots[rid] for rid in free]
         context = self._context(free)

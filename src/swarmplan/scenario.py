@@ -224,7 +224,8 @@ def generate(template: dict, seed: int) -> Scenario:
     scenario schema), plus any scenario field to pass through. Robot
     positions are sampled uniformly unless ``positions`` lists them
     explicitly; sampling rejects placements closer than twice the safety
-    radius so the starting configuration already satisfies separation.
+    radius so the starting configuration already satisfies separation, and
+    with conflict negotiation on, ``validate`` holds listed ones to it too.
     """
     try:
         world = _number(template["world_size"])
