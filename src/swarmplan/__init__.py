@@ -11,14 +11,13 @@ from .world import (Position, RobotState, Task, EnergyModel, EnergyLedger,
                     ChargeKind, euclidean, polygon_vertices)
 from .comms import COMPLETE, CommGraph, KnowledgeSet, build_graph, gossip
 from .priority import (PriorityLaw, Criterion, NeedsOrderQueue,
-                       compile_law, sort_queue, ExhaustedCriteriaError,
-                       LOW_BATTERY_WITHDRAWAL)
+                       compile_law, sort_queue, LOW_BATTERY_WITHDRAWAL)
 from .selection import (SelectionPlan, estimate_cost, select,
                         InsufficientRobotsError)
 from .formation import DistanceMatrix, FormationPlan, formation_assign
 from .routing import next_step, detect_conflicts, cluster_conflicts
 from .negotiation import (Phase, Proposal, AgreementOutcome, agreement,
-                          negotiate, NegotiationResult)
+                          negotiate, NegotiationResult, ExhaustedCriteriaError)
 from .cata import CataWeights, collision_penalty, utility, cata_select
 from .scenario import Scenario, RobotSpec, generate, InvalidScenarioError
 from .engine import Engine, RunMetrics, TraceEvent, run

@@ -123,10 +123,8 @@ class Engine:
         """The alive team's comm graph and its gossip rounds to equilibrium;
         call only while a robot is alive."""
         if self._comm_view is None:
-            alive = self._alive()
-            graph = build_graph(alive, self.scenario.comm_range)
-            payloads = {r.id: self.known_tasks[r.id] for r in alive}
-            _, rounds = gossip(payloads, graph, frozenset(payloads))
+            graph = build_graph(self._alive(), self.scenario.comm_range)
+            _, rounds = gossip(self.known_tasks, graph, frozenset(graph.adjacency))
             self._comm_view = graph, rounds
         return self._comm_view
 
@@ -169,7 +167,7 @@ class Engine:
         plan_once = cache(plan_for)
         result = negotiate(phase, frozenset(group), graph, self._order,
                            lambda member, knowledge, depth: plan_once(knowledge),
-                           {rid: self.known_tasks[rid] for rid in group})
+                           self.known_tasks)
         if result.comm_rounds:
             self._charge_comm(group, result.comm_rounds, task_of(result.payload))
             self._emit(EventKind.NEGOTIATE, tuple(group),

@@ -20,12 +20,16 @@ from enum import Enum
 from typing import Callable, Hashable, Mapping
 
 from .comms import CommGraph, gossip
-from .priority import ExhaustedCriteriaError, NeedsOrderQueue
+from .priority import NeedsOrderQueue
 
 
 class Phase(Enum):
     SELECTION = "selection"
     FORMATION = "formation"
+
+
+class ExhaustedCriteriaError(Exception):
+    """Negotiation's conflicts outlasted the criteria of the order queue."""
 
 
 class PhaseMismatchError(Exception):
@@ -111,41 +115,34 @@ def negotiate(
 ) -> NegotiationResult:
     """Run proposal/gossip/agreement until the group holds one plan.
 
-    ``planner(member, knowledge, depth)`` must be deterministic in its
-    arguments. Proposals carry the proposer's knowledge items, so a member
-    that planned from stale knowledge absorbs the difference after the
-    first exchange and the loop converges. Raises
+    Each of at most ``len(order)`` iterations asks every member, in
+    ascending id order, for ``planner(member, knowledge, depth)``, which
+    must be deterministic in its arguments. The proposals, each carrying
+    its proposer's knowledge, are gossiped to equilibrium, where every
+    member holds all of them, so one comparison decides for the group. On
+    CONFLICT every member's knowledge becomes the union of the members'
+    knowledge and the depth rises one level; members that planned from
+    stale knowledge then agree in the next iteration. Only ``knowledge``'s
+    entries for the members are read. Raises
     :class:`ExhaustedCriteriaError` if conflicts outlast the criterion
     queue, which is impossible once knowledge is shared.
     """
     members = sorted(group)
-    know: dict[int, frozenset[Hashable]] = {i: frozenset(knowledge[i]) for i in members}
-    depth = 0
-    iterations = 0
+    know = {i: frozenset(knowledge[i]) for i in members}
     comm_rounds = 0
-    while True:
-        if depth >= len(order):
-            raise ExhaustedCriteriaError(f"negotiation stuck in phase {phase}")
-        iterations += 1
-        plans = {i: planner(i, know[i], depth) for i in members}
+    for depth in range(len(order)):
         # members that propose the same object share one serialization
         keys: dict[int, str] = {}
-        for plan in plans.values():
+        proposals = []
+        for i in members:
+            plan = planner(i, know[i], depth)
             if id(plan) not in keys:
                 keys[id(plan)] = canonical(plan)
-        proposals = {i: Proposal(phase, i, plans[i], keys[id(plans[i])])
-                     for i in members}
-        payloads = {i: (proposals[i].key, know[i]) for i in members}
-        equilibrium, rounds = gossip(payloads, graph, frozenset(members))
+            proposals.append(Proposal(phase, i, plan, keys[id(plan)]))
+        _, rounds = gossip({p.proposer: (p.key, know[p.proposer]) for p in proposals},
+                           graph, group)
         comm_rounds += rounds
-        # every member now sees the same multiset of proposals; the check is
-        # identical at each, so evaluate it once
-        items = sorted(equilibrium[members[0]].items, key=lambda item: item[0])
-        received = [proposals[origin] for origin, _ in items]
-        if agreement(received) is AgreementOutcome.END:
-            return NegotiationResult(payload=proposals[members[0]].payload,
-                                     iterations=iterations,
-                                     comm_rounds=comm_rounds)
-        merged = frozenset().union(*(k for _, (_, k) in items))
-        know = {i: know[i] | merged for i in members}
-        depth += 1
+        if agreement(proposals) is AgreementOutcome.END:
+            return NegotiationResult(proposals[0].payload, depth + 1, comm_rounds)
+        know = dict.fromkeys(members, frozenset().union(*know.values()))
+    raise ExhaustedCriteriaError(f"negotiation stuck in phase {phase}")

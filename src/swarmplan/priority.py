@@ -39,10 +39,6 @@ class Criterion:
 NeedsOrderQueue = tuple[Criterion, ...]
 
 
-class ExhaustedCriteriaError(Exception):
-    """Escalation ran past the last criterion of the order queue."""
-
-
 _ID = Criterion("id")
 
 _LAWS: Mapping[PriorityLaw, NeedsOrderQueue] = {

@@ -10,8 +10,10 @@ conflicting pairs, a plain frozenset of robot ids
 (:func:`comms.components`); each cluster lets one mover step and stops
 the rest. Separation enforcement then turns crowding
 steps into one-sided detours or stops. A tick is ``current`` (every
-robot's position) and ``moves`` (each mover's intended step); one
-predicate, ``_crowds``, answers every clearance question. These are pure
+robot's position) and ``moves`` (each mover's intended step). One
+predicate, ``_crowds``, answers the clearance questions of cluster
+settling and separation; ``yield_step`` measures each candidate's nearest
+gap itself, as its fallback takes the roomiest one. These are pure
 functions of plain data; ``resolve`` hands each cluster decision to a
 ``replay`` callback, through which the engine turns it into events and
 energy charges.
@@ -199,7 +201,7 @@ def detours(pos: Position, toward: Position, stall: int,
 def _crowds(point: Position, rid: int, others: Iterable[int],
             positions: Mapping[int, Position], limit: float) -> bool:
     """Whether ``point`` comes within ``limit`` of any robot but ``rid``:
-    routing's one clearance rule."""
+    the clearance rule of cluster settling and separation."""
     for other in others:
         if other != rid and euclidean(point, positions[other]) < limit:
             return True

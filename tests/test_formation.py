@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import subprocess
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swarmplan
-from swarmplan.formation import (DistanceMatrix, FormationPlan,
+from swarmplan.formation import (DistanceMatrix,
                                  formation_assign, in_formation, open_vertices,
                                  slot_requests, slot_swaps, task_outcomes)
 from swarmplan.world import Position, Task, euclidean

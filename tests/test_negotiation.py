@@ -1,18 +1,19 @@
 import json
-import random
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swarmplan
 import swarmplan.negotiation
-from swarmplan.comms import CommGraph
+from swarmplan.comms import CommGraph, gossip
 from swarmplan.negotiation import (AgreementOutcome, Phase, PhaseMismatchError,
                                    Proposal, agreement, canonical, negotiate)
 from swarmplan.priority import Criterion
 from swarmplan.formation import FormationPlan
 from swarmplan.selection import SelectionPlan
+from helpers import random_connected_graph
 
 
 def proposal(payload, phase=Phase.SELECTION, proposer=0):
@@ -231,3 +232,128 @@ class TestCanonicalCalls:
     def test_key_is_canonical_payload(self):
         plan = SelectionPlan(assignment={1: 2, 3: None})
         assert proposal(plan, proposer=1).key == canonical(plan)
+
+
+def ref_negotiate(phase, group, graph, order, planner, knowledge):
+    """The former ``negotiate``, which read the agreement back from gossip's
+    equilibrium; it calls ``canonical`` and ``gossip`` through the module, so
+    a monkeypatch counts both sides."""
+    neg = swarmplan.negotiation
+    members = sorted(group)
+    know = {i: frozenset(knowledge[i]) for i in members}
+    depth = 0
+    iterations = 0
+    comm_rounds = 0
+    while True:
+        if depth >= len(order):
+            raise swarmplan.ExhaustedCriteriaError(f"negotiation stuck in phase {phase}")
+        iterations += 1
+        plans = {i: planner(i, know[i], depth) for i in members}
+        keys = {}
+        for plan in plans.values():
+            if id(plan) not in keys:
+                keys[id(plan)] = neg.canonical(plan)
+        proposals = {i: Proposal(phase, i, plans[i], keys[id(plans[i])])
+                     for i in members}
+        payloads = {i: (proposals[i].key, know[i]) for i in members}
+        equilibrium, rounds = neg.gossip(payloads, graph, frozenset(members))
+        comm_rounds += rounds
+        items = sorted(equilibrium[members[0]].items, key=lambda item: item[0])
+        received = [proposals[origin] for origin, _ in items]
+        if agreement(received) is AgreementOutcome.END:
+            return neg.NegotiationResult(
+                payload=proposals[members[0]].payload, iterations=iterations,
+                comm_rounds=comm_rounds)
+        merged = frozenset().union(*(k for _, (_, k) in items))
+        know = {i: know[i] | merged for i in members}
+        depth += 1
+
+
+def _knowledge_only():
+    # as the engine's: members that know the same share one plan object
+    plans = {}
+    return lambda member, know, depth: plans.setdefault(know, sorted(know))
+
+
+def _member_stubborn():
+    return lambda member, know, depth: [member]
+
+
+def _depth_dependent():
+    # members split by parity at depth 0 and plan from knowledge after
+    return lambda member, know, depth: [sorted(know), member % max(1, 2 - depth)]
+
+
+def _line_graph(n):
+    return CommGraph({i: frozenset({i - 1, i + 1} & set(range(n))) for i in range(n)})
+
+
+@st.composite
+def _negotiations(draw):
+    n = draw(st.integers(1, 6))
+    graph = (_line_graph(n) if draw(st.booleans())
+             else random_connected_graph(draw(st.randoms(use_true_random=False)), n))
+    knowledge = {i: draw(st.frozensets(st.sampled_from("abcd"))) for i in range(n)}
+    order = draw(st.lists(st.sampled_from(ORDER), min_size=1, max_size=3))
+    planner = draw(st.sampled_from([_knowledge_only, _member_stubborn, _depth_dependent]))
+    return frozenset(range(n)), graph, tuple(order), planner, knowledge
+
+
+def _observed(negotiator, group, graph, order, make_planner, knowledge):
+    """What one negotiation returns or raises, the planner calls it makes
+    and the ``canonical`` and ``gossip`` calls it makes with their rounds."""
+    calls, plans, counts = [], [], {"canonical": 0, "gossip": 0, "rounds": 0}
+    planner = make_planner()
+
+    def recorded(member, know, depth):
+        calls.append((member, know, depth))
+        plans.append(planner(member, know, depth))
+        return plans[-1]
+
+    def counted_canonical(payload):
+        counts["canonical"] += 1
+        return canonical(payload)
+
+    def counted_gossip(payloads, graph, group):
+        result = gossip(payloads, graph, group)
+        counts["gossip"] += 1
+        counts["rounds"] += result[1]
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swarmplan.negotiation, "canonical", counted_canonical)
+        mp.setattr(swarmplan.negotiation, "gossip", counted_gossip)
+        try:
+            result = negotiator(Phase.SELECTION, group, graph, order, recorded,
+                                knowledge)
+        except swarmplan.ExhaustedCriteriaError as error:
+            outcome = ("exhausted", str(error))
+        else:
+            # the payload named by the first planner call that returned it
+            source = next(k for k, plan in enumerate(plans) if plan is result.payload)
+            outcome = (source, result.iterations, result.comm_rounds)
+    return outcome, calls, counts
+
+
+@given(_negotiations())
+@settings(max_examples=300, deadline=None)
+def test_negotiate_matches_former_loop(case):
+    assert _observed(negotiate, *case) == _observed(ref_negotiate, *case)
+
+
+def test_stubborn_group_exhausts_the_order():
+    group, graph = frozenset({1, 2}), complete_graph({1, 2})
+    knowledge = dict.fromkeys(group, frozenset())
+    with pytest.raises(swarmplan.ExhaustedCriteriaError,
+                       match="negotiation stuck in phase Phase.SELECTION"):
+        negotiate(Phase.SELECTION, group, graph, ORDER, _member_stubborn(), knowledge)
+
+
+def test_empty_group_has_no_proposals():
+    # the former loop failed by accident, indexing an empty member list
+    with pytest.raises(IndexError):
+        ref_negotiate(Phase.SELECTION, frozenset(), complete_graph(()), ORDER,
+                      _knowledge_only(), {})
+    with pytest.raises(ValueError, match="no proposals to compare"):
+        negotiate(Phase.SELECTION, frozenset(), complete_graph(()), ORDER,
+                  _knowledge_only(), {})

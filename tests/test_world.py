@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.world import (ChargeKind, EnergyLedger, EnergyModel, Position,
-                             RobotState, Task, euclidean, left_sum,
+                             Task, euclidean, left_sum,
                              polygon_vertices)
 from helpers import make_robot
 
