@@ -5,7 +5,6 @@ from enum import Enum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import swarmplan
 import swarmplan.negotiation
 from swarmplan.comms import CommGraph, gossip
 from swarmplan.negotiation import (AgreementOutcome, Phase, PhaseMismatchError,
