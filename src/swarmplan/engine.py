@@ -3,16 +3,20 @@
 Each tick runs a fixed phase order: task arrivals (revealed to the nearest
 robot only), gossip to equilibrium, selection for free robots, formation
 for newly grouped robots, routing with conflict clustering and resolution,
-energy charging, and completion/timeout checks. Each phase's decision is a
-pure function of plain data in the module that owns its rule; the engine
-only applies it: it moves robots, sets groups, slots and goals, charges
-the ledger and emits events. Runs are pure functions of the scenario:
-identical inputs give byte-identical metrics and traces.
+energy charging, and completion/timeout checks; a quiet tick (no task
+active, none due) runs only gossip's charge and event and the idle charge.
+Each phase's decision is a pure function of plain data in the module that
+owns its rule; the engine only applies it: it moves robots, sets groups
+(keeping each task's alive members), slots and goals, charges the ledger
+and emits events. Runs are pure functions of the scenario: identical
+inputs give byte-identical metrics and traces.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cache
+from math import inf
 from typing import Any, Callable, Iterable
 
 from . import cata as cata_mod
@@ -54,7 +58,10 @@ class Engine:
         # ids, mapped to its consecutive ticks in formation) until it
         # completes or times out
         self.pending: list[int] = sorted(self.tasks)
+        self._next_due = min((t.arrival_tick for t in scenario.tasks), default=inf)
         self.active: dict[int, int] = {}
+        # each task's alive members, ascending ids, no empty list
+        self.members_of: dict[int, list[int]] = {}
         self.vertices: dict[int, list[Position]] = {
             t.id: polygon_vertices(t.center, t.required, scenario.formation_radius)
             for t in scenario.tasks
@@ -79,6 +86,8 @@ class Engine:
         self._ids = sorted(self.robots)
         self._alive_view: list[RobotState] | None = None
         self._comm_view: tuple[CommGraph, int] | None = None
+        # quiet ticks' alive robots and ids, ascending; an arrival or death drops it
+        self._quiet_view: tuple[list[RobotState], tuple[int, ...]] | None = None
         self._order = compile_law(scenario.law)
         self._keys = tuple(c.key for c in self._order if c.key != "id")
 
@@ -109,16 +118,6 @@ class Engine:
             ctx[rid] = keys
         return ctx
 
-    def _members_by_task(self) -> dict[int, list[int]]:
-        """Alive robots of each task, ascending ids; build it once per phase,
-        as a death or release within a phase only touches the task in hand."""
-        members: dict[int, list[int]] = {}
-        for rid in self._ids:
-            robot = self.robots[rid]
-            if robot.group is not None and robot.alive:
-                members.setdefault(robot.group, []).append(rid)
-        return members
-
     def _comm(self) -> tuple[CommGraph, int]:
         """The alive team's comm graph and its gossip rounds to equilibrium;
         call only while a robot is alive."""
@@ -142,13 +141,17 @@ class Engine:
 
     def _bury(self, rid: int) -> None:
         """A charge emptied robot ``rid``'s battery; every death comes here."""
-        self._alive_view = None
-        self._comm_view = None
+        self._alive_view = self._comm_view = self._quiet_view = None
         self._release(rid)
         self._emit(EventKind.ROBOT_DEAD, (rid,))
 
     def _release(self, rid: int) -> None:
         robot = self.robots[rid]
+        if robot.group is not None:
+            members = self.members_of[robot.group]
+            members.remove(rid)
+            if not members:
+                del self.members_of[robot.group]
         robot.group = robot.slot = robot.goal = None
 
     def _negotiate(self, phase: Phase, group: list[int], graph: CommGraph,
@@ -199,22 +202,48 @@ class Engine:
     # ------------------------------------------------------------------ tick
 
     def tick(self) -> None:
-        self._phase_arrivals()
-        graph = self._phase_gossip()
-        self._phase_selection(graph)
-        self._phase_formation(graph)
-        moved = self._phase_routing()
-        self._phase_charge(moved)
-        self._phase_tasks()
+        if not self.active and self.tick_no < self._next_due:
+            self._quiet_tick()
+        else:
+            self._phase_arrivals()
+            graph = self._phase_gossip()
+            self._phase_selection(graph)
+            self._phase_formation(graph)
+            moved = self._phase_routing()
+            self._phase_charge(moved)
+            self._phase_tasks()
         self.tick_no += 1
+
+    def _quiet_tick(self) -> None:
+        """No robot has a group or a goal and standing robots keep their
+        separation, so only gossip and the idle charge act: the first quiet tick
+        runs them, the next replay their charges, deaths and event from a view."""
+        if self._quiet_view is None:
+            self._phase_gossip()
+            self._phase_charge({r.id: r.pos for r in self._alive()})
+            robots = [self.robots[rid] for rid in self._ids if self.robots[rid].alive]
+            if robots:
+                self._quiet_view = robots, tuple(r.id for r in robots)
+            return
+        robots, ids = self._quiet_view
+        rounds = self._comm()[1]
+        if rounds:
+            self._charge_comm(ids, rounds)
+            self._emit(EventKind.GOSSIP, ids, f"rounds={rounds}")
+        for robot in self.ledger.charge_many(robots, ChargeKind.IDLE, self.scenario.energy):
+            self._bury(robot.id)
 
     # phase 1: new tasks reach the nearest alive robot only
     def _phase_arrivals(self) -> None:
+        if self.tick_no < self._next_due:
+            return
         arrived = [tid for tid in self.pending
                    if self.tasks[tid].arrival_tick <= self.tick_no]
+        self.pending = [tid for tid in self.pending if tid not in arrived]
+        self._next_due = min((self.tasks[t].arrival_tick for t in self.pending), default=inf)
         if not arrived:
             return
-        self.pending = [tid for tid in self.pending if tid not in arrived]
+        self._quiet_view = None
         self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
         alive = self._alive()
         centers = {tid: self.tasks[tid].center for tid in arrived}
@@ -249,7 +278,7 @@ class Engine:
         free = [r.id for r in self._alive()
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
         ranked = [self.tasks[tid] for tid in self._ranked if tid in self.active]
-        chosen = open_tasks(ranked, self._members_by_task(), len(free)) if free else []
+        chosen = open_tasks(ranked, self.members_of, len(free)) if free else []
         if not chosen:
             return
         free.sort()
@@ -262,15 +291,15 @@ class Engine:
         assigned = [rid for rid in free
                     if plan.assignment.get(rid) is not None and self.robots[rid].alive]
         for rid in assigned:
-            self.robots[rid].group = plan.assignment[rid]
+            self.robots[rid].group = tid = plan.assignment[rid]
+            insort(self.members_of.setdefault(tid, []), rid)
         if assigned:
             self._emit(EventKind.AGREE, tuple(assigned), "phase=selection")
 
     # phase 4: grouped robots without a slot negotiate vertex assignments
     def _phase_formation(self, graph: CommGraph | None) -> None:
-        members_of = self._members_by_task()
         active = [self.tasks[tid] for tid in self.active]
-        for tid, free, vacant in slot_requests(active, members_of, self.robots):
+        for tid, free, vacant in slot_requests(active, self.members_of, self.robots):
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
                                           [verts[v] for v in vacant])
@@ -287,8 +316,8 @@ class Engine:
                     robot.goal = verts[robot.slot]
             self._emit(EventKind.AGREE, tuple(free), detail)
         if self.scenario.law is not PriorityLaw.CATA_U:
-            for tid in self.active:  # a robot that died since holds no slot
-                self._swap_slots(tid, members_of.get(tid, ()))
+            for tid in self.active:
+                self._swap_slots(tid, self.members_of.get(tid, ()))
 
     def _swap_slots(self, tid: int, members: list[int]) -> None:
         """Apply task ``tid``'s ``slot_swaps`` among ``members`` en route."""
@@ -366,11 +395,10 @@ class Engine:
 
     # phase 7: completion and timeout checks
     def _phase_tasks(self) -> None:
-        members_of = self._members_by_task()
-        self.active, ended = task_outcomes(self.active, self.tasks, members_of,
+        self.active, ended = task_outcomes(self.active, self.tasks, self.members_of,
                                            self.robots, self.tick_no, _ARRIVAL_TOLERANCE)
         for tid, completed in ended.items():
-            members = tuple(members_of.get(tid, ()))
+            members = tuple(self.members_of.get(tid, ()))
             if completed:
                 self._emit(EventKind.TASK_COMPLETED, members)
             else:

@@ -7,6 +7,7 @@ from collections import deque
 from dataclasses import replace
 
 from swarmplan.comms import CommGraph
+from swarmplan.engine import Engine
 from swarmplan.scenario import generate
 from swarmplan.sweep import scale_template
 from swarmplan.world import Position, RobotState
@@ -36,11 +37,12 @@ def suite_scenario(law: str, scale: str, style: str, seed: int,
     return generate(template, seed)
 
 
-def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False):
-    """The suite's R20+T3 static scenario with batteries drawn from U(0.5, 6),
-    so that robots die mid-run; ``shuffle`` also lists the robots out of id
-    order under sparse ids."""
-    s = suite_scenario(law, "R20+T3", "static", seed,
+def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False,
+                style: str = "static"):
+    """The suite's R20+T3 scenario of arrival ``style`` with batteries drawn
+    from U(0.5, 6), so that robots die mid-run; ``shuffle`` also lists the
+    robots out of id order under sparse ids."""
+    s = suite_scenario(law, "R20+T3", style, seed,
                        energy={"comm_cost": comm_cost})
     rng = random.Random(seed)
     robots = [replace(r, battery=rng.uniform(0.5, 6.0)) for r in s.robots]
@@ -84,3 +86,39 @@ def eccentricity(graph: CommGraph, group: set[int]) -> int:
                     queue.append(j)
         worst = max(worst, max(dist.values()))
     return worst
+
+
+def is_quiet(engine: Engine) -> bool:
+    """Whether the engine's next tick is quiet: no task active, none due."""
+    return not engine.active and engine.tick_no < engine._next_due
+
+
+def tick_state(engine: Engine) -> tuple:
+    """What a tick leaves for the next: robots, knowledge, goal marks and
+    stall counts, tasks, teams, the ledger's accounts and the trace length."""
+    return (engine.tick_no, [(r.id, r.pos, r.battery, r.group, r.slot, r.goal)
+                             for r in engine.robots.values()],
+            engine.known_tasks, engine._goal_mark, engine._stall, engine.pending,
+            engine.active, engine.members_of, vars(engine.ledger), len(engine.events))
+
+
+def lockstep(scenario) -> tuple[Engine, list]:
+    """``scenario`` run to its end on two engines in lockstep: one as ``tick``
+    runs it, the other with the quiet predicate forced false before each
+    tick, so that every tick runs all seven phases. Asserts that both leave
+    the same state after every tick and the same trace and metrics; returns
+    the first engine and the events of the ticks it served from its quiet
+    view."""
+    engine, full, served = Engine(scenario), Engine(scenario), []
+    while engine.tick_no < scenario.max_ticks and not engine.finished():
+        viewed = is_quiet(engine) and engine._quiet_view is not None
+        start = len(engine.events)
+        engine.tick()
+        full._next_due = full.tick_no
+        full.tick()
+        assert tick_state(engine) == tick_state(full), engine.tick_no
+        if viewed:
+            served.extend(engine.events[start:])
+    assert engine.events == full.events
+    assert repr(engine.metrics()) == repr(full.metrics())
+    return engine, served

@@ -10,7 +10,7 @@ from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
 from swarmplan.world import EnergyModel, Position, Task, euclidean
-from helpers import low_battery, suite_scenario
+from helpers import is_quiet, lockstep, low_battery, suite_scenario
 
 
 def scenario(robots, tasks, **overrides):
@@ -296,7 +296,7 @@ class TestFormationPlans:
         for rid in engine._ids[::2]:
             engine.known_tasks[rid] = frozenset()
         # each task's group, the robots its plans assign
-        groups = {frozenset(engine._members_by_task()[tid]): tid for tid in engine.tasks}
+        groups = {frozenset(engine.members_of[tid]): tid for tid in engine.tasks}
         original = swarmplan.engine.formation_assign
         computed = {}  # robots -> (args, kwargs) of each computation
 
@@ -330,6 +330,36 @@ class TestFormationPlans:
                 assert plan == original(*args, **kwargs)
 
 
+class TestQuietTicks:
+    """A quiet tick (no task active, none due) runs only gossip and the idle
+    charge; with every phase forced instead, a run leaves the same state."""
+
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_quiet_path_equals_all_seven_phases(self, seed):
+        # staged arrivals on low batteries: robots die inside quiet ticks
+        s = low_battery("t_low_e", seed, 0.01, style="1+1+1")
+        engine, served = lockstep(s)
+        assert any(e.kind is EventKind.ROBOT_DEAD for e in served)
+        metrics, events = run(s)
+        assert repr(engine.metrics()) == repr(metrics)
+        assert [e.to_json() for e in engine.events] == [e.to_json() for e in events]
+
+    def test_run_calls_tick_once_per_tick(self, monkeypatch):
+        quiet = []  # per call, whether the tick was quiet
+        tick = Engine.tick
+
+        def counted(self):
+            quiet.append(is_quiet(self))
+            tick_no = self.tick_no
+            tick(self)
+            assert self.tick_no == tick_no + 1
+
+        monkeypatch.setattr(Engine, "tick", counted)
+        metrics, _ = run(suite_scenario("t_low_e", "R20+T3", "1+1+1", 0))
+        assert len(quiet) == metrics.ticks_elapsed
+        assert any(quiet) and not all(quiet)
+
+
 #: low-battery runs in which a robot dies paying for a conflict cluster's
 #: negotiation while it was about to move
 CLUSTER_DEATHS = [("t_low_e", 20, 0.1), ("low_e", 22, 0.03),
@@ -350,13 +380,34 @@ class TestTickView:
                 robot = engine.robots[rid]
                 if robot.alive and robot.group is not None:
                     members.setdefault(robot.group, []).append(rid)
-            assert engine._members_by_task() == members
+            assert engine.members_of == members
+            assert all(engine.members_of.values())
             if not alive:
                 assert engine.finished()
             if engine.tick_no >= engine.scenario.max_ticks or engine.finished():
                 break
             engine.tick()
         assert any(e.kind is EventKind.ROBOT_DEAD for e in engine.events)
+
+    def test_member_with_a_lower_id_joins_in_order(self):
+        # a task arriving mid-run releases the members still en route; one of
+        # them can rejoin its team behind members with higher ids
+        s = suite_scenario("cata_u", "R20+T3", "1+1+1", 3)
+        engine = Engine(s)
+        joined_below = False
+        while engine.tick_no < s.max_ticks and not engine.finished():
+            start = len(engine.events)
+            engine.tick()
+            joined = {rid for e in engine.events[start:] if e.kind is EventKind.AGREE
+                      and e.detail == "phase=selection" for rid in e.subjects}
+            for tid, members in engine.members_of.items():
+                kept = set(members) - joined
+                joined_below |= any(rid < max(kept, default=0) for rid in joined
+                                    if rid in members)
+                assert members == sorted(rid for rid in engine.robots
+                                         if engine.robots[rid].alive
+                                         and engine.robots[rid].group == tid)
+        assert joined_below
 
 
 class TestClusterChargeDeath:
