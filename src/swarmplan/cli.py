@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a run failed (any sweep row recorded an
 error, or a finite comm range split the team or stalled its gossip), 2 on
-invalid input (bad scenario, template, or spec files).
+invalid input (bad scenario, template, spec, rows or trace files, a file
+that is not UTF-8 text among them).
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InvalidScenarioError, InvalidTemplateError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

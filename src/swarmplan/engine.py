@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import cache
 from math import inf
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip, reveal
@@ -67,6 +67,9 @@ class Engine:
             for t in scenario.tasks
         }
         self.known_tasks: dict[int, frozenset[int]] = dict.fromkeys(self.robots, frozenset())
+        # a reveal added a task that gossip has not spread yet; alive robots
+        # hold the same knowledge otherwise, so only then is the union new
+        self._revealed = False
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
         self.ledger = EnergyLedger()
@@ -80,14 +83,15 @@ class Engine:
         self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
         self._rank = {tid: k for k, tid in enumerate(self._ranked)}
         # the tick view every phase reads: the ids and the law never change,
-        # the alive list only when a robot dies (see ``_bury``), the comm
+        # the alive lists only when a robot dies (see ``_bury``), the comm
         # graph and the team's gossip rounds also when a robot moves at a
         # finite range (see ``_phase_charge``)
         self._ids = sorted(self.robots)
         self._alive_view: list[RobotState] | None = None
+        self._team_view: tuple[list[RobotState], tuple[int, ...]] | None = None
         self._comm_view: tuple[CommGraph, int] | None = None
-        # quiet ticks' alive robots and ids, ascending; an arrival or death drops it
-        self._quiet_view: tuple[list[RobotState], tuple[int, ...]] | None = None
+        # a quiet tick ran since the last arrival, so no robot has a goal mark
+        self._settled = False
         self._order = compile_law(scenario.law)
         self._keys = tuple(c.key for c in self._order if c.key != "id")
 
@@ -98,6 +102,13 @@ class Engine:
         if self._alive_view is None:
             self._alive_view = [r for r in self.robots.values() if r.alive]
         return self._alive_view
+
+    def _team(self) -> tuple[list[RobotState], tuple[int, ...]]:
+        """Alive robots and their ids, ascending ids; callers must not mutate it."""
+        if self._team_view is None:
+            robots = [self.robots[rid] for rid in self._ids if self.robots[rid].alive]
+            self._team_view = robots, tuple(r.id for r in robots)
+        return self._team_view
 
     def _emit(self, kind: EventKind, subjects: tuple[int, ...], detail: str = "") -> None:
         self.events.append(TraceEvent(self.tick_no, kind, subjects, detail))
@@ -127,21 +138,20 @@ class Engine:
             self._comm_view = graph, rounds
         return self._comm_view
 
-    def _charge_comm(self, robot_ids: Iterable[int], rounds: int,
+    def _charge_comm(self, robots: list[RobotState], rounds: int,
                      task_of: dict[int, int | None] | None = None) -> list[int]:
-        """Charge ``rounds`` comm rounds to each robot, ascending ids, as
-        negotiation for the tasks ``task_of`` names or else as gossip;
+        """Charge ``rounds`` comm rounds to each of ``robots`` (ascending ids)
+        as negotiation for the tasks ``task_of`` names or else as gossip;
         returns the ids of the robots it killed."""
-        died = self.ledger.charge_many(
-            [self.robots[rid] for rid in sorted(robot_ids)], ChargeKind.COMM_ROUND,
-            self.scenario.energy, task_of=task_of, times=rounds)
+        died = self.ledger.charge_many(robots, ChargeKind.COMM_ROUND, self.scenario.energy,
+                                       task_of=task_of, times=rounds)
         for robot in died:
             self._bury(robot.id)
         return [robot.id for robot in died]
 
     def _bury(self, rid: int) -> None:
         """A charge emptied robot ``rid``'s battery; every death comes here."""
-        self._alive_view = self._comm_view = self._quiet_view = None
+        self._alive_view = self._team_view = self._comm_view = None
         self._release(rid)
         self._emit(EventKind.ROBOT_DEAD, (rid,))
 
@@ -154,7 +164,7 @@ class Engine:
                 del self.members_of[robot.group]
         robot.group = robot.slot = robot.goal = None
 
-    def _negotiate(self, phase: Phase, group: list[int], graph: CommGraph,
+    def _negotiate(self, phase: Phase, group: Sequence[int], graph: CommGraph,
                    plan_for: Callable[[frozenset], Any],
                    task_of: Callable[[Any], dict[int, int | None]],
                    detail: str) -> Any:
@@ -172,7 +182,8 @@ class Engine:
                            lambda member, knowledge, depth: plan_once(knowledge),
                            self.known_tasks)
         if result.comm_rounds:
-            self._charge_comm(group, result.comm_rounds, task_of(result.payload))
+            self._charge_comm([self.robots[rid] for rid in group], result.comm_rounds,
+                              task_of(result.payload))
             self._emit(EventKind.NEGOTIATE, tuple(group),
                        f"{detail} iterations={result.iterations}")
         self.max_negotiation_iterations = max(self.max_negotiation_iterations,
@@ -217,20 +228,14 @@ class Engine:
     def _quiet_tick(self) -> None:
         """No robot has a group or a goal and standing robots keep their
         separation, so only gossip and the idle charge act: the first quiet tick
-        runs them, the next replay their charges, deaths and event from a view."""
-        if self._quiet_view is None:
-            self._phase_gossip()
+        after an arrival also clears the goal marks, the next charge the team."""
+        self._phase_gossip()
+        if not self._settled:
             self._phase_charge({r.id: r.pos for r in self._alive()})
-            robots = [self.robots[rid] for rid in self._ids if self.robots[rid].alive]
-            if robots:
-                self._quiet_view = robots, tuple(r.id for r in robots)
+            self._settled = True
             return
-        robots, ids = self._quiet_view
-        rounds = self._comm()[1]
-        if rounds:
-            self._charge_comm(ids, rounds)
-            self._emit(EventKind.GOSSIP, ids, f"rounds={rounds}")
-        for robot in self.ledger.charge_many(robots, ChargeKind.IDLE, self.scenario.energy):
+        for robot in self.ledger.charge_many(self._team()[0], ChargeKind.IDLE,
+                                             self.scenario.energy):
             self._bury(robot.id)
 
     # phase 1: new tasks reach the nearest alive robot only
@@ -243,12 +248,13 @@ class Engine:
         self._next_due = min((self.tasks[t].arrival_tick for t in self.pending), default=inf)
         if not arrived:
             return
-        self._quiet_view = None
+        self._settled = False
         self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
         alive = self._alive()
         centers = {tid: self.tasks[tid].center for tid in arrived}
         for tid, rid in reveal(centers, {r.id: r.pos for r in alive}).items():
             self.known_tasks[rid] |= {tid}
+            self._revealed = True
             self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={rid}")
         # new work arrived: everyone not standing on its slot re-selects
         for r in alive:
@@ -260,17 +266,18 @@ class Engine:
         """The tick's comm graph, or None when no robot is alive. At
         equilibrium every robot holds every alive robot's knowledge, so only
         the round count needs the graph (see ``_comm``)."""
-        alive = self._alive()
-        if not alive:
+        team, ids = self._team()
+        if not team:
             return None
         graph, rounds = self._comm()
-        union = frozenset().union(*(self.known_tasks[r.id] for r in alive))
-        for r in alive:
-            self.known_tasks[r.id] = union
+        if self._revealed:
+            union = frozenset().union(*(self.known_tasks[rid] for rid in ids))
+            for rid in ids:
+                self.known_tasks[rid] = union
+            self._revealed = False
         if rounds:
-            ids = [r.id for r in alive]
-            self._charge_comm(ids, rounds)
-            self._emit(EventKind.GOSSIP, tuple(sorted(ids)), f"rounds={rounds}")
+            self._charge_comm(team, rounds)
+            self._emit(EventKind.GOSSIP, ids, f"rounds={rounds}")
         return graph
 
     # phase 3: free robots negotiate a selection plan
@@ -282,7 +289,7 @@ class Engine:
         if not chosen:
             return
         free.sort()
-        members = sorted(r.id for r in self._alive())
+        members = self._team()[1]
         plan = self._negotiate(
             Phase.SELECTION, members, graph, self._selection_planner(chosen, free),
             lambda plan: {rid: plan.assignment.get(rid) for rid in members},
@@ -365,7 +372,8 @@ class Engine:
         for rid in decision.losers:
             self._emit(EventKind.STOP, (rid,), "conflict")
         task_of = {rid: self.robots[rid].group for rid in decision.members}
-        return self._charge_comm(decision.members, _CLUSTER_COMM_ROUNDS, task_of)
+        return self._charge_comm([self.robots[rid] for rid in decision.members],
+                                 _CLUSTER_COMM_ROUNDS, task_of)
 
     # phase 6: execute motion and charge energy
     def _phase_charge(self, final: dict[int, Position]) -> None:

@@ -410,9 +410,9 @@ def travelled(robots: Mapping[int, RobotState],
     with the distance it covers; the others stand idle."""
     moved = {}
     for rid in sorted(final):
-        distance = euclidean(robots[rid].pos, final[rid])
-        if distance > 0.0:
-            moved[rid] = distance
+        # finite points are a positive distance apart exactly when they differ
+        if robots[rid].pos != final[rid]:
+            moved[rid] = euclidean(robots[rid].pos, final[rid])
     return moved
 
 

@@ -189,8 +189,23 @@ class EnergyLedger:
             acc = self.comm_gossip if task_of is None else self.comm_negotiation
         else:
             raise ValueError(f"unknown charge kind {kind!r}")
-        per_task_comm = self.per_task_comm
         died = []
+        if times == 1 and task_of is None:
+            # one unattributed action, the loop below without its rounds or
+            # tasks: ``battery > cost`` leaves ``battery - cost > 0`` for
+            # doubles, so only the second branch kills
+            for robot in robots:
+                battery = robot.battery
+                if battery > cost:
+                    robot.battery = battery - cost
+                    acc[robot.id] += cost
+                elif battery > 0.0:
+                    spent = battery if battery < cost else cost
+                    robot.battery = battery - spent
+                    acc[robot.id] += spent
+                    died.append(robot)
+            return died
+        per_task_comm = self.per_task_comm
         for robot in robots:
             battery = robot.battery
             if not battery > 0.0:  # dead

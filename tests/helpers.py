@@ -104,17 +104,19 @@ def tick_state(engine: Engine) -> tuple:
 
 def lockstep(scenario) -> tuple[Engine, list]:
     """``scenario`` run to its end on two engines in lockstep: one as ``tick``
-    runs it, the other with the quiet predicate forced false before each
-    tick, so that every tick runs all seven phases. Asserts that both leave
+    runs it, the other with the quiet predicate forced false and the
+    knowledge gate forced open before each tick, so that every tick runs all
+    seven phases and recomputes the knowledge union. Asserts that both leave
     the same state after every tick and the same trace and metrics; returns
-    the first engine and the events of the ticks it served from its quiet
-    view."""
+    the first engine and the events of the quiet ticks it served from its
+    team view alone (every quiet tick after the first since an arrival)."""
     engine, full, served = Engine(scenario), Engine(scenario), []
     while engine.tick_no < scenario.max_ticks and not engine.finished():
-        viewed = is_quiet(engine) and engine._quiet_view is not None
+        viewed = is_quiet(engine) and engine._settled
         start = len(engine.events)
         engine.tick()
         full._next_due = full.tick_no
+        full._revealed = True
         full.tick()
         assert tick_state(engine) == tick_state(full), engine.tick_no
         if viewed:

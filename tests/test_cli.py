@@ -359,6 +359,17 @@ def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--template"), ("run", "--scenario"), ("sweep", "--spec"),
+    ("summarize", "--rows"), ("replay", "--trace")])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([command, flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestReplay:
     def test_pretty_prints_events(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "run"

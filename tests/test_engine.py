@@ -375,6 +375,8 @@ class TestTickView:
             alive = [r for r in engine.robots.values() if r.alive]
             assert engine._alive() == alive
             assert [r.id for r in engine._alive()] == [r.id for r in alive]
+            team = sorted(alive, key=lambda r: r.id)
+            assert engine._team() == (team, tuple(r.id for r in team))
             members: dict[int, list[int]] = {}
             for rid in sorted(engine.robots):
                 robot = engine.robots[rid]

@@ -207,6 +207,21 @@ def reference_charge(ledger, robot, kind, model, task_of=None):
         ledger.per_task_comm[task] = ledger.per_task_comm.get(task, 0.0) + spent
 
 
+def at_the_cost(test):
+    """``@example``s of one unattributed action of every kind under the
+    default, a zero-cost and an int-cost model: batteries at the cost, just
+    above and just below it, and a dead robot between live ones."""
+    for model in (EnergyModel(), EnergyModel(0.0, 0.0, 0.0), EnergyModel(1, 1, 1)):
+        costs = {ChargeKind.MOVE: model.move_cost, ChargeKind.IDLE: model.idle_cost,
+                 ChargeKind.COMM_ROUND: model.comm_cost}
+        for kind, cost in costs.items():
+            batteries = [float(cost), math.nextafter(cost, math.inf), 0.0,
+                         math.nextafter(cost, 0.0), 0.5]
+            test = example(batteries=batteries, kind=kind, tasks=[None] * 6,
+                           attribute=False, times=1, model=model)(test)
+    return test
+
+
 class TestEnergyLedger:
     def _ledger_robot(self, battery):
         robot = make_robot(1, battery=battery)
@@ -310,6 +325,7 @@ class TestEnergyLedger:
     @example(batteries=[0.5, 0.9], kind=ChargeKind.MOVE,
              tasks=[7, 7, 7, None, 2, 2], attribute=True, times=3,
              model=EnergyModel())
+    @at_the_cost
     @settings(deadline=None, max_examples=200)
     def test_charge_many_equals_single_charges(self, batteries, kind, tasks,
                                                attribute, times, model):
