@@ -74,14 +74,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    with open(args.rows) as fh:
-        rows = list(csv.DictReader(fh))
-    task_rows = None
+    paths = [args.rows]
     if args.per_task and Path(args.per_task).exists():
-        with open(args.per_task) as fh:
-            task_rows = list(csv.DictReader(fh))
+        paths.append(args.per_task)
+    tables = []
+    for path in paths:
+        with open(path) as fh:
+            try:
+                tables.append(list(csv.DictReader(fh)))
+            except csv.Error as exc:  # e.g. a field over the csv module's limit
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 2
+    rows, *task_rows = tables
     try:
-        files = summarize(rows, task_rows)
+        files = summarize(rows, *task_rows)
     except ValueError as exc:  # no rows, missing columns, non-numeric fields
         print(f"error: {args.rows}: {exc}", file=sys.stderr)
         return 2

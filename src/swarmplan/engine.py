@@ -1,15 +1,17 @@
 """Deterministic tick loop driving perception, gossip, planning, motion.
 
-Each tick runs a fixed phase order: task arrivals (revealed to the nearest
-robot only), gossip to equilibrium, selection for free robots, formation
-for newly grouped robots, routing with conflict clustering and resolution,
-energy charging, and completion/timeout checks; a quiet tick (no task
-active, none due) runs only gossip's charge and event and the idle charge.
-Each phase's decision is a pure function of plain data in the module that
-owns its rule; the engine only applies it: it moves robots, sets groups
-(keeping each task's alive members), slots and goals, charges the ledger
-and emits events. Runs are pure functions of the scenario: identical
-inputs give byte-identical metrics and traces.
+Every tick runs one phase sequence: task arrivals (revealed to the nearest
+robot only) and gossip to equilibrium; then, while a task is active,
+selection for free robots, formation for newly grouped robots and routing
+with conflict clustering and resolution; then energy charging and
+completion/timeout checks. With no task active no robot has a group or a
+goal, so there is nothing to plan. Every phase but routing reads one view
+of the alive robots, in ascending ids. Each phase's decision is a pure
+function of plain data in the module that owns its rule; the engine only
+applies it: it moves robots, sets groups (keeping each task's alive
+members), slots and goals, charges the ledger and emits events. Runs are
+pure functions of the scenario: identical inputs give byte-identical
+metrics and traces.
 """
 
 from __future__ import annotations
@@ -83,25 +85,16 @@ class Engine:
         self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
         self._rank = {tid: k for k, tid in enumerate(self._ranked)}
         # the tick view every phase reads: the ids and the law never change,
-        # the alive lists only when a robot dies (see ``_bury``), the comm
-        # graph and the team's gossip rounds also when a robot moves at a
-        # finite range (see ``_phase_charge``)
+        # the team only when a robot dies (see ``_bury``), the comm graph and
+        # the team's gossip rounds also when a robot moves at a finite range
+        # (see ``_phase_charge``)
         self._ids = sorted(self.robots)
-        self._alive_view: list[RobotState] | None = None
         self._team_view: tuple[list[RobotState], tuple[int, ...]] | None = None
         self._comm_view: tuple[CommGraph, int] | None = None
-        # a quiet tick ran since the last arrival, so no robot has a goal mark
-        self._settled = False
         self._order = compile_law(scenario.law)
         self._keys = tuple(c.key for c in self._order if c.key != "id")
 
     # ---------------------------------------------------------------- helpers
-
-    def _alive(self) -> list[RobotState]:
-        """Alive robots in ``robots`` order; callers must not mutate it."""
-        if self._alive_view is None:
-            self._alive_view = [r for r in self.robots.values() if r.alive]
-        return self._alive_view
 
     def _team(self) -> tuple[list[RobotState], tuple[int, ...]]:
         """Alive robots and their ids, ascending ids; callers must not mutate it."""
@@ -133,7 +126,7 @@ class Engine:
         """The alive team's comm graph and its gossip rounds to equilibrium;
         call only while a robot is alive."""
         if self._comm_view is None:
-            graph = build_graph(self._alive(), self.scenario.comm_range)
+            graph = build_graph(self._team()[0], self.scenario.comm_range)
             _, rounds = gossip(self.known_tasks, graph, frozenset(graph.adjacency))
             self._comm_view = graph, rounds
         return self._comm_view
@@ -151,7 +144,7 @@ class Engine:
 
     def _bury(self, rid: int) -> None:
         """A charge emptied robot ``rid``'s battery; every death comes here."""
-        self._alive_view = self._team_view = self._comm_view = None
+        self._team_view = self._comm_view = None
         self._release(rid)
         self._emit(EventKind.ROBOT_DEAD, (rid,))
 
@@ -213,30 +206,18 @@ class Engine:
     # ------------------------------------------------------------------ tick
 
     def tick(self) -> None:
-        if not self.active and self.tick_no < self._next_due:
-            self._quiet_tick()
-        else:
-            self._phase_arrivals()
-            graph = self._phase_gossip()
+        self._phase_arrivals()
+        graph = self._phase_gossip()
+        final: dict[int, Position] = {}
+        # with no task active no robot has a group or a goal, and standing
+        # robots keep their separation: there is nothing to plan or route
+        if self.active:
             self._phase_selection(graph)
             self._phase_formation(graph)
-            moved = self._phase_routing()
-            self._phase_charge(moved)
-            self._phase_tasks()
+            final = self._phase_routing()
+        self._phase_charge(final)
+        self._phase_tasks()
         self.tick_no += 1
-
-    def _quiet_tick(self) -> None:
-        """No robot has a group or a goal and standing robots keep their
-        separation, so only gossip and the idle charge act: the first quiet tick
-        after an arrival also clears the goal marks, the next charge the team."""
-        self._phase_gossip()
-        if not self._settled:
-            self._phase_charge({r.id: r.pos for r in self._alive()})
-            self._settled = True
-            return
-        for robot in self.ledger.charge_many(self._team()[0], ChargeKind.IDLE,
-                                             self.scenario.energy):
-            self._bury(robot.id)
 
     # phase 1: new tasks reach the nearest alive robot only
     def _phase_arrivals(self) -> None:
@@ -248,9 +229,8 @@ class Engine:
         self._next_due = min((self.tasks[t].arrival_tick for t in self.pending), default=inf)
         if not arrived:
             return
-        self._settled = False
         self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
-        alive = self._alive()
+        alive = self._team()[0]
         centers = {tid: self.tasks[tid].center for tid in arrived}
         for tid, rid in reveal(centers, {r.id: r.pos for r in alive}).items():
             self.known_tasks[rid] |= {tid}
@@ -282,14 +262,13 @@ class Engine:
 
     # phase 3: free robots negotiate a selection plan
     def _phase_selection(self, graph: CommGraph | None) -> None:
-        free = [r.id for r in self._alive()
+        team, members = self._team()
+        free = [r.id for r in team
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
         ranked = [self.tasks[tid] for tid in self._ranked if tid in self.active]
         chosen = open_tasks(ranked, self.members_of, len(free)) if free else []
         if not chosen:
             return
-        free.sort()
-        members = self._team()[1]
         plan = self._negotiate(
             Phase.SELECTION, members, graph, self._selection_planner(chosen, free),
             lambda plan: {rid: plan.assignment.get(rid) for rid in members},
@@ -340,7 +319,8 @@ class Engine:
 
     # phase 5: routing with conflict clustering; returns alive robots' final positions
     def _phase_routing(self) -> dict[int, Position]:
-        alive = self._alive()
+        # in scenario order, which fixes the runs: idle robots yield in turn
+        alive = [r for r in self.robots.values() if r.alive]
         here = {r.id: r.pos for r in alive}
         # bodies are obstacles: steps keep clear of them, but they never move
         current = {r.id: r.pos for r in self.robots.values()}
@@ -375,9 +355,10 @@ class Engine:
         return self._charge_comm([self.robots[rid] for rid in decision.members],
                                  _CLUSTER_COMM_ROUNDS, task_of)
 
-    # phase 6: execute motion and charge energy
+    # phase 6: execute motion to ``final`` and charge energy; robots it
+    # moves pay a move, the rest of the team idles
     def _phase_charge(self, final: dict[int, Position]) -> None:
-        ids = sorted(final)
+        team = self._team()[0]
         moved = travelled(self.robots, final)
         for rid, distance in moved.items():
             self.robots[rid].pos = final[rid]
@@ -388,9 +369,10 @@ class Engine:
         died = {r.id for r in self.ledger.charge_many(
             [self.robots[rid] for rid in moved], ChargeKind.MOVE, model)}
         died.update(r.id for r in self.ledger.charge_many(
-            [self.robots[rid] for rid in ids if rid not in moved], ChargeKind.IDLE, model))
-        for rid in ids:
-            robot = self.robots[rid]
+            [r for r in team if r.id not in moved] if moved else team,
+            ChargeKind.IDLE, model))
+        for robot in team:
+            rid = robot.id
             if rid in moved:
                 self._emit(EventKind.MOVE, (rid,),
                            f"to=({robot.pos.x:.3f},{robot.pos.y:.3f})")
@@ -418,7 +400,7 @@ class Engine:
 
     def finished(self) -> bool:
         # with no tasks at all nothing can arrive, so the run is over too
-        return not self._alive() or not (self.pending or self.active)
+        return not self._team()[0] or not (self.pending or self.active)
 
     def metrics(self) -> RunMetrics:
         return RunMetrics.count(self.events, self.ledger,

@@ -160,9 +160,12 @@ def _geometry_problems(world_size: float, lengths: list[float]) -> list[str]:
 
 def _number(value, kind=float):
     """A document's number as ``kind``, or as written when ``kind`` is None.
-    A JSON boolean is refused: Python counts ``true`` as the int 1."""
-    if isinstance(value, bool):
+    Only a JSON number is one: Python counts ``true`` as the int 1, and an
+    ``int`` field refuses a fraction rather than truncate it."""
+    if type(value) not in (int, float):
         raise TypeError(f"{json.dumps(value)} is not a number")
+    if kind is int and value != int(value):
+        raise ValueError(f"{value!r} is not an integer")
     return value if kind is None else kind(value)
 
 

@@ -102,25 +102,35 @@ def tick_state(engine: Engine) -> tuple:
             engine.active, engine.members_of, vars(engine.ledger), len(engine.events))
 
 
+def full_tick(engine: Engine) -> None:
+    """One tick of ``engine`` through all seven phases, with the arrival scan
+    and the knowledge gate forced open: the reference that ``Engine.tick``
+    must match, however little a tick has to plan."""
+    engine._next_due = engine.tick_no
+    engine._revealed = True
+    engine._phase_arrivals()
+    graph = engine._phase_gossip()
+    engine._phase_selection(graph)
+    engine._phase_formation(graph)
+    engine._phase_charge(engine._phase_routing())
+    engine._phase_tasks()
+    engine.tick_no += 1
+
+
 def lockstep(scenario) -> tuple[Engine, list]:
     """``scenario`` run to its end on two engines in lockstep: one as ``tick``
-    runs it, the other with the quiet predicate forced false and the
-    knowledge gate forced open before each tick, so that every tick runs all
-    seven phases and recomputes the knowledge union. Asserts that both leave
-    the same state after every tick and the same trace and metrics; returns
-    the first engine and the events of the quiet ticks it served from its
-    team view alone (every quiet tick after the first since an arrival)."""
-    engine, full, served = Engine(scenario), Engine(scenario), []
+    runs it, the other by ``full_tick``. Asserts that both leave the same
+    state after every tick and the same trace and metrics; returns the first
+    engine and the events of its quiet ticks."""
+    engine, full, quiet = Engine(scenario), Engine(scenario), []
     while engine.tick_no < scenario.max_ticks and not engine.finished():
-        viewed = is_quiet(engine) and engine._settled
+        was_quiet = is_quiet(engine)
         start = len(engine.events)
         engine.tick()
-        full._next_due = full.tick_no
-        full._revealed = True
-        full.tick()
+        full_tick(full)
         assert tick_state(engine) == tick_state(full), engine.tick_no
-        if viewed:
-            served.extend(engine.events[start:])
+        if was_quiet:
+            quiet.extend(engine.events[start:])
     assert engine.events == full.events
     assert repr(engine.metrics()) == repr(full.metrics())
-    return engine, served
+    return engine, quiet

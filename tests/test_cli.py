@@ -263,6 +263,23 @@ class TestSweepAndSummarize:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("oversized", ["rows.csv", "per_task_rows.csv"])
+    def test_summarize_oversized_field_exits_2(self, tmp_path, capsys, oversized):
+        # the csv module refuses a field over 131,072 characters
+        row = {c: "1.0" for c in CSV_COLUMNS}
+        row.update(law="low_e", scale="R5+T1", style="static", error="")
+        rows, per_task = tmp_path / "rows.csv", tmp_path / "per_task_rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+        per_task.write_text("law\n")
+        (tmp_path / oversized).write_text("law\n" + "x" * 131_073 + "\n")
+        assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / oversized}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "summary").exists()
+
     def test_summarize_foreign_columns_exits_2(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         rows.write_text("a,b\n1,2\n")
@@ -334,6 +351,18 @@ BAD_INPUTS = [
     ("generate", ("safety_radius",), "Infinity"),
     # robots must start 40 m apart, more than the 24 m world's diagonal
     ("run", ("safety_radius",), "20.0"),
+    # an integer field refuses a fraction, and no field takes a string
+    ("run", ("robots", 0, "id"), "7.5"),
+    ("run", ("robots", 0, "id"), '"9"'),
+    ("run", ("tasks", 0, "required"), "1.9"),
+    ("run", ("tasks", 0, "duration"), "2.5"),
+    ("run", ("max_ticks",), "50.5"),
+    ("run", ("tasks", 0, "x"), '"12"'),
+    ("run", ("robots", 0, "battery"), '"90"'),
+    ("generate", ("n_robots",), "4.6"),
+    ("generate", ("tasks", 0, "timeout"), "200.5"),
+    ("sweep", ("trials",), "1.9"),
+    ("sweep", ("template", "stage_gap"), "60.5"),
 ]
 
 
