@@ -19,8 +19,8 @@ from .comms import DisconnectedGraphError, GossipStalledError
 from .engine import run as run_scenario
 from .scenario import (InvalidScenarioError, InvalidTemplateError, Scenario,
                        generate)
-from .sweep import (CSV_COLUMNS, PER_TASK_COLUMNS, SweepSpec, rows_to_csv,
-                    run_sweep, summarize, write_files)
+from .sweep import (CSV_COLUMNS, PER_TASK_COLUMNS, SweepSpec, check_columns,
+                    rows_to_csv, run_sweep, summarize, write_files)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -78,11 +78,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     if args.per_task and Path(args.per_task).exists():
         paths.append(args.per_task)
     tables = []
-    for path in paths:
+    # summarize checks the rows' own columns, this loop a per-task file's
+    for path, columns in zip(paths, [[], PER_TASK_COLUMNS]):
         with open(path) as fh:
             try:
                 tables.append(list(csv.DictReader(fh)))
-            except csv.Error as exc:  # e.g. a field over the csv module's limit
+                check_columns(tables[-1], columns)
+            except (csv.Error, ValueError) as exc:  # an oversized field, a missing column
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 return 2
     rows, *task_rows = tables

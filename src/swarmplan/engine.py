@@ -16,9 +16,9 @@ metrics and traces.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from functools import cache
-from math import inf
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from . import cata as cata_mod
@@ -56,11 +56,10 @@ class Engine:
             for r in scenario.robots
         }
         self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
-        # a task id is pending until its arrival tick, then active (ascending
-        # ids, mapped to its consecutive ticks in formation) until it
-        # completes or times out
-        self.pending: list[int] = sorted(self.tasks)
-        self._next_due = min((t.arrival_tick for t in scenario.tasks), default=inf)
+        # a task is pending (in arrival order, as ``validate`` requires) until
+        # its arrival tick, then its id is active (ascending ids, mapped to its
+        # consecutive ticks in formation) until it completes or times out
+        self.pending: list[Task] = list(scenario.tasks)
         self.active: dict[int, int] = {}
         # each task's alive members, ascending ids, no empty list
         self.members_of: dict[int, list[int]] = {}
@@ -69,9 +68,6 @@ class Engine:
             for t in scenario.tasks
         }
         self.known_tasks: dict[int, frozenset[int]] = dict.fromkeys(self.robots, frozenset())
-        # a reveal added a task that gossip has not spread yet; alive robots
-        # hold the same knowledge otherwise, so only then is the union new
-        self._revealed = False
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
         self.ledger = EnergyLedger()
@@ -82,8 +78,9 @@ class Engine:
         self._goal_mark: dict[int, tuple[Position, float] | None] = dict.fromkeys(self.robots)
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
-        self._ranked = list(scenario.task_priority_order or sorted(self.tasks))
-        self._rank = {tid: k for k, tid in enumerate(self._ranked)}
+        # task id -> rank, built in rank order, which selection iterates
+        self._rank = {tid: k for k, tid in
+                      enumerate(scenario.task_priority_order or sorted(self.tasks))}
         # the tick view every phase reads: the ids and the law never change,
         # the team only when a robot dies (see ``_bury``), the comm graph and
         # the team's gossip rounds also when a robot moves at a finite range
@@ -206,8 +203,7 @@ class Engine:
     # ------------------------------------------------------------------ tick
 
     def tick(self) -> None:
-        self._phase_arrivals()
-        graph = self._phase_gossip()
+        graph = self._phase_gossip(self._phase_arrivals())
         final: dict[int, Position] = {}
         # with no task active no robot has a group or a goal, and standing
         # robots keep their separation: there is nothing to plan or route
@@ -219,42 +215,39 @@ class Engine:
         self._phase_tasks()
         self.tick_no += 1
 
-    # phase 1: new tasks reach the nearest alive robot only
-    def _phase_arrivals(self) -> None:
-        if self.tick_no < self._next_due:
-            return
-        arrived = [tid for tid in self.pending
-                   if self.tasks[tid].arrival_tick <= self.tick_no]
-        self.pending = [tid for tid in self.pending if tid not in arrived]
-        self._next_due = min((self.tasks[t].arrival_tick for t in self.pending), default=inf)
-        if not arrived:
-            return
+    # phase 1: new tasks reach the nearest alive robot only; returns whether
+    # a task arrived
+    def _phase_arrivals(self) -> bool:
+        if not self.pending or self.pending[0].arrival_tick > self.tick_no:
+            return False
+        due = bisect_right(self.pending, self.tick_no, key=attrgetter("arrival_tick"))
+        arrived = sorted(t.id for t in self.pending[:due])
+        del self.pending[:due]
         self.active = dict(sorted({**self.active, **dict.fromkeys(arrived, 0)}.items()))
         alive = self._team()[0]
         centers = {tid: self.tasks[tid].center for tid in arrived}
         for tid, rid in reveal(centers, {r.id: r.pos for r in alive}).items():
             self.known_tasks[rid] |= {tid}
-            self._revealed = True
             self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={rid}")
         # new work arrived: everyone not standing on its slot re-selects
         for r in alive:
             if r.pos != r.goal and r.group is not None:
                 self._release(r.id)
+        return True
 
     # phase 2: gossip all robot state to equilibrium over the full graph
-    def _phase_gossip(self) -> CommGraph | None:
+    def _phase_gossip(self, arrived: bool) -> CommGraph | None:
         """The tick's comm graph, or None when no robot is alive. At
-        equilibrium every robot holds every alive robot's knowledge, so only
-        the round count needs the graph (see ``_comm``)."""
+        equilibrium every alive robot holds the same knowledge, new only when
+        a task ``arrived``; only the round count needs the graph (see ``_comm``)."""
         team, ids = self._team()
         if not team:
             return None
         graph, rounds = self._comm()
-        if self._revealed:
+        if arrived:
             union = frozenset().union(*(self.known_tasks[rid] for rid in ids))
             for rid in ids:
                 self.known_tasks[rid] = union
-            self._revealed = False
         if rounds:
             self._charge_comm(team, rounds)
             self._emit(EventKind.GOSSIP, ids, f"rounds={rounds}")
@@ -265,7 +258,7 @@ class Engine:
         team, members = self._team()
         free = [r.id for r in team
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
-        ranked = [self.tasks[tid] for tid in self._ranked if tid in self.active]
+        ranked = [self.tasks[tid] for tid in self._rank if tid in self.active]
         chosen = open_tasks(ranked, self.members_of, len(free)) if free else []
         if not chosen:
             return

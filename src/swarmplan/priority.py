@@ -62,19 +62,15 @@ def sort_queue(
     context: Mapping[int, Mapping[str, float]],
     order: NeedsOrderQueue,
 ) -> list[int]:
-    """Order ``candidates`` by the criteria of ``order``, then by id.
-
-    The trailing id tie-break guarantees a strict total order.
+    """Order ``candidates`` by the criteria of ``order``, which must end in
+    the id criterion, as every compiled law does: the id, compared as the int
+    itself, makes the order strict and total.
     """
     def key(robot_id: int) -> tuple:
         parts = []
         for crit in order:
-            if crit.key == "id":
-                v = float(robot_id)
-            else:
-                v = float(context[robot_id][crit.key])
+            v = robot_id if crit.key == "id" else float(context[robot_id][crit.key])
             parts.append(-v if crit.descending else v)
-        parts.append(robot_id)
         return tuple(parts)
 
     return sorted(candidates, key=key)

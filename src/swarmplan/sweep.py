@@ -74,6 +74,8 @@ class SweepSpec:
         for kind, names, known in (("law", self.laws, {law.value for law in PriorityLaw}),
                                    ("scale", self.scales, SCALES),
                                    ("style", self.styles, STYLES)):
+            if not names:
+                raise InvalidTemplateError(f"{kind}s: must name at least one")
             for name in names:
                 if name not in known:
                     raise InvalidTemplateError(f"unknown {kind} {name!r}")
@@ -230,20 +232,25 @@ def _sample_sd(values: list[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
+def check_columns(rows: list[dict], columns: list[str]) -> None:
+    """Raise ``ValueError`` unless every one of ``rows`` carries ``columns``."""
+    missing = [c for c in columns if any(c not in row for row in rows)]
+    if missing:
+        raise ValueError(f"rows lack column(s) {', '.join(missing)}")
+
+
 def summarize(rows: list[dict], task_rows: list[dict] | None = None) -> dict[str, str]:
     """Aggregate rows per (law, scale, style) and build plot-data files.
 
     The spread estimator is the sample standard deviation (ddof=1; zero
-    for a single row). Raises ``ValueError`` on a missing column or on a
-    value that is not a finite number. Returns a mapping of file name to
-    CSV text: ``summary.csv`` plus one file per figure family.
+    for a single row). Raises ``ValueError`` on a column missing from a row
+    or a task row, or on a value that is not finite. Returns a mapping of
+    file name to CSV text: ``summary.csv`` plus one file per figure family.
     """
     if not rows:
         raise ValueError("no rows to summarize")
-    required = ("law", "scale", "style", *_AGGREGATE_FIELDS)
-    missing = [c for c in required if any(c not in row for row in rows)]
-    if missing:
-        raise ValueError(f"rows lack column(s) {', '.join(missing)}")
+    check_columns(rows, ["law", "scale", "style", *_AGGREGATE_FIELDS])
+    check_columns(task_rows or [], PER_TASK_COLUMNS)
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row.get("error"):

@@ -90,7 +90,8 @@ def eccentricity(graph: CommGraph, group: set[int]) -> int:
 
 def is_quiet(engine: Engine) -> bool:
     """Whether the engine's next tick is quiet: no task active, none due."""
-    return not engine.active and engine.tick_no < engine._next_due
+    due = engine.pending and engine.pending[0].arrival_tick <= engine.tick_no
+    return not engine.active and not due
 
 
 def tick_state(engine: Engine) -> tuple:
@@ -103,13 +104,11 @@ def tick_state(engine: Engine) -> tuple:
 
 
 def full_tick(engine: Engine) -> None:
-    """One tick of ``engine`` through all seven phases, with the arrival scan
-    and the knowledge gate forced open: the reference that ``Engine.tick``
-    must match, however little a tick has to plan."""
-    engine._next_due = engine.tick_no
-    engine._revealed = True
+    """One tick of ``engine`` through all seven phases, with the knowledge
+    union forced: the reference that ``Engine.tick`` must match, however
+    little a tick has to plan."""
     engine._phase_arrivals()
-    graph = engine._phase_gossip()
+    graph = engine._phase_gossip(True)
     engine._phase_selection(graph)
     engine._phase_formation(graph)
     engine._phase_charge(engine._phase_routing())

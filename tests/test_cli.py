@@ -289,6 +289,19 @@ class TestSweepAndSummarize:
         assert err.startswith("error: ") and "law, scale, style" in err
         assert not (tmp_path / "summary").exists()
 
+    def test_summarize_foreign_per_task_columns_exits_2(self, tmp_path, capsys):
+        row = {c: "1.0" for c in CSV_COLUMNS}
+        row.update(law="low_e", scale="R5+T1", style="static", error="")
+        rows, per_task = tmp_path / "rows.csv", tmp_path / "per_task_rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+        per_task.write_text("a,b\n1,2\n")
+        assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {per_task}: ") and "law, scale, style" in err
+        assert not (tmp_path / "summary").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_summarize_non_finite_exits_2(self, tmp_path, capsys, value):
         rows = tmp_path / "rows.csv"
@@ -363,6 +376,10 @@ BAD_INPUTS = [
     ("generate", ("tasks", 0, "timeout"), "200.5"),
     ("sweep", ("trials",), "1.9"),
     ("sweep", ("template", "stage_gap"), "60.5"),
+    # a sweep that names no law, scale or style would run nothing
+    ("sweep", ("laws",), "[]"),
+    ("sweep", ("scales",), "[]"),
+    ("sweep", ("styles",), "[]"),
 ]
 
 

@@ -102,6 +102,19 @@ class TestDynamics:
         # gossip inside the same tick spreads it to everyone
         assert engine.known_tasks[1] == engine.known_tasks[2] == frozenset({1})
 
+    def test_tasks_listed_out_of_id_order_arrive_on_time(self):
+        # the scenario lists tasks in arrival order, not in id order; tasks
+        # due in one tick arrive in ascending ids
+        s = scenario([RobotSpec(1, 2.0, 2.0, 90.0),
+                      RobotSpec(2, 6.0, 2.0, 90.0),
+                      RobotSpec(3, 10.0, 2.0, 90.0)],
+                     [task(3, 15.0, 25.0, timeout=300),
+                      task(2, 6.0, 12.0, arrival_tick=20, timeout=300),
+                      task(1, 24.0, 12.0, arrival_tick=20, timeout=300)])
+        engine, _ = lockstep(s)
+        assert [(e.tick, e.subjects[0]) for e in engine.events
+                if e.kind is EventKind.TASK_ARRIVED] == [(0, 3), (20, 1), (20, 2)]
+
     def test_dynamic_styles_emit_arrivals(self):
         s = suite_scenario("t_low_e", "R15+T3", "1+1+1", seed=0)
         metrics, events = run(s)
@@ -288,8 +301,7 @@ class TestFormationPlans:
 
     def test_one_assignment_per_distinct_knowledge(self, monkeypatch):
         engine = Engine(suite_scenario("t_low_e", "R20+T3", "static", 0))
-        engine._phase_arrivals()
-        graph = engine._phase_gossip()
+        graph = engine._phase_gossip(engine._phase_arrivals())
         engine._phase_selection(graph)
         # formation ignores knowledge, but members that know different
         # tasks still plan separately: every other robot forgets them all

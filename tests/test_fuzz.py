@@ -3,8 +3,10 @@
 Every tick: live robots keep twice the safety radius from each other and
 from every body (with conflict negotiation on, which is what enforces
 it), stay inside the world, and move at most one step. At the end: exact
-energy conservation, at most two negotiation iterations, and a second
-``run`` of the same scenario gives the same metrics and trace bytes.
+energy conservation, at most two negotiation iterations, every task due
+before the last tick arrived at its arrival tick (ties in ascending ids),
+and a second ``run`` of the same scenario gives the same metrics and trace
+bytes.
 A quiet tick (no task active, none due), which skips routing, finds no
 conflict among the standing robots, and a run leaves the same state after
 every tick as one whose ticks are all forced through the seven phases.
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from swarmplan.engine import Engine, run
+from swarmplan.engine import Engine, EventKind, run
 from swarmplan.routing import detect_conflicts
 from swarmplan.scenario import generate
 from swarmplan.world import euclidean
@@ -28,7 +30,8 @@ _STEP_SLACK = 1e-9
 @st.composite
 def scenarios(draw):
     """A valid scenario: the law, 1-30 robots, and 0-4 tasks whose
-    vertices lie inside the world and whose arrivals do not decrease.
+    vertices lie inside the world and whose arrivals do not decrease, listed
+    in any id order.
 
     The world is 8-32 m, the safety radius 0.25-1.5 m, the step 0.3-2.5 m
     and the formation radius up to a quarter of the world. The team is at
@@ -108,6 +111,10 @@ def test_invariants_hold(scenario):
         assert engine.ledger.conservation_error(robot) <= 1e-9, robot.id
     metrics = engine.metrics()
     assert metrics.max_negotiation_iterations <= 2
+    due = sorted((t.arrival_tick, t.id) for t in scenario.tasks
+                 if t.arrival_tick < engine.tick_no)
+    assert due == [(e.tick, e.subjects[0]) for e in engine.events
+                   if e.kind is EventKind.TASK_ARRIVED]
     again, events = run(scenario)
     assert repr(again) == repr(metrics)
     assert ([e.to_json() for e in events]

@@ -48,6 +48,13 @@ class TestSortQueue:
         order = compile_law(PriorityLaw.LOW_E)
         assert sort_queue([2, 1], context, order) == [1, 2]
 
+    def test_id_tiebreak_beyond_float_precision(self):
+        # 2**53 + 1 has no float of its own: as floats the two ids tie
+        big = 2**53
+        context = {big: {"battery": 70.0}, big + 1: {"battery": 70.0}}
+        order = compile_law(PriorityLaw.LOW_E)
+        assert sort_queue([big + 1, big], context, order) == [big, big + 1]
+
     def test_duality_low_vs_high(self):
         context = ctx(r1=61.0, r2=85.0, r3=42.0, r4=99.0)
         low = sort_queue([1, 2, 3, 4], context, compile_law(PriorityLaw.LOW_E))
