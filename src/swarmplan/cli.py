@@ -63,9 +63,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # replace() validates the overridden spec again
     spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     rows, task_rows = run_sweep(spec)
-    files = {"rows.csv": rows_to_csv(rows, CSV_COLUMNS)}
-    if task_rows:
-        files["per_task_rows.csv"] = rows_to_csv(task_rows, PER_TASK_COLUMNS)
+    files = {"rows.csv": rows_to_csv(rows, CSV_COLUMNS),
+             "per_task_rows.csv": rows_to_csv(task_rows, PER_TASK_COLUMNS)}
     out_dir = Path(args.out or ".")
     write_files(files, out_dir)
     failed = sum(1 for r in rows if r.get("error"))
@@ -75,7 +74,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     paths = [args.rows]
-    if args.per_task and Path(args.per_task).exists():
+    if args.per_task:
         paths.append(args.per_task)
     tables = []
     # summarize checks the rows' own columns, this loop a per-task file's

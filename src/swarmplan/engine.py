@@ -310,7 +310,8 @@ class Engine:
             ra.goal, rb.goal = verts[ra.slot], verts[rb.slot]
             self._emit(EventKind.SLOT_SWAP, (a, b), f"task={tid}")
 
-    # phase 5: routing with conflict clustering; returns alive robots' final positions
+    # phase 5: routing with conflict clustering; returns the final position of
+    # each robot it tried to move, a stopped one's own
     def _phase_routing(self) -> dict[int, Position]:
         # in scenario order, which fixes the runs: idle robots yield in turn
         alive = [r for r in self.robots.values() if r.alive]
@@ -324,7 +325,7 @@ class Engine:
                             [v for tid in self.active for v in self.vertices[tid]],
                             self.geometry)
         if not self.scenario.conflict_negotiation:
-            return {**here, **moves}
+            return moves
         clusters = cluster_conflicts(detect_conflicts(
             here, {**here, **moves}, self.scenario.safety_radius))
         # one strict total order serves every cluster and the separation pass
@@ -336,7 +337,7 @@ class Engine:
                                  self._stall, self.geometry, self._replay_cluster)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
-        return {rid: final[rid] for rid in here}
+        return {rid: final[rid] for rid in moves}
 
     def _replay_cluster(self, decision: ClusterDecision) -> list[int]:
         """Emit a settled cluster's events and charge its negotiation;

@@ -2,18 +2,17 @@
 
 There are no fixed obstacles, so a robot's path is the straight segment
 to its goal, advanced ``step_length`` per tick. Robots without a goal step
-out of the way of movers; a broad phase tests the exact yield rule only
-for those within reach of an active vertex or a mover. Two robots
-conflict when their intended motion segments for the tick pass within
-twice the safety radius. A cluster is one connected component of the
-conflicting pairs, a plain frozenset of robot ids
-(:func:`comms.components`); each cluster lets one mover step and stops
-the rest. Separation enforcement then turns crowding
-steps into one-sided detours or stops. A tick is ``current`` (every
-robot's position) and ``moves`` (each mover's intended step). One
-predicate, ``_crowds``, answers the clearance questions of cluster
-settling and separation; ``yield_step`` measures each candidate's nearest
-gap itself, as its fallback takes the roomiest one. These are pure
+out of the way of formation vertices and movers. Two robots conflict
+when their intended motion segments for the tick pass within twice the
+safety radius. A cluster is one connected component of the conflicting
+pairs, a plain frozenset of robot ids (:func:`comms.components`); each
+cluster lets one mover step and stops the rest. Separation enforcement
+then turns crowding steps into one-sided detours or stops. A tick is
+``current`` (every robot's position) and ``moves`` (each mover's
+intended step). One predicate, ``_crowds``, answers the clearance
+questions of cluster settling and separation; ``yield_step`` alone
+states the two yield radii, and measures each candidate's nearest gap
+itself, as its fallback takes the roomiest one. These are pure
 functions of plain data; ``resolve`` hands each cluster decision to a
 ``replay`` callback, through which the engine turns it into events and
 energy charges.
@@ -225,27 +224,13 @@ def yield_steps(current: Mapping[int, Position], moves: Mapping[int, Position],
 
     The goal-less robots of ``idle`` decide in order, each seeing the
     yields before it as moves. Without yielding, surplus robots form
-    static walls that starve routing progress forever. A broad phase
-    asks :func:`yield_step` only of robots within ``reach`` of a threat
-    (an active vertex or a mover's current position), since it yields
-    to nothing farther than the vertex clearance or the mover band.
+    static walls that starve routing progress forever.
     """
     moves = dict(moves)
-    threats = [*vertices, *map(current.__getitem__, moves)]
-    if not threats:
-        return moves
-    reach = 2.0 * geometry.safety_radius + max(0.2, 2.0 * geometry.step_length)
     for rid in idle:
-        pos = current[rid]
-        for threat in threats:
-            if euclidean(pos, threat) < reach:
-                break
-        else:
-            continue
         step = yield_step(rid, current, moves, vertices, geometry)
         if step is not None:
             moves[rid] = step
-            threats.append(pos)  # later robots see this yield as a move
     return moves
 
 
@@ -256,25 +241,29 @@ def yield_step(rid: int, current: Mapping[int, Position],
 
     ``current`` holds every robot's position, ``moves`` each mover's
     intended position and ``vertices`` the active formation vertices. The
-    robot steps away from the nearest vertex it sits on (the first listed
-    on a tie) or, failing that, from the nearest mover closing in on it
-    (the lowest id on a tie).
+    robot steps away from the nearest vertex closer than the clearance
+    (the first listed on a tie) or, failing that, from the nearest mover
+    closer than the band whose step closes in on it (the lowest id on a
+    tie).
     """
     pos = current[rid]
     clearance = 2.0 * geometry.safety_radius + 0.2
-    dists = [euclidean(pos, v) for v in vertices]
-    nearest = min(dists, default=math.inf)
-    if nearest < clearance:
-        threat = vertices[dists.index(nearest)]
-    else:
+    threat, nearest = None, clearance
+    for vertex in vertices:
+        if (d := euclidean(pos, vertex)) < nearest:
+            threat, nearest = vertex, d
+    if threat is None:
         band = 2.0 * geometry.safety_radius + 2.0 * geometry.step_length
-        # only yield to movers actually closing in
-        closing = [(d, mid) for mid, step in moves.items()
-                   if (d := euclidean(pos, current[mid])) < band
-                   and euclidean(step, pos) < d]
-        if not closing:
+        closest = None  # (distance, id) of the nearest mover closing in
+        for mid, step in moves.items():
+            d = euclidean(pos, current[mid])
+            # only yield to movers actually closing in
+            if (d < band and (closest is None or (d, mid) < closest)
+                    and euclidean(step, pos) < d):
+                closest = d, mid
+        if closest is None:
             return None
-        threat = current[min(closing)[1]]
+        threat = current[closest[1]]
     dx, dy = pos.x - threat.x, pos.y - threat.y
     norm = math.hypot(dx, dy)
     if norm == 0.0:

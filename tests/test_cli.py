@@ -4,7 +4,7 @@ import pytest
 
 from swarmplan.cli import main
 from swarmplan.scenario import Scenario
-from swarmplan.sweep import CSV_COLUMNS
+from swarmplan.sweep import CSV_COLUMNS, PER_TASK_COLUMNS
 from helpers import TEMPLATE, suite_scenario
 
 
@@ -302,6 +302,18 @@ class TestSweepAndSummarize:
         assert err.startswith(f"error: {per_task}: ") and "law, scale, style" in err
         assert not (tmp_path / "summary").exists()
 
+    def test_summarize_missing_per_task_exits_2(self, tmp_path, capsys):
+        row = {c: "1.0" for c in CSV_COLUMNS}
+        row.update(law="low_e", scale="R5+T1", style="static", error="")
+        rows, per_task = tmp_path / "rows.csv", tmp_path / "per_task_typo.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+        assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(per_task) in err
+        assert not (tmp_path / "summary").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_summarize_non_finite_exits_2(self, tmp_path, capsys, value):
         rows = tmp_path / "rows.csv"
@@ -325,6 +337,22 @@ class TestSweepAndSummarize:
         }))
         assert main(["sweep", "--spec", str(spec_path),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_sweep_without_task_rows_writes_their_header(self, tmp_path):
+        # every cell fails, so no cell produces per-task rows
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "template": {**TEMPLATE, "required_per_task": 50},
+            "laws": ["t_low_e"],
+            "scales": ["R5+T1"],
+        }))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        per_task = out / "per_task_rows.csv"
+        assert per_task.read_text() == ",".join(PER_TASK_COLUMNS) + "\n"
+        assert main(["summarize", "--rows", str(out / "rows.csv"),
+                     "--per-task", str(per_task),
+                     "--out", str(tmp_path / "summary")]) == 0
 
 
 #: Inputs that used to crash or run nonsense, and must exit 2: the command,

@@ -9,7 +9,8 @@ from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
-from swarmplan.world import EnergyModel, Position, Task, euclidean
+from swarmplan.world import (EnergyModel, Position, Task, euclidean,
+                             polygon_vertices)
 from helpers import is_quiet, lockstep, low_battery, suite_scenario
 
 
@@ -372,6 +373,28 @@ class TestQuietTicks:
         assert any(quiet) and not all(quiet)
 
 
+class TestRoutingResult:
+    @pytest.mark.parametrize("negotiation", [True, False])
+    def test_only_the_robots_routing_moves(self, negotiation):
+        # robot 1 stands on its vertex, robot 2 walks to the other one and
+        # robot 3 idles far from both vertices and from robot 2
+        north, south = polygon_vertices(Position(10.0, 10.0), 2, 4.0)
+        s = scenario([RobotSpec(1, north.x, north.y, 90.0),
+                      RobotSpec(2, 10.0, 2.0, 90.0),
+                      RobotSpec(3, 28.0, 28.0, 90.0)],
+                     [task(1, 10.0, 10.0, required=2)],
+                     conflict_negotiation=negotiation)
+        engine = Engine(s)
+        graph = engine._phase_gossip(engine._phase_arrivals())
+        engine._phase_selection(graph)
+        engine._phase_formation(graph)
+        robots = engine.robots
+        assert (robots[1].group, robots[1].goal) == (1, robots[1].pos)
+        assert robots[2].goal == south
+        assert robots[3].group is None
+        assert engine._phase_routing() == {2: Position(10.0, 3.0)}
+
+
 #: low-battery runs in which a robot dies paying for a conflict cluster's
 #: negotiation while it was about to move
 CLUSTER_DEATHS = [("t_low_e", 20, 0.1), ("low_e", 22, 0.03),
@@ -427,16 +450,16 @@ class TestClusterChargeDeath:
     def test_robot_killed_by_cluster_charge_stands_still(self, monkeypatch, law,
                                                          seed, comm_cost):
         s = low_battery(law, seed, comm_cost)
-        placed = []  # the robots routing positioned, per tick
+        placed = []  # the robots alive as routing starts, per tick
         killed = []  # robots that died during routing
         routing = Engine._phase_routing
 
         def recording(self):
             start = len(self.events)
+            placed.append(sorted(rid for rid, r in self.robots.items() if r.alive))
             final = routing(self)
             killed.extend(e.subjects[0] for e in self.events[start:]
                           if e.kind is EventKind.ROBOT_DEAD)
-            placed.append(sorted(final))
             return final
 
         monkeypatch.setattr(Engine, "_phase_routing", recording)

@@ -593,7 +593,8 @@ def ref_resolve(current, intents, movers, clusters, priority, goals, stall,
 @st.composite
 def ticks(draw):
     """One routing tick: (geometry, current, moves, goals, stall, idle,
-    vertices, dead) for 0-12 robots with sparse ids in a small world.
+    vertices, dead) for 0-12 robots with sparse ids in a small world. A
+    0.05 m step makes the mover band narrower than the vertex clearance.
 
     Robots may start on another robot, exactly ``limit`` east of it or on
     the world's edge, so steps clamp at the boundary. Each robot steps
@@ -603,7 +604,7 @@ def ticks(draw):
     robots the replay reports as dying when their cluster settles.
     """
     geometry = Geometry(safety_radius=draw(st.sampled_from([0.25, 0.5, 1.0])),
-                        step_length=draw(st.sampled_from([0.5, 1.0, 1.5])),
+                        step_length=draw(st.sampled_from([0.05, 0.5, 1.0, 1.5])),
                         world_size=draw(st.sampled_from([4.0, 8.0, 20.0])))
     world, limit = geometry.world_size, geometry.limit
     coord = st.floats(0.0, world)
@@ -675,10 +676,10 @@ class TestMatchesAllScan:
 
 
 class TestYieldBroadPhase:
-    """``yield_steps`` asks ``yield_step`` only of idle robots within
-    ``reach = 2r + max(0.2, 2·step)`` of a vertex or a mover; at these
-    geometries ``reach`` equals the vertex clearance or the mover band, so
-    a robot one float inside it yields and one exactly at it does not."""
+    """The four ``at_reach`` cases pin ``yield_step``'s two radii at their
+    float boundary: a robot one float inside the vertex clearance
+    ``2r + 0.2`` or the mover band ``2r + 2·step`` yields, and one exactly
+    at it does not."""
 
     @staticmethod
     def check(current, moves, idle, vertices, geometry):
