@@ -9,9 +9,10 @@ goal, so there is nothing to plan. Every phase but routing reads one view
 of the alive robots, in ascending ids. Each phase's decision is a pure
 function of plain data in the module that owns its rule; the engine only
 applies it: it moves robots, sets groups (keeping each task's alive
-members), slots and goals, charges the ledger and emits events. Runs are
-pure functions of the scenario: identical inputs give byte-identical
-metrics and traces.
+members), slots and goals, charges the ledger and emits events. Routing
+hands back every cluster's decision at once; the engine emits and charges
+each, then runs separation on the movers left. Runs are pure functions of
+the scenario: identical inputs give byte-identical metrics and traces.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
-                      next_step, resolve, track_progress, travelled, yield_steps)
+                      enforce_separation, next_step, settle_clusters, track_progress,
+                      travelled, yield_steps)
 from .scenario import Scenario
 from .selection import SelectionPlan, open_tasks, select
 from .trace import EventKind, RunMetrics, TraceEvent
@@ -315,7 +317,6 @@ class Engine:
     def _phase_routing(self) -> dict[int, Position]:
         # in scenario order, which fixes the runs: idle robots yield in turn
         alive = [r for r in self.robots.values() if r.alive]
-        here = {r.id: r.pos for r in alive}
         # bodies are obstacles: steps keep clear of them, but they never move
         current = {r.id: r.pos for r in self.robots.values()}
         moves = {r.id: next_step(r, r.goal, self.scenario.step_length)
@@ -326,6 +327,7 @@ class Engine:
                             self.geometry)
         if not self.scenario.conflict_negotiation:
             return moves
+        here = {r.id: r.pos for r in alive}
         clusters = cluster_conflicts(detect_conflicts(
             here, {**here, **moves}, self.scenario.safety_radius))
         # one strict total order serves every cluster and the separation pass
@@ -333,8 +335,15 @@ class Engine:
         priority = (sort_queue(involved, self._context(involved), self._order)
                     if involved else [])
         goals = {r.id: r.goal for r in alive if r.goal is not None}
-        final, stopped = resolve(current, moves, clusters, priority, goals,
-                                 self._stall, self.geometry, self._replay_cluster)
+        # losers, and members that died paying for their cluster, stand still
+        halted: set[int] = set()
+        for decision in settle_clusters(current, moves, clusters, priority, goals,
+                                        self._stall, self.geometry):
+            halted.update(decision.losers, self._replay_cluster(decision))
+        final, stopped = enforce_separation(
+            current, {rid: moves[rid] for rid in priority
+                      if rid in moves and rid not in halted},
+            goals, self._stall, self.geometry)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")
         return {rid: final[rid] for rid in moves}

@@ -9,13 +9,12 @@ pairs, a plain frozenset of robot ids (:func:`comms.components`); each
 cluster lets one mover step and stops the rest. Separation enforcement
 then turns crowding steps into one-sided detours or stops. A tick is
 ``current`` (every robot's position) and ``moves`` (each mover's
-intended step). One predicate, ``_crowds``, answers the clearance
-questions of cluster settling and separation; ``yield_step`` alone
-states the two yield radii, and measures each candidate's nearest gap
-itself, as its fallback takes the roomiest one. These are pure
-functions of plain data; ``resolve`` hands each cluster decision to a
-``replay`` callback, through which the engine turns it into events and
-energy charges.
+intended step). One predicate, ``_crowds``, answers every clearance
+question of yielding, cluster settling and separation; ``yield_step``
+alone states the two yield radii. These are pure functions of plain
+data: ``settle_clusters`` returns each cluster's decision, and the
+engine turns them into events and energy charges before it calls
+``enforce_separation``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .comms import components
 from .world import Position, RobotState, euclidean
@@ -200,7 +199,7 @@ def detours(pos: Position, toward: Position, stall: int,
 def _crowds(point: Position, rid: int, others: Iterable[int],
             positions: Mapping[int, Position], limit: float) -> bool:
     """Whether ``point`` comes within ``limit`` of any robot but ``rid``:
-    the clearance rule of cluster settling and separation."""
+    the clearance rule of yielding, cluster settling and separation."""
     for other in others:
         if other != rid and euclidean(point, positions[other]) < limit:
             return True
@@ -271,24 +270,25 @@ def yield_step(rid: int, current: Mapping[int, Position],
     # yielding straight away from the threat can run into another robot
     # or onto a formation vertex someone still needs; try rotated escapes
     # and take the first one with clear ground
-    gaps = []
+    first, roomy = None, []
     for degrees in _YIELD_ANGLES:
         step = _turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
                        geometry.world_size)
         if euclidean(step, pos) <= 1e-9:
             continue
-        gap = min([euclidean(step, q) for other, q in current.items() if other != rid],
-                  default=math.inf)
-        if gap >= geometry.limit and all(euclidean(step, v) >= clearance
-                                         for v in vertices):
-            return step
-        gaps.append((gap, step))
-    if not gaps:
-        return None
+        if first is None:
+            first = step
+        if not _crowds(step, rid, current, current, geometry.limit):
+            if all(euclidean(step, v) >= clearance for v in vertices):
+                return step
+            roomy.append(step)
+    if not roomy:
+        return first
     # nothing fully clears the vertex zone in one step (it may hug a
     # world boundary); keep escaping via the step with the most room
-    gap, roomiest = max(gaps, key=lambda entry: entry[0])
-    return roomiest if gap >= geometry.limit else gaps[0][1]
+    return max(roomy, key=lambda step: min(
+        [euclidean(step, q) for other, q in current.items() if other != rid],
+        default=math.inf))
 
 
 def settle_cluster(members: Sequence[int], moving: Sequence[int],
@@ -364,33 +364,22 @@ def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Posi
     return final, stopped
 
 
-def resolve(current: Mapping[int, Position], moves: Mapping[int, Position],
-            clusters: Sequence[frozenset[int]], priority: Sequence[int],
-            goals: Mapping[int, Position], stall: Mapping[int, int],
-            geometry: Geometry, replay: Callable[[ClusterDecision], Iterable[int]],
-            ) -> tuple[dict[int, Position], list[int]]:
-    """Final positions for the tick and the robots that separation
-    stopped, in priority order.
+def settle_clusters(current: Mapping[int, Position], moves: Mapping[int, Position],
+                    clusters: Sequence[frozenset[int]], priority: Sequence[int],
+                    goals: Mapping[int, Position], stall: Mapping[int, int],
+                    geometry: Geometry) -> list[ClusterDecision]:
+    """Each cluster's :func:`settle_cluster` decision, in cluster order.
 
     ``current`` holds every robot's position and ``moves`` each mover's
     intended step. ``priority`` orders every mover and cluster member,
     highest first. ``goals`` holds each formation goal and ``stall`` the
-    ticks each robot has made no progress. ``replay`` receives each
-    cluster's decision, in cluster order, as soon as the cluster settles,
-    before separation, and returns the members that can no longer move
-    this tick (a robot that died paying for the cluster's negotiation);
-    like the losers, they leave ``moves`` and stand still.
+    ticks each robot has made no progress. Clusters share no robot, so no
+    decision depends on another's losers.
     """
-    moves = dict(moves)
-    for cluster in clusters:
-        moving = [rid for rid in priority if rid in cluster and rid in moves]
-        decision = settle_cluster(sorted(cluster), moving, current, moves,
-                                  goals, stall, geometry)
-        for rid in chain(decision.losers, replay(decision)):
-            moves.pop(rid, None)
-    return enforce_separation(
-        current, {rid: moves[rid] for rid in priority if rid in moves},
-        goals, stall, geometry)
+    return [settle_cluster(sorted(cluster),
+                           [rid for rid in priority if rid in cluster and rid in moves],
+                           current, moves, goals, stall, geometry)
+            for cluster in clusters]
 
 
 def travelled(robots: Mapping[int, RobotState],

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geometry,
                                _segment_distance, _turned, cluster_conflicts,
                                detect_conflicts, detours, enforce_separation,
-                               next_step, resolve, settle_cluster, track_progress,
-                               travelled, yield_step, yield_steps)
+                               next_step, settle_cluster, settle_clusters,
+                               track_progress, travelled, yield_step, yield_steps)
 from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
@@ -309,11 +309,21 @@ class TestClusterConflicts:
 GEO = Geometry(safety_radius=0.5, step_length=1.0, world_size=20.0)
 
 
-def resolve_recorded(*args, dead=()):
-    """``resolve``'s final positions, the decisions it replayed in order,
-    and its stopped robots; the replay reports ``dead`` as died paying."""
-    decisions = []
-    final, stopped = resolve(*args, lambda d: decisions.append(d) or dead)
+def resolve_recorded(current, moves, clusters, priority, goals, stall, geometry,
+                     dead=()):
+    """A tick's final positions, its cluster decisions in order and the
+    robots separation stopped, applied as the engine applies them: each
+    cluster's losers and its members in ``dead`` (died paying for its
+    negotiation) stand still; the other movers, in ``priority`` order,
+    pass through :func:`enforce_separation`."""
+    decisions = settle_clusters(current, moves, clusters, priority, goals, stall,
+                                geometry)
+    halted = {rid for d in decisions
+              for rid in (*d.losers, *(m for m in d.members if m in dead))}
+    final, stopped = enforce_separation(
+        current, {rid: moves[rid] for rid in priority
+                  if rid in moves and rid not in halted},
+        goals, stall, geometry)
     return final, decisions, stopped
 
 
@@ -450,6 +460,27 @@ class TestYield:
         assert step.x == pytest.approx(5.0)
         assert step.y == pytest.approx(4.0)
 
+    #: vertices around robot 1 at (5, 5) that crowd every yield candidate;
+    #: the nearest, 0.3 m east, makes it step west first
+    CROWDED_ZONE = [Position(5.3, 5), Position(4, 5)]
+
+    def test_no_step_clears_the_vertices_roomiest_clear_of_robots(self):
+        # robot 2 leaves every candidate clear; the 135-degree turn is the
+        # farthest from it, the straight step west the nearest
+        current = {1: Position(5, 5), 2: Position(3, 5.5)}
+        step = yield_step(1, current, {}, self.CROWDED_ZONE, GEO)
+        assert step == ref_yield_step(1, current, {}, self.CROWDED_ZONE, GEO)
+        assert step.x == pytest.approx(5 + math.sqrt(0.5))
+        assert step.y == pytest.approx(5 - math.sqrt(0.5))
+
+    def test_every_step_crowded_takes_the_first(self):
+        # robots on the west, north and south candidates crowd all seven
+        current = {1: Position(5, 5), 2: Position(4, 5), 3: Position(5, 6),
+                   4: Position(5, 4)}
+        step = yield_step(1, current, {}, self.CROWDED_ZONE, GEO)
+        assert step == ref_yield_step(1, current, {}, self.CROWDED_ZONE, GEO)
+        assert step == Position(4.0, 5.0)
+
 
 def ref_crowds(point, rid, others, positions, limit):
     return any(other != rid and euclidean(point, positions[other]) < limit
@@ -574,20 +605,26 @@ def ref_enforce_separation(current, intents, movers, goals, stall, geometry):
 
 
 def ref_resolve(current, intents, movers, clusters, priority, goals, stall,
-                geometry, replay):
-    """Reference: ``intents`` for every robot plus the ``movers`` set."""
+                geometry, dead):
+    """Reference: ``intents`` for every robot plus the ``movers`` set; the
+    clusters settle one after another, each seeing the earlier ones'
+    losers and its members in ``dead`` stand still. Returns the final
+    positions, the decisions and the robots separation stopped."""
     intents = dict(intents)
     movers = set(movers)
+    decisions = []
     for cluster in clusters:
         moving = [rid for rid in priority if rid in cluster and rid in movers]
         decision = ref_settle_cluster(sorted(cluster), moving, current,
                                       intents, goals, stall, geometry)
-        for rid in [*decision.losers, *replay(decision)]:
+        decisions.append(decision)
+        for rid in [*decision.losers, *(m for m in decision.members if m in dead)]:
             intents[rid] = current[rid]
             movers.discard(rid)
-    return ref_enforce_separation(
+    final, stopped = ref_enforce_separation(
         current, intents, [rid for rid in priority if rid in movers],
         goals, stall, geometry)
+    return final, decisions, stopped
 
 
 @st.composite
@@ -601,7 +638,7 @@ def ticks(draw):
     toward a goal (which may sit on another robot), steps without one,
     stands on its goal or stands idle; any of them may be stalled. Active
     vertices lie anywhere, on robots or on each other. ``dead`` lists the
-    robots the replay reports as dying when their cluster settles.
+    robots that die paying for their cluster's negotiation.
     """
     geometry = Geometry(safety_radius=draw(st.sampled_from([0.25, 0.5, 1.0])),
                         step_length=draw(st.sampled_from([0.05, 0.5, 1.0, 1.5])),
@@ -662,17 +699,30 @@ class TestMatchesAllScan:
             current, {**current, **moves}, geometry.safety_radius))
         priority = sorted(set(moves).union(*clusters))
         rng.shuffle(priority)
-        got, want = [], []
-        final, stopped = resolve(
-            current, moves, clusters, priority, goals, stall, geometry,
-            lambda d: got.append(d) or [rid for rid in d.members if rid in dead])
-        ref_final, ref_stopped = ref_resolve(
+        final, decisions, stopped = resolve_recorded(
+            current, moves, clusters, priority, goals, stall, geometry, dead=dead)
+        ref_final, ref_decisions, ref_stopped = ref_resolve(
             current, {rid: moves.get(rid, pos) for rid, pos in current.items()},
-            moves, clusters, priority, goals, stall, geometry,
-            lambda d: want.append(d) or [rid for rid in d.members if rid in dead])
-        assert got == want
+            moves, clusters, priority, goals, stall, geometry, dead)
+        assert decisions == ref_decisions
         assert stopped == ref_stopped
         assert list(final.items()) == list(ref_final.items())
+
+    @given(ticks(), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=300)
+    def test_cluster_order_does_not_change_decisions(self, tick, rng):
+        # clusters share no robot, so each decision stands on its own
+        geometry, current, moves, goals, stall, idle, vertices, _ = tick
+        moves = yield_steps(current, moves, idle, vertices, geometry)
+        clusters = cluster_conflicts(detect_conflicts(
+            current, {**current, **moves}, geometry.safety_radius))
+        priority = sorted(set(moves).union(*clusters))
+        rng.shuffle(priority)
+        forward = settle_clusters(current, moves, clusters, priority, goals, stall,
+                                  geometry)
+        backward = settle_clusters(current, moves, clusters[::-1], priority, goals,
+                                   stall, geometry)
+        assert backward == forward[::-1]
 
 
 class TestYieldBroadPhase:
