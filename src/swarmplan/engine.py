@@ -10,9 +10,10 @@ of the alive robots, in ascending ids. Each phase's decision is a pure
 function of plain data in the module that owns its rule; the engine only
 applies it: it moves robots, sets groups (keeping each task's alive
 members), slots and goals, charges the ledger and emits events. Routing
-hands back every cluster's decision at once; the engine emits and charges
-each, then runs separation on the movers left. Runs are pure functions of
-the scenario: identical inputs give byte-identical metrics and traces.
+ranks the movers alone, passes their steps highest priority first, and
+emits and charges every cluster's decision before separation runs on the
+movers left. Runs are pure functions of the scenario: identical inputs
+give byte-identical metrics and traces.
 """
 
 from __future__ import annotations
@@ -330,19 +331,18 @@ class Engine:
         here = {r.id: r.pos for r in alive}
         clusters = cluster_conflicts(detect_conflicts(
             here, {**here, **moves}, self.scenario.safety_radius))
-        # one strict total order serves every cluster and the separation pass
-        involved = set(moves).union(*clusters)
-        priority = (sort_queue(involved, self._context(involved), self._order)
-                    if involved else [])
+        # one strict total order of the movers serves every cluster and separation
+        if moves:
+            moves = {rid: moves[rid]
+                     for rid in sort_queue(moves, self._context(moves), self._order)}
         goals = {r.id: r.goal for r in alive if r.goal is not None}
         # losers, and members that died paying for their cluster, stand still
         halted: set[int] = set()
-        for decision in settle_clusters(current, moves, clusters, priority, goals,
+        for decision in settle_clusters(current, moves, clusters, goals,
                                         self._stall, self.geometry):
             halted.update(decision.losers, self._replay_cluster(decision))
         final, stopped = enforce_separation(
-            current, {rid: moves[rid] for rid in priority
-                      if rid in moves and rid not in halted},
+            current, {rid: step for rid, step in moves.items() if rid not in halted},
             goals, self._stall, self.geometry)
         for rid in stopped:
             self._emit(EventKind.STOP, (rid,), "separation")

@@ -9,12 +9,14 @@ pairs, a plain frozenset of robot ids (:func:`comms.components`); each
 cluster lets one mover step and stops the rest. Separation enforcement
 then turns crowding steps into one-sided detours or stops. A tick is
 ``current`` (every robot's position) and ``moves`` (each mover's
-intended step). One predicate, ``_crowds``, answers every clearance
+intended step, highest priority first); that order is the only priority
+routing reads. One predicate, ``_crowds``, answers every clearance
 question of yielding, cluster settling and separation; ``yield_step``
-alone states the two yield radii. These are pure functions of plain
-data: ``settle_clusters`` returns each cluster's decision, and the
-engine turns them into events and energy charges before it calls
-``enforce_separation``.
+alone states the two yield radii; one generator, ``_turns``, rotates,
+clamps and skips every candidate step of yields and detours. These are
+pure functions of plain data: ``settle_clusters`` returns each cluster's
+decision, and the engine turns them into events and energy charges
+before it calls ``enforce_separation``.
 """
 
 from __future__ import annotations
@@ -163,15 +165,22 @@ class ClusterDecision:
     relaxed: bool
 
 
-def _turned(pos: Position, ux: float, uy: float, length: float,
-            degrees: float, world: float) -> Position:
-    """``pos`` moved ``length`` along unit (ux, uy) rotated counterclockwise
-    by ``degrees``, clamped to the world."""
-    angle = math.radians(degrees)
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    rx, ry = ux * cos_a - uy * sin_a, ux * sin_a + uy * cos_a
-    return Position(min(world, max(0.0, pos.x + length * rx)),
-                    min(world, max(0.0, pos.y + length * ry)))
+def _turns(pos: Position, dx: float, dy: float, length: float,
+           angles: Iterable[float], world: float) -> Iterator[Position]:
+    """``pos`` moved ``length`` along nonzero (dx, dy) rotated
+    counterclockwise by each of ``angles`` degrees in turn, clamped to the
+    world. A step that clamping collapses onto ``pos`` is skipped: it
+    wastes the robot's turn without being safe ground."""
+    norm = math.hypot(dx, dy)
+    ux, uy = dx / norm, dy / norm
+    for degrees in angles:
+        angle = math.radians(degrees)
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        rx, ry = ux * cos_a - uy * sin_a, ux * sin_a + uy * cos_a
+        step = Position(min(world, max(0.0, pos.x + length * rx)),
+                        min(world, max(0.0, pos.y + length * ry)))
+        if euclidean(step, pos) > 1e-9:
+            yield step
 
 
 def detours(pos: Position, toward: Position, stall: int,
@@ -182,18 +191,14 @@ def detours(pos: Position, toward: Position, stall: int,
     Rotations are one-sided (counterclockwise), because symmetric avoidance
     oscillates between two head-on robots; a robot stalled for
     ``STALL_ESCAPE`` ticks searches the whole circle to break a livelock.
-    A step that boundary clamping collapses into standing still is
-    skipped: it wastes the robot's turn without being safe ground.
     """
     dx, dy = toward.x - pos.x, toward.y - pos.y
     d = math.hypot(dx, dy)
     if d == 0.0:
         return
-    for degrees in _ESCAPE_ANGLES if stall >= STALL_ESCAPE else _DETOUR_ANGLES:
-        candidate = _turned(pos, dx / d, dy / d, min(geometry.step_length, d),
-                            degrees, geometry.world_size)
-        if euclidean(candidate, pos) > 1e-9:
-            yield candidate
+    yield from _turns(pos, dx, dy, min(geometry.step_length, d),
+                      _ESCAPE_ANGLES if stall >= STALL_ESCAPE else _DETOUR_ANGLES,
+                      geometry.world_size)
 
 
 def _crowds(point: Position, rid: int, others: Iterable[int],
@@ -264,18 +269,14 @@ def yield_step(rid: int, current: Mapping[int, Position],
             return None
         threat = current[closest[1]]
     dx, dy = pos.x - threat.x, pos.y - threat.y
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        dx, dy, norm = 1.0, 0.0, 1.0
+    if dx == dy == 0.0:
+        dx, dy = 1.0, 0.0
     # yielding straight away from the threat can run into another robot
     # or onto a formation vertex someone still needs; try rotated escapes
     # and take the first one with clear ground
     first, roomy = None, []
-    for degrees in _YIELD_ANGLES:
-        step = _turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
-                       geometry.world_size)
-        if euclidean(step, pos) <= 1e-9:
-            continue
+    for step in _turns(pos, dx, dy, geometry.step_length, _YIELD_ANGLES,
+                       geometry.world_size):
         if first is None:
             first = step
         if not _crowds(step, rid, current, current, geometry.limit):
@@ -291,14 +292,13 @@ def yield_step(rid: int, current: Mapping[int, Position],
         default=math.inf))
 
 
-def settle_cluster(members: Sequence[int], moving: Sequence[int],
-                   current: Mapping[int, Position], moves: Mapping[int, Position],
-                   goals: Mapping[int, Position], stall: Mapping[int, int],
-                   geometry: Geometry) -> ClusterDecision:
+def settle_cluster(members: Sequence[int], current: Mapping[int, Position],
+                   moves: Mapping[int, Position], goals: Mapping[int, Position],
+                   stall: Mapping[int, int], geometry: Geometry) -> ClusterDecision:
     """Let one mover of a conflict cluster step; the other movers stop.
 
-    ``moving`` lists the members in ``moves``, highest priority first;
-    the other members stand still. The winner is the first mover neither
+    ``moves`` maps each mover to its intended step, highest priority first;
+    the members not in it stand still. The winner is the first mover neither
     blocked (its step crowds a member) nor pinned (a member holds its goal,
     so it could only orbit); failing that, the first unpinned mover with a
     clear step or detour, then the first mover with one. A cluster holding
@@ -306,6 +306,7 @@ def settle_cluster(members: Sequence[int], moving: Sequence[int],
     all movers; separation enforcement still keeps the executed positions
     apart.
     """
+    moving = [rid for rid in moves if rid in members]
     if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
         return ClusterDecision(tuple(members), (), True)
     limit = geometry.limit
@@ -365,20 +366,16 @@ def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Posi
 
 
 def settle_clusters(current: Mapping[int, Position], moves: Mapping[int, Position],
-                    clusters: Sequence[frozenset[int]], priority: Sequence[int],
-                    goals: Mapping[int, Position], stall: Mapping[int, int],
-                    geometry: Geometry) -> list[ClusterDecision]:
+                    clusters: Sequence[frozenset[int]], goals: Mapping[int, Position],
+                    stall: Mapping[int, int], geometry: Geometry) -> list[ClusterDecision]:
     """Each cluster's :func:`settle_cluster` decision, in cluster order.
 
     ``current`` holds every robot's position and ``moves`` each mover's
-    intended step. ``priority`` orders every mover and cluster member,
-    highest first. ``goals`` holds each formation goal and ``stall`` the
-    ticks each robot has made no progress. Clusters share no robot, so no
-    decision depends on another's losers.
+    intended step, highest priority first. ``goals`` holds each formation
+    goal and ``stall`` the ticks each robot has made no progress. Clusters
+    share no robot, so no decision depends on another's losers.
     """
-    return [settle_cluster(sorted(cluster),
-                           [rid for rid in priority if rid in cluster and rid in moves],
-                           current, moves, goals, stall, geometry)
+    return [settle_cluster(sorted(cluster), current, moves, goals, stall, geometry)
             for cluster in clusters]
 
 

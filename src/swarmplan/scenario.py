@@ -69,9 +69,8 @@ class Scenario:
     conflict_negotiation: bool = True
 
     def validate(self) -> None:
-        problems = _geometry_problems(self.world_size,
-                                      [getattr(self, name) for name in _LENGTHS])
-        geometry_valid = not problems
+        problems = _setting_problems(vars(self))
+        settings_valid = not problems
 
         def inside(x: float, y: float) -> bool:
             return 0.0 <= x <= self.world_size and 0.0 <= y <= self.world_size
@@ -89,7 +88,7 @@ class Scenario:
                 problems.append(f"robot {r.id}: position outside world bounds")
             if not (0.0 <= r.battery <= 100.0):
                 problems.append(f"robot {r.id}: battery outside [0, 100]")
-            if geometry_valid and self.conflict_negotiation:
+            if settings_valid and self.conflict_negotiation:
                 # ``generate``'s placement rule, so every generated scenario
                 # passes; negotiation would flag a closer pair on every tick
                 problems += [f"robots {o.id} and {r.id}: start closer than twice"
@@ -98,7 +97,7 @@ class Scenario:
         for t in self.tasks:
             if t.required > len(self.robots):
                 problems.append(f"task {t.id}: requires more robots than exist")
-            if geometry_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
+            if settings_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
                     t.center, t.required, self.formation_radius)):
                 problems.append(f"task {t.id}: formation vertex outside world bounds")
         arrivals = [t.arrival_tick for t in self.tasks]
@@ -107,11 +106,6 @@ class Scenario:
         if self.task_priority_order is not None and \
                 sorted(self.task_priority_order) != sorted(tids):
             problems.append("task_priority_order: not a permutation of task ids")
-        if self.comm_range != COMPLETE and not (
-                isinstance(self.comm_range, (int, float)) and self.comm_range > 0):
-            problems.append("comm_range: must be positive or 'complete'")
-        if self.max_ticks < 1:
-            problems.append("max_ticks: must be >= 1")
         if problems:
             raise InvalidScenarioError("; ".join(problems))
 
@@ -148,13 +142,21 @@ class Scenario:
         return cls.from_json(Path(path).read_text())
 
 
-def _geometry_problems(world_size: float, lengths: list[float]) -> list[str]:
-    """The finite-number rule for the world size and the ``_LENGTHS``."""
+def _setting_problems(settings: dict) -> list[str]:
+    """The rules of ``world_size``, the ``_LENGTHS``, ``comm_range`` and
+    ``max_ticks`` in ``settings``: the ones no team size or placement
+    changes, so a template can be held to them before it is sampled."""
     problems = []
-    if not 0 < world_size < math.inf:
+    if not 0 < settings["world_size"] < math.inf:
         problems.append("world_size: must be positive and finite")
-    if not all(0 < v < math.inf for v in lengths):
+    if not all(0 < settings[name] < math.inf for name in _LENGTHS):
         problems.append(f"geometry: {'/'.join(_LENGTHS)} must be positive and finite")
+    comm_range = settings["comm_range"]
+    if comm_range != COMPLETE and not (isinstance(comm_range, (int, float))
+                                       and 0 < comm_range < math.inf):
+        problems.append("comm_range: must be positive and finite, or 'complete'")
+    if settings["max_ticks"] < 1:
+        problems.append("max_ticks: must be >= 1")
     return problems
 
 
@@ -242,8 +244,9 @@ def generate(template: dict, seed: int) -> Scenario:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
         raise InvalidTemplateError("n_robots must be >= 1")
-    # sampling could never place a robot, or would reject every placement
-    problems = _geometry_problems(world, [settings[name] for name in _LENGTHS])
+    # sampling could never place a robot, would reject every placement, or
+    # would build a scenario that cannot run
+    problems = _setting_problems({**settings, "world_size": world})
     if problems:
         raise InvalidTemplateError("; ".join(problems))
 

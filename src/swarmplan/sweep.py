@@ -23,7 +23,7 @@ from pathlib import Path
 from .engine import run
 from .priority import PriorityLaw
 from .scenario import (FIELD_ERRORS, InvalidTemplateError, _battery, _number,
-                       _settings, generate)
+                       _setting_problems, _settings, generate)
 
 #: The run metrics a sweep row carries and ``summarize`` aggregates.
 _AGGREGATE_FIELDS = [
@@ -79,15 +79,19 @@ class SweepSpec:
             for name in names:
                 if name not in known:
                     raise InvalidTemplateError(f"unknown {kind} {name!r}")
-        # a value no cell could parse is bad input, not a failed run; each
-        # cell sets its own law
+        # a value no cell could parse, or a setting no cell could run, is
+        # bad input, not a failed run; each cell sets its own law
         try:
-            _settings({k: v for k, v in self.template.items() if k != "law"})
+            settings = _settings({k: v for k, v in self.template.items() if k != "law"})
             _battery(self.template)
             for s in self.scales:
-                scale_template(self.template, s, "static")
+                settings["world_size"] = scale_template(self.template, s,
+                                                        "static")["world_size"]
         except FIELD_ERRORS as exc:
             raise InvalidTemplateError(f"bad template field: {exc}") from exc
+        problems = _setting_problems(settings)
+        if problems:
+            raise InvalidTemplateError("; ".join(problems))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":

@@ -408,6 +408,15 @@ BAD_INPUTS = [
     ("sweep", ("laws",), "[]"),
     ("sweep", ("scales",), "[]"),
     ("sweep", ("styles",), "[]"),
+    # a finite comm range is a positive finite number
+    ("run", ("comm_range",), "1e309"),
+    ("generate", ("comm_range",), "1e309"),
+    ("sweep", ("template", "comm_range"), "1e309"),
+    # a template setting no cell could run is bad input, not a failed run
+    ("sweep", ("template", "step_length"), "-1"),
+    ("sweep", ("template", "world_size"), "-5"),
+    ("sweep", ("template", "comm_range"), "-1"),
+    ("sweep", ("template", "max_ticks"), "0"),
 ]
 
 

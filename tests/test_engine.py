@@ -394,6 +394,33 @@ class TestRoutingResult:
         assert robots[3].group is None
         assert engine._phase_routing() == {2: Position(10.0, 3.0)}
 
+    def test_only_the_movers_are_ranked(self, monkeypatch):
+        # robot 1 stands on the north vertex; robot 2's first step toward
+        # the south one passes within 2r of it, so both form one cluster
+        north, _ = polygon_vertices(Position(10.0, 10.0), 2, 4.0)
+        s = scenario([RobotSpec(1, north.x, north.y, 90.0),
+                      RobotSpec(2, 10.5, 15.2, 90.0),
+                      RobotSpec(3, 28.0, 28.0, 90.0)],
+                     [task(1, 10.0, 10.0, required=2)])
+        engine = Engine(s)
+        graph = engine._phase_gossip(engine._phase_arrivals())
+        engine._phase_selection(graph)
+        engine._phase_formation(graph)
+        assert engine.robots[1].pos == engine.robots[1].goal
+        ranked = []
+        sort_queue = swarmplan.engine.sort_queue
+
+        def recording(candidates, context, order):
+            ranked.append(sorted(candidates))
+            return sort_queue(candidates, context, order)
+
+        monkeypatch.setattr(swarmplan.engine, "sort_queue", recording)
+        start = len(engine.events)
+        assert set(engine._phase_routing()) == {2}
+        assert [(e.kind, e.subjects) for e in engine.events[start:]] == [
+            (EventKind.CONFLICT_DETECTED, (1, 2))]
+        assert ranked == [[2]]
+
 
 #: low-battery runs in which a robot dies paying for a conflict cluster's
 #: negotiation while it was about to move

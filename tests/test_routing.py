@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geometry,
-                               _segment_distance, _turned, cluster_conflicts,
+                               _segment_distance, cluster_conflicts,
                                detect_conflicts, detours, enforce_separation,
                                next_step, settle_cluster, settle_clusters,
                                track_progress, travelled, yield_step, yield_steps)
@@ -312,17 +312,16 @@ GEO = Geometry(safety_radius=0.5, step_length=1.0, world_size=20.0)
 def resolve_recorded(current, moves, clusters, priority, goals, stall, geometry,
                      dead=()):
     """A tick's final positions, its cluster decisions in order and the
-    robots separation stopped, applied as the engine applies them: each
-    cluster's losers and its members in ``dead`` (died paying for its
-    negotiation) stand still; the other movers, in ``priority`` order,
-    pass through :func:`enforce_separation`."""
-    decisions = settle_clusters(current, moves, clusters, priority, goals, stall,
-                                geometry)
+    robots separation stopped, applied as the engine applies them: ``moves``
+    is re-keyed in ``priority`` order; each cluster's losers and its members
+    in ``dead`` (died paying for its negotiation) stand still; the other
+    movers pass through :func:`enforce_separation`."""
+    moves = {rid: moves[rid] for rid in priority if rid in moves}
+    decisions = settle_clusters(current, moves, clusters, goals, stall, geometry)
     halted = {rid for d in decisions
               for rid in (*d.losers, *(m for m in d.members if m in dead))}
     final, stopped = enforce_separation(
-        current, {rid: moves[rid] for rid in priority
-                  if rid in moves and rid not in halted},
+        current, {rid: step for rid, step in moves.items() if rid not in halted},
         goals, stall, geometry)
     return final, decisions, stopped
 
@@ -349,10 +348,9 @@ class TestClusterResolution:
         # robot 2 ranks first and its step is clear, but its goal sits on
         # stationary robot 3
         current = {1: Position(12, 12), 2: Position(7, 10), 3: Position(10, 10)}
-        moves = {1: Position(12, 13), 2: Position(8, 10)}
+        moves = {2: Position(8, 10), 1: Position(12, 13)}
         goals = {1: Position(12, 15), 2: Position(10, 10.5)}
-        decision = settle_cluster([1, 2, 3], [2, 1], current, moves, goals,
-                                  {}, GEO)
+        decision = settle_cluster([1, 2, 3], current, moves, goals, {}, GEO)
         assert decision == ClusterDecision((1, 2, 3), (2,), False)
 
     def test_stalled_cluster_relaxes_to_all_movers(self):
@@ -529,8 +527,14 @@ def ref_yield_step(rid, current, moves, vertices, geometry):
         return min((euclidean(p, q) for other, q in current.items() if other != rid),
                    default=math.inf)
 
-    candidates = [_turned(pos, dx / norm, dy / norm, geometry.step_length, degrees,
-                          geometry.world_size) for degrees in _YIELD_ANGLES]
+    def turned(degrees):
+        a = math.radians(degrees)
+        ux, uy = dx / norm, dy / norm
+        rx, ry = ux * math.cos(a) - uy * math.sin(a), ux * math.sin(a) + uy * math.cos(a)
+        return Position(min(geometry.world_size, max(0.0, pos.x + geometry.step_length * rx)),
+                        min(geometry.world_size, max(0.0, pos.y + geometry.step_length * ry)))
+
+    candidates = [turned(degrees) for degrees in _YIELD_ANGLES]
     candidates = [c for c in candidates if euclidean(c, pos) > 1e-9]
     for candidate in candidates:
         if robot_gap(candidate) >= limit and all(
@@ -716,12 +720,12 @@ class TestMatchesAllScan:
         moves = yield_steps(current, moves, idle, vertices, geometry)
         clusters = cluster_conflicts(detect_conflicts(
             current, {**current, **moves}, geometry.safety_radius))
-        priority = sorted(set(moves).union(*clusters))
+        priority = sorted(moves)
         rng.shuffle(priority)
-        forward = settle_clusters(current, moves, clusters, priority, goals, stall,
-                                  geometry)
-        backward = settle_clusters(current, moves, clusters[::-1], priority, goals,
-                                   stall, geometry)
+        moves = {rid: moves[rid] for rid in priority}
+        forward = settle_clusters(current, moves, clusters, goals, stall, geometry)
+        backward = settle_clusters(current, moves, clusters[::-1], goals, stall,
+                                   geometry)
         assert backward == forward[::-1]
 
 
