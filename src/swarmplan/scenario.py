@@ -212,13 +212,31 @@ def _block(doc: dict, name: str) -> dict:
     return {key: _number(value, None) for key, value in dict(doc.get(name, {})).items()}
 
 
-def _battery(template: dict) -> tuple[float, float]:
-    """A template's battery mean and standard deviation, parsed."""
-    mean, sd = (_number(template.get("battery_mean", 90.0)),
-                _number(template.get("battery_sd", 10.0)))
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise ValueError("battery_mean/battery_sd: must be finite")
-    return mean, sd
+def parse_template(template: dict) -> tuple[dict, int, tuple[float, float], list | None]:
+    """A template held to every rule that needs no sampling: the
+    :class:`Scenario` fields but ``robots`` and ``seed``, the team size, the
+    battery mean and sd, and the listed positions (None to sample them)."""
+    try:
+        world = _number(template["world_size"])
+        n_robots = _number(template["n_robots"], int)
+        battery = (_number(template.get("battery_mean", 90.0)),
+                   _number(template.get("battery_sd", 10.0)))
+        if not all(map(math.isfinite, battery)):
+            raise ValueError("battery_mean/battery_sd: must be finite")
+        fields = {"world_size": world, "tasks": [_task(t) for t in template["tasks"]],
+                  **_settings(template)}
+        positions = ([(_number(x), _number(y)) for x, y in template["positions"]]
+                     if "positions" in template else None)
+    except FIELD_ERRORS as exc:
+        raise InvalidTemplateError(f"bad template field: {exc}") from exc
+    if n_robots < 1:
+        raise InvalidTemplateError("n_robots must be >= 1")
+    # sampling could never place a robot, would reject every placement, or
+    # would build a scenario that cannot run
+    problems = _setting_problems(fields)
+    if problems:
+        raise InvalidTemplateError("; ".join(problems))
+    return fields, n_robots, battery, positions
 
 
 def generate(template: dict, seed: int) -> Scenario:
@@ -232,37 +250,19 @@ def generate(template: dict, seed: int) -> Scenario:
     radius so the starting configuration already satisfies separation, and
     with conflict negotiation on, ``validate`` holds listed ones to it too.
     """
-    try:
-        world = _number(template["world_size"])
-        n_robots = _number(template["n_robots"], int)
-        mean, sd = _battery(template)
-        tasks = [_task(t) for t in template["tasks"]]
-        settings = _settings(template)
-        positions = ([(_number(x), _number(y)) for x, y in template["positions"]]
-                     if "positions" in template else None)
-    except FIELD_ERRORS as exc:
-        raise InvalidTemplateError(f"bad template field: {exc}") from exc
-    if n_robots < 1:
-        raise InvalidTemplateError("n_robots must be >= 1")
-    # sampling could never place a robot, would reject every placement, or
-    # would build a scenario that cannot run
-    problems = _setting_problems({**settings, "world_size": world})
-    if problems:
-        raise InvalidTemplateError("; ".join(problems))
-
+    fields, n_robots, (mean, sd), positions = parse_template(template)
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]
 
     if positions is None:
-        positions = _sample_positions(rng, n_robots, world,
-                                      2.0 * settings["safety_radius"])
+        positions = _sample_positions(rng, n_robots, fields["world_size"],
+                                      2.0 * fields["safety_radius"])
     elif len(positions) != n_robots:
         raise InvalidTemplateError("positions length != n_robots")
 
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]
-    scenario = Scenario(world_size=world, robots=robots,
-                        tasks=tasks, seed=seed, **settings)
+    scenario = Scenario(robots=robots, seed=seed, **fields)
     scenario.validate()
     return scenario
 

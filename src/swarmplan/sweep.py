@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .engine import run
 from .priority import PriorityLaw
-from .scenario import (FIELD_ERRORS, InvalidTemplateError, _battery, _number,
-                       _setting_problems, _settings, generate)
+from .scenario import (FIELD_ERRORS, InvalidTemplateError, _number, generate,
+                       parse_template)
 
 #: The run metrics a sweep row carries and ``summarize`` aggregates.
 _AGGREGATE_FIELDS = [
@@ -79,19 +79,14 @@ class SweepSpec:
             for name in names:
                 if name not in known:
                     raise InvalidTemplateError(f"unknown {kind} {name!r}")
-        # a value no cell could parse, or a setting no cell could run, is
-        # bad input, not a failed run; each cell sets its own law
+        # a template no cell could parse is bad input, not a failed run; each
+        # scale's static cell, under the first law, goes through the cells' parser
         try:
-            settings = _settings({k: v for k, v in self.template.items() if k != "law"})
-            _battery(self.template)
             for s in self.scales:
-                settings["world_size"] = scale_template(self.template, s,
-                                                        "static")["world_size"]
+                parse_template({**scale_template(self.template, s, "static"),
+                                "law": self.laws[0]})
         except FIELD_ERRORS as exc:
             raise InvalidTemplateError(f"bad template field: {exc}") from exc
-        problems = _setting_problems(settings)
-        if problems:
-            raise InvalidTemplateError("; ".join(problems))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
@@ -117,6 +112,8 @@ def scale_template(template: dict, scale: str, style: str) -> dict:
     n_robots, n_tasks = SCALES[scale]
     world = _number(template.get("world_size", 30.0))
     gap = _number(template.get("stage_gap", 60), int)
+    if gap < 0:
+        raise ValueError("stage_gap: must be >= 0")
     duration = _number(template.get("task_duration", 5), int)
     timeout = _number(template.get("task_timeout", 400), int)
     required = _number(template.get("required_per_task",

@@ -93,9 +93,9 @@ class Task:
 
     The task id doubles as its default priority rank (lower id = higher
     priority) unless the scenario supplies an explicit priority order.
-    ``duration`` is the number of consecutive ticks the full formation must
-    hold at the vertices; ``timeout`` is the abandonment deadline measured
-    from ``arrival_tick``.
+    ``duration`` (at least 1) is the number of consecutive ticks the full
+    formation must hold at the vertices; ``timeout`` is the abandonment
+    deadline measured from ``arrival_tick``.
     """
 
     id: int
@@ -108,6 +108,8 @@ class Task:
     def __post_init__(self) -> None:
         if self.required < 1:
             raise ValueError(f"task {self.id}: required must be >= 1")
+        if self.duration < 1:
+            raise ValueError(f"task {self.id}: duration must be >= 1")
         if self.duration > self.timeout:
             raise ValueError(f"task {self.id}: duration exceeds timeout")
         if self.arrival_tick < 0:

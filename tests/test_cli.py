@@ -237,7 +237,7 @@ class TestSweepAndSummarize:
     @pytest.mark.parametrize("field, value", [("battery_mean", "abc"),
                                               ("battery_sd", [1])])
     def test_bad_battery_exits_2(self, tmp_path, capsys, field, value):
-        # generate alone reads these two fields, once per cell
+        # the spec's up-front parse reads these two fields, before any cell runs
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "template": {**TEMPLATE, field: value},
@@ -417,6 +417,12 @@ BAD_INPUTS = [
     ("sweep", ("template", "world_size"), "-5"),
     ("sweep", ("template", "comm_range"), "-1"),
     ("sweep", ("template", "max_ticks"), "0"),
+    # a task holds its formation for at least one tick
+    ("run", ("tasks", 0, "duration"), "0"),
+    ("generate", ("tasks", 0, "duration"), "0"),
+    ("sweep", ("template", "task_duration"), "0"),
+    # later stages arrive after earlier ones
+    ("sweep", ("template", "stage_gap"), "-5"),
 ]
 
 

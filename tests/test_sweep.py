@@ -2,14 +2,16 @@ import csv
 import hashlib
 import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmplan.scenario import InvalidTemplateError
 from swarmplan.sweep import (_AGGREGATE_FIELDS, CSV_COLUMNS, PER_TASK_COLUMNS,
                              SCALES, STYLES, SweepSpec, rows_to_csv, run_sweep,
                              scale_template, summarize, write_files)
-from helpers import TEMPLATE
+from helpers import ALL_LAWS, TEMPLATE
 
 #: sha256 of ``test_summarize_digest``'s summary files; CPython 3.10's
 #: ``statistics.stdev`` changes 9 of their 36 ``_sd`` cells
@@ -56,6 +58,27 @@ class TestSweepSpec:
         rows, _ = run_sweep(spec(template={**TEMPLATE, "law": "bogus"}))
         assert [(r["law"], r["error"]) for r in rows] == [("t_low_e", "")]
 
+    @given(st.fixed_dictionaries({"task_duration": st.integers(-1, 6),
+                                  "task_timeout": st.integers(-1, 8),
+                                  "stage_gap": st.integers(-5, 5)},
+                                 optional={"required_per_task": st.integers(-1, 25)}),
+           st.sampled_from(sorted(SCALES)), st.sampled_from(sorted(STYLES)),
+           st.sampled_from(ALL_LAWS))
+    @settings(deadline=None, max_examples=60)
+    def test_up_front_parse_agrees_with_the_cells(self, fields, scale, style, law):
+        # a template the spec accepts fails in a cell only where the scale
+        # decides: a team too small for a task, or a style of another size
+        try:
+            accepted = spec(template={**TEMPLATE, **fields, "max_ticks": 1},
+                            laws=[law], scales=[scale], styles=[style])
+        except InvalidTemplateError:
+            return
+        rows, _ = run_sweep(accepted)
+        for row in rows:
+            assert (not row["error"]
+                    or "requires more robots than exist" in row["error"]
+                    or re.search(r"describes \d+ tasks, scale has \d+", row["error"]))
+
     def test_rejects_bad_trials(self):
         with pytest.raises(InvalidTemplateError):
             spec(trials=0)
@@ -93,6 +116,11 @@ class TestScaleTemplate:
         assert [task["arrival_tick"] for task in t["tasks"]] == [0, 60, 120]
         t = scale_template(dict(TEMPLATE), "R15+T3", "2+1")
         assert [task["arrival_tick"] for task in t["tasks"]] == [0, 0, 60]
+
+    @pytest.mark.parametrize("style", sorted(STYLES))
+    def test_rejects_negative_stage_gap(self, style):
+        with pytest.raises(ValueError, match="stage_gap: must be >= 0"):
+            scale_template({**TEMPLATE, "stage_gap": -1}, "R15+T3", style)
 
     def test_style_task_count_mismatch(self):
         with pytest.raises(InvalidTemplateError):

@@ -166,6 +166,10 @@ class TestTask:
             Task(id=1, center=Position(0, 0), required=0, duration=1, timeout=10)
         with pytest.raises(ValueError):
             Task(id=1, center=Position(0, 0), required=1, duration=11, timeout=10)
+        for duration in (0, -1):
+            with pytest.raises(ValueError, match="duration must be >= 1"):
+                Task(id=1, center=Position(0, 0), required=1, duration=duration,
+                     timeout=10)
         with pytest.raises(ValueError):
             Task(id=1, center=Position(0, 0), required=1, duration=1, timeout=10,
                  arrival_tick=-1)
