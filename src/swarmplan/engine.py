@@ -73,9 +73,7 @@ class Engine:
         self.known_tasks: dict[int, frozenset[int]] = dict.fromkeys(self.robots, frozenset())
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
-        self.ledger = EnergyLedger()
-        for r in self.robots.values():
-            self.ledger.register(r)
+        self.ledger = EnergyLedger(scenario.energy, self.robots.values())
         self.events: list[TraceEvent] = []
         self._stall: dict[int, int] = dict.fromkeys(self.robots, 0)
         self._goal_mark: dict[int, tuple[Position, float] | None] = dict.fromkeys(self.robots)
@@ -136,7 +134,7 @@ class Engine:
         """Charge ``rounds`` comm rounds to each of ``robots`` (ascending ids)
         as negotiation for the tasks ``task_of`` names or else as gossip;
         returns the ids of the robots it killed."""
-        died = self.ledger.charge_many(robots, ChargeKind.COMM_ROUND, self.scenario.energy,
+        died = self.ledger.charge_many(robots, ChargeKind.COMM_ROUND,
                                        task_of=task_of, times=rounds)
         for robot in died:
             self._bury(robot.id)
@@ -291,12 +289,14 @@ class Engine:
                 Phase.FORMATION, free, graph,
                 lambda knowledge: formation_assign(queue, matrix),
                 lambda plan: dict.fromkeys(free, tid), detail)
-            for rid, col in plan.slot_of.items():
+            # a robot that died negotiating takes no slot
+            agreed = tuple(rid for rid in free if self.robots[rid].alive)
+            for rid in agreed:
                 robot = self.robots[rid]
-                if robot.alive:  # a robot that died negotiating takes no slot
-                    robot.slot = vacant[col]
-                    robot.goal = verts[robot.slot]
-            self._emit(EventKind.AGREE, tuple(free), detail)
+                robot.slot = vacant[plan.slot_of[rid]]
+                robot.goal = verts[robot.slot]
+            if agreed:
+                self._emit(EventKind.AGREE, agreed, detail)
         if self.scenario.law is not PriorityLaw.CATA_U:
             for tid in self.active:
                 self._swap_slots(tid, self.members_of.get(tid, ()))
@@ -368,12 +368,10 @@ class Engine:
             self.total_distance += distance
         if moved and self.scenario.comm_range != COMPLETE:
             self._comm_view = None  # the graph's edges follow the positions
-        model = self.scenario.energy
         died = {r.id for r in self.ledger.charge_many(
-            [self.robots[rid] for rid in moved], ChargeKind.MOVE, model)}
+            [self.robots[rid] for rid in moved], ChargeKind.MOVE)}
         died.update(r.id for r in self.ledger.charge_many(
-            [r for r in team if r.id not in moved] if moved else team,
-            ChargeKind.IDLE, model))
+            [r for r in team if r.id not in moved] if moved else team, ChargeKind.IDLE))
         for robot in team:
             rid = robot.id
             if rid in moved:

@@ -146,27 +146,24 @@ class EnergyLedger:
     Communication energy is split between plain knowledge gossip and
     negotiation traffic (plan exchange and conflict resolution), since the
     two are reported separately. A per-task communication accumulator
-    records negotiation spend attributable to a specific task.
+    records negotiation spend attributable to a specific task. It prices
+    every action from the run's ``model`` and books the team ``robots``,
+    whose accounts open at zero in the order given.
     """
 
-    def __init__(self) -> None:
-        self.initial: dict[int, float] = {}
-        self.moving: dict[int, float] = {}
-        self.idle: dict[int, float] = {}
-        self.comm_gossip: dict[int, float] = {}
-        self.comm_negotiation: dict[int, float] = {}
+    def __init__(self, model: EnergyModel, robots: Iterable[RobotState]) -> None:
+        self.model = model
+        self.initial = {r.id: r.battery for r in robots}
+        self.moving = dict.fromkeys(self.initial, 0.0)
+        self.idle = dict.fromkeys(self.initial, 0.0)
+        self.comm_gossip = dict.fromkeys(self.initial, 0.0)
+        self.comm_negotiation = dict.fromkeys(self.initial, 0.0)
         self.per_task_comm: dict[int, float] = {}
-
-    def register(self, robot: RobotState) -> None:
-        self.initial[robot.id] = robot.battery
-        for acc in (self.moving, self.idle, self.comm_gossip, self.comm_negotiation):
-            acc[robot.id] = 0.0
 
     def charge_many(
         self,
         robots: Iterable[RobotState],
         kind: ChargeKind,
-        model: EnergyModel,
         *,
         task_of: Mapping[int, int | None] | None = None,
         times: int = 1,
@@ -183,11 +180,11 @@ class EnergyLedger:
         would.
         """
         if kind is ChargeKind.MOVE:
-            cost, acc, task_of = model.move_cost, self.moving, None
+            cost, acc, task_of = self.model.move_cost, self.moving, None
         elif kind is ChargeKind.IDLE:
-            cost, acc, task_of = model.idle_cost, self.idle, None
+            cost, acc, task_of = self.model.idle_cost, self.idle, None
         elif kind is ChargeKind.COMM_ROUND:
-            cost = model.comm_cost
+            cost = self.model.comm_cost
             acc = self.comm_gossip if task_of is None else self.comm_negotiation
         else:
             raise ValueError(f"unknown charge kind {kind!r}")

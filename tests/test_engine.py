@@ -342,6 +342,24 @@ class TestFormationPlans:
             for _, _, plan in made:
                 assert plan == original(*args, **kwargs)
 
+    def test_robot_killed_negotiating_formation_is_not_in_agree(self):
+        """Robot 2 pays for the formation negotiation with its last energy:
+        the negotiation names it, its agreement does not, and it takes no
+        slot."""
+        s = scenario([RobotSpec(1, 2.0, 2.0, 90.0), RobotSpec(2, 12.0, 6.0, 8.0),
+                      RobotSpec(3, 10.0, 2.0, 90.0)],
+                     [task(1, 12.0, 12.0, required=2, duration=5, timeout=200)],
+                     world_size=24.0, safety_radius=1.0,
+                     energy=EnergyModel(comm_cost=3.0))
+        engine = Engine(s)
+        engine.tick()
+        formation = [(e.kind, e.subjects) for e in engine.events
+                     if e.detail.startswith("phase=formation")]
+        assert formation == [(EventKind.NEGOTIATE, (1, 2)), (EventKind.AGREE, (1,))]
+        assert (0, EventKind.ROBOT_DEAD, (2,), "") in engine.events
+        assert engine.robots[1].slot is not None
+        assert engine.robots[2].slot is None
+
 
 class TestQuietTicks:
     """A quiet tick (no task active, none due) plans and routes nothing; with

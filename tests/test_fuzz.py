@@ -10,6 +10,8 @@ bytes.
 A quiet tick (no task active, none due), which skips routing, finds no
 conflict among the standing robots, and a run leaves the same state after
 every tick as one whose ticks are all forced through the seven phases.
+Under any comm cost, no event names a robot after its death but the
+gossip or negotiation whose charge killed it.
 """
 
 from dataclasses import replace
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from swarmplan.engine import Engine, EventKind, run
 from swarmplan.routing import detect_conflicts
 from swarmplan.scenario import generate
-from swarmplan.world import euclidean
+from swarmplan.world import EnergyModel, euclidean
 from helpers import ALL_LAWS, is_quiet, lockstep
 
 #: Slack on the step length for the rounding of a step's own endpoint.
@@ -125,3 +127,25 @@ def test_invariants_hold(scenario):
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_quiet_ticks_equal_all_seven_phases(scenario):
     lockstep(scenario)
+
+
+@given(scenarios(), st.sampled_from([0.01, 0.3, 1.0, 3.0]))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_no_event_names_a_robot_after_its_death(scenario, comm_cost):
+    scenario.energy = EnergyModel(comm_cost=comm_cost)
+    dead: set[int] = set()
+    paying: set[int] = set()  # the deaths since the last other event
+    for event in run(scenario)[1]:
+        if event.kind is EventKind.ROBOT_DEAD:
+            (rid,) = event.subjects
+            assert rid not in dead, event
+            dead.add(rid)
+            paying.add(rid)
+            continue
+        if event.kind in (EventKind.GOSSIP, EventKind.NEGOTIATE):
+            # they name the robots that took part and paid, and a death
+            # their own charge caused comes first
+            assert dead.intersection(event.subjects) <= paying, event
+        elif event.kind is not EventKind.TASK_ARRIVED:  # whose subject is a task
+            assert dead.isdisjoint(event.subjects), event
+        paying.clear()

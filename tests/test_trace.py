@@ -5,15 +5,11 @@ from helpers import make_robot
 
 def test_metrics_count_the_trace_and_add_up_the_ledger():
     robots = [make_robot(1, battery=10.0), make_robot(2, battery=0.05)]
-    ledger = EnergyLedger()
-    for robot in robots:
-        ledger.register(robot)
-    model = EnergyModel()
-    ledger.charge_many(robots, ChargeKind.MOVE, model)  # robot 2 dies
-    ledger.charge_many(robots[:1], ChargeKind.IDLE, model)
-    ledger.charge_many(robots[:1], ChargeKind.COMM_ROUND, model, times=2)
-    ledger.charge_many(robots[:1], ChargeKind.COMM_ROUND, model,
-                       task_of={1: 7}, times=3)
+    ledger = EnergyLedger(EnergyModel(), robots)
+    ledger.charge_many(robots, ChargeKind.MOVE)  # robot 2 dies
+    ledger.charge_many(robots[:1], ChargeKind.IDLE)
+    ledger.charge_many(robots[:1], ChargeKind.COMM_ROUND, times=2)
+    ledger.charge_many(robots[:1], ChargeKind.COMM_ROUND, task_of={1: 7}, times=3)
     events = [TraceEvent(0, EventKind.CONFLICT_DETECTED, (1, 2)),
               TraceEvent(0, EventKind.ROBOT_DEAD, (2,)),
               TraceEvent(1, EventKind.TASK_COMPLETED, (1,)),

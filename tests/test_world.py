@@ -227,25 +227,35 @@ def at_the_cost(test):
 
 
 class TestEnergyLedger:
-    def _ledger_robot(self, battery):
+    def _ledger_robot(self, battery, model=EnergyModel()):
         robot = make_robot(1, battery=battery)
-        ledger = EnergyLedger()
-        ledger.register(robot)
-        return ledger, robot
+        return EnergyLedger(model, [robot]), robot
+
+    def test_built_with_the_team_in_its_order(self):
+        model = EnergyModel(move_cost=0.2)
+        robots = [make_robot(rid, battery=b)
+                  for rid, b in ((5, 30.0), (2, 0.0), (9, 1.5))]
+        ledger = EnergyLedger(model, robots)
+        assert ledger.model is model
+        assert list(ledger.initial.items()) == [(5, 30.0), (2, 0.0), (9, 1.5)]
+        for acc in (ledger.moving, ledger.idle, ledger.comm_gossip,
+                    ledger.comm_negotiation):
+            assert list(acc.items()) == [(5, 0.0), (2, 0.0), (9, 0.0)]
+        assert ledger.per_task_comm == {}
 
     def test_move_charge(self):
         ledger, robot = self._ledger_robot(90.0)
-        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.MOVE)
         assert robot.battery == pytest.approx(89.9, abs=1e-12)
 
     def test_idle_charge(self):
         ledger, robot = self._ledger_robot(100.0)
-        ledger.charge_many([robot], ChargeKind.IDLE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.IDLE)
         assert robot.battery == pytest.approx(99.96, abs=1e-12)
 
     def test_clamp_at_zero_kills(self):
         ledger, robot = self._ledger_robot(0.05)
-        ledger.charge_many([robot], ChargeKind.MOVE, EnergyModel())
+        ledger.charge_many([robot], ChargeKind.MOVE)
         assert robot.battery == 0.0
         assert not robot.alive
         assert ledger.conservation_error(robot) == 0.0
@@ -254,16 +264,14 @@ class TestEnergyLedger:
         ledger, robot = self._ledger_robot(0.0)
         before = self._state(ledger, robot)
         for kind in ChargeKind:
-            assert ledger.charge_many([robot], kind, EnergyModel(), task_of={1: 7},
-                                      times=3) == []
+            assert ledger.charge_many([robot], kind, task_of={1: 7}, times=3) == []
         assert self._state(ledger, robot) == before
         assert ledger.spent(1) == 0.0
 
     def test_negotiation_and_task_attribution(self):
         ledger, robot = self._ledger_robot(50.0)
-        model = EnergyModel()
-        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model)
-        ledger.charge_many([robot], ChargeKind.COMM_ROUND, model, task_of={1: 7})
+        ledger.charge_many([robot], ChargeKind.COMM_ROUND)
+        ledger.charge_many([robot], ChargeKind.COMM_ROUND, task_of={1: 7})
         assert ledger.comm_gossip[1] == pytest.approx(0.01)
         assert ledger.comm_negotiation[1] == pytest.approx(0.01)
         assert ledger.per_task_comm == {7: pytest.approx(0.01)}
@@ -273,9 +281,8 @@ class TestEnergyLedger:
     @settings(deadline=None)
     def test_conservation_under_random_charges(self, battery, kinds):
         ledger, robot = self._ledger_robot(battery)
-        model = EnergyModel()
         for kind in kinds:
-            ledger.charge_many([robot], kind, model)
+            ledger.charge_many([robot], kind)
         assert ledger.conservation_error(robot) <= 1e-12
 
     @staticmethod
@@ -295,15 +302,14 @@ class TestEnergyLedger:
     def test_batched_charge_equals_single_charges(self, battery, kind, attribute,
                                                   task, times, earlier, model):
         task_of = {1: task} if attribute else None
-        batched, single = self._ledger_robot(battery), self._ledger_robot(battery)
+        batched = self._ledger_robot(battery, model)
+        single = self._ledger_robot(battery, model)
         for ledger, robot in (batched, single):
             if earlier:  # a task total that already exists
-                ledger.charge_many([robot], ChargeKind.COMM_ROUND, model,
-                                   task_of={1: task})
-        batched[0].charge_many([batched[1]], kind, model, task_of=task_of,
-                               times=times)
+                ledger.charge_many([robot], ChargeKind.COMM_ROUND, task_of={1: task})
+        batched[0].charge_many([batched[1]], kind, task_of=task_of, times=times)
         for _ in range(times):
-            single[0].charge_many([single[1]], kind, model, task_of=task_of)
+            single[0].charge_many([single[1]], kind, task_of=task_of)
         assert self._state(*batched) == self._state(*single)
 
     @given(batteries=st.lists(st.floats(0.0, 1.0) | st.just(0.0), max_size=6),
@@ -336,17 +342,13 @@ class TestEnergyLedger:
         """``charge_many`` equals ``times`` reference charges per robot, in
         order, and returns the robots those killed."""
         def team():
-            ledger = EnergyLedger()
             robots = [make_robot(3 * k + 1, battery=b) for k, b in enumerate(batteries)]
-            for robot in robots:
-                ledger.register(robot)
-            return ledger, robots
+            return EnergyLedger(model, robots), robots
 
         task_of = ({3 * k + 1: t for k, t in enumerate(tasks) if k % 2 == 0}
                    if attribute else None)
         (batched, robots), (single, copies) = team(), team()
-        died = batched.charge_many(robots, kind, model, task_of=task_of,
-                                   times=times)
+        died = batched.charge_many(robots, kind, task_of=task_of, times=times)
         expected = []
         for robot in copies:
             was_alive = robot.alive
