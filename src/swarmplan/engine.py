@@ -32,12 +32,12 @@ from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
                       enforce_separation, next_step, settle_clusters, track_progress,
-                      travelled, yield_steps)
+                      yield_steps)
 from .scenario import Scenario
 from .selection import SelectionPlan, open_tasks, select
 from .trace import EventKind, RunMetrics, TraceEvent
 from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
-                    polygon_vertices)
+                    euclidean, polygon_vertices)
 
 _ARRIVAL_TOLERANCE = 0.1
 _UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
@@ -358,20 +358,25 @@ class Engine:
         return self._charge_comm([self.robots[rid] for rid in decision.members],
                                  _CLUSTER_COMM_ROUNDS, task_of)
 
-    # phase 6: execute motion to ``final`` and charge energy; robots it
-    # moves pay a move, the rest of the team idles
+    # phase 6: execute motion to ``final`` and charge energy; one walk of the
+    # team: robots ``final`` moves pay a move, the rest of the team idles
     def _phase_charge(self, final: dict[int, Position]) -> None:
         team = self._team()[0]
-        moved = travelled(self.robots, final)
-        for rid, distance in moved.items():
-            self.robots[rid].pos = final[rid]
-            self.total_distance += distance
+        moved: dict[int, RobotState] = {}
+        idle = []
+        for robot in team:
+            to = final.get(robot.id, robot.pos)
+            # finite points are a positive distance apart exactly when they differ
+            if to == robot.pos:
+                idle.append(robot)
+                continue
+            self.total_distance += euclidean(robot.pos, to)
+            robot.pos = to
+            moved[robot.id] = robot
         if moved and self.scenario.comm_range != COMPLETE:
             self._comm_view = None  # the graph's edges follow the positions
-        died = {r.id for r in self.ledger.charge_many(
-            [self.robots[rid] for rid in moved], ChargeKind.MOVE)}
-        died.update(r.id for r in self.ledger.charge_many(
-            [r for r in team if r.id not in moved] if moved else team, ChargeKind.IDLE))
+        died = {r.id for r in self.ledger.charge_many(moved.values(), ChargeKind.MOVE)}
+        died.update(r.id for r in self.ledger.charge_many(idle, ChargeKind.IDLE))
         for robot in team:
             rid = robot.id
             if rid in moved:

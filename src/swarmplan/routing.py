@@ -379,18 +379,6 @@ def settle_clusters(current: Mapping[int, Position], moves: Mapping[int, Positio
             for cluster in clusters]
 
 
-def travelled(robots: Mapping[int, RobotState],
-              final: Mapping[int, Position]) -> dict[int, float]:
-    """The robots ``final`` moves off their position, ascending ids, each
-    with the distance it covers; the others stand idle."""
-    moved = {}
-    for rid in sorted(final):
-        # finite points are a positive distance apart exactly when they differ
-        if robots[rid].pos != final[rid]:
-            moved[rid] = euclidean(robots[rid].pos, final[rid])
-    return moved
-
-
 def track_progress(mark: tuple[Position, float] | None, stall: int,
                    pos: Position, goal: Position | None,
                    ) -> tuple[tuple[Position, float] | None, int]:

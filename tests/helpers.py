@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import replace
@@ -35,6 +36,25 @@ def suite_scenario(law: str, scale: str, style: str, seed: int,
     template = scale_template({**TEMPLATE, **overrides}, scale, style)
     template["law"] = law
     return generate(template, seed)
+
+
+def dense_scenario(seed: int):
+    """R80+T12 under t_low_e, every task static, in a 48 m world (the
+    suite's 24 m grown by sqrt(80/20)): the tasks sit on a ring of radius
+    0.3 of the world around its centre, the first due North and the rest
+    clockwise, each needing 5 robots (4/5 of the team split evenly) for 5
+    ticks. The benchmark's dense_team workload lays out the same ring."""
+    world = TEMPLATE["world_size"] * math.sqrt(80 / 20)
+    centre, ring = world / 2.0, 0.3 * world
+    tasks = []
+    for k in range(12):
+        theta = math.pi / 2.0 - 2.0 * math.pi * k / 12
+        tasks.append({"id": k + 1, "x": centre + ring * math.cos(theta),
+                      "y": centre + ring * math.sin(theta), "required": 5,
+                      "duration": 5, "timeout": TEMPLATE["task_timeout"],
+                      "arrival_tick": 0})
+    return generate({**TEMPLATE, "world_size": world, "n_robots": 80,
+                     "tasks": tasks, "law": "t_low_e"}, seed)
 
 
 def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False,

@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import swarmplan.cata
 import swarmplan.engine
@@ -9,7 +11,7 @@ from swarmplan.engine import Engine, EventKind, run
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
-from swarmplan.world import (EnergyModel, Position, Task, euclidean,
+from swarmplan.world import (EnergyModel, Position, Task, euclidean, left_sum,
                              polygon_vertices)
 from helpers import is_quiet, lockstep, low_battery, suite_scenario
 
@@ -438,6 +440,127 @@ class TestRoutingResult:
         assert [(e.kind, e.subjects) for e in engine.events[start:]] == [
             (EventKind.CONFLICT_DETECTED, (1, 2))]
         assert ranked == [[2]]
+
+
+def ref_travelled(current, final):
+    """Reference: the engine's former charge loop, which split the robots of
+    ``final``, ascending ids, into movers (with their distance) and idlers."""
+    movers = {}
+    for rid in sorted(final):
+        moved = euclidean(current[rid], final[rid])
+        if moved > 0.0:
+            movers[rid] = moved
+    return movers
+
+
+#: a body among the robots of ``charged``: it neither moves nor idles
+BODY = 99
+
+
+def charged(current, final):
+    """One charge phase that ends a tick at ``final``, on an engine whose
+    living robots stand at ``current`` (id -> Position) beside robot
+    ``BODY``, which has no battery. Returns the engine and each MOVE's robot
+    with the distance the phase measured for it, in the order emitted, and
+    asserts that the ledger charged a move to exactly those robots and idle
+    to exactly the other living ones."""
+    s = scenario([RobotSpec(rid, 0.0, 0.0, 90.0) for rid in current]
+                 + [RobotSpec(BODY, 0.0, 0.0, 0.0)], [], conflict_negotiation=False)
+    engine = Engine(s)
+    for rid, pos in current.items():
+        engine.robots[rid].pos = pos
+    measured = []
+
+    def measuring(a, b):
+        measured.append(euclidean(a, b))
+        return measured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(swarmplan.engine, "euclidean", measuring)
+        engine._phase_charge(final)
+    movers = [e.subjects[0] for e in engine.events if e.kind is EventKind.MOVE]
+    assert len(engine.events) == len(movers)
+    ledger = engine.ledger
+    assert {rid for rid, spent in ledger.moving.items() if spent} == set(movers)
+    assert {rid for rid, spent in ledger.idle.items() if spent} == set(current) - set(movers)
+    return engine, list(zip(movers, measured, strict=True))
+
+
+#: Finite coordinates from subnormal to 1e300, both signed zeros among them.
+EDGE_COORDINATES = (st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+                    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def edge_moves(draw):
+    """Positions and final positions by id: each final coordinate is the
+    position's own, its zero of the other sign, a float neighbour or any."""
+    def partner(c):
+        how = draw(st.sampled_from(["same", "signed zero", "up", "down", "any"]))
+        if how == "any":
+            return draw(EDGE_COORDINATES)
+        return {"same": c, "signed zero": -c if c == 0.0 else c,
+                "up": math.nextafter(c, math.inf),
+                "down": math.nextafter(c, -math.inf)}[how]
+    current = draw(st.dictionaries(st.integers(0, 30),
+                                   st.tuples(EDGE_COORDINATES, EDGE_COORDINATES),
+                                   max_size=8))
+    return current, {rid: (partner(x), partner(y)) for rid, (x, y) in current.items()}
+
+
+class TestChargePhase:
+    """``_phase_charge`` walks the team once, ascending ids: a robot whose
+    ``final`` entry differs from its position moves and pays a move, and
+    every other living robot idles."""
+
+    @staticmethod
+    def check(current, final):
+        """The phase moves, measures and charges as the reference says; the
+        total adds the distances up in ascending ids, and a robot that does
+        not move keeps its own position, signed zeros and all."""
+        engine, moved = charged(current, final)
+        expected = ref_travelled(current, final)
+        assert moved == list(expected.items())
+        assert engine.total_distance.hex() == left_sum(expected.values()).hex()
+        assert [repr(engine.robots[rid].pos) for rid in current] == [
+            repr(final[rid] if rid in expected else pos) for rid, pos in current.items()]
+
+    def test_movers_with_their_distance_in_id_order(self):
+        current = {3: Position(0, 0), 1: Position(5, 5), 2: Position(1, 1)}
+        final = {3: Position(3, 4), 1: Position(5, 5), 2: Position(1, 2)}
+        engine, moved = charged(current, final)
+        assert moved == [(2, 1.0), (3, 5.0)]
+        assert engine.total_distance == 6.0
+        assert [e.detail for e in engine.events] == ["to=(1.000,2.000)",
+                                                     "to=(3.000,4.000)"]
+
+    def test_robots_outside_final_idle(self):
+        # routing places only the robots it tried to move, never a body
+        engine, moved = charged({1: Position(0, 0), 2: Position(4, 4)},
+                                {1: Position(0, 1)})
+        assert moved == [(1, 1.0)]
+        assert engine.robots[2].pos == Position(4, 4)
+
+    @given(st.dictionaries(st.integers(0, 30),
+                           st.tuples(st.floats(0, 30), st.floats(0, 30),
+                                     st.sampled_from([0.0, 1e-300, 0.5, 2.0]),
+                                     st.floats(0, 6.3)), max_size=8))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference(self, robots):
+        current = {rid: Position(x, y) for rid, (x, y, _, _) in robots.items()}
+        final = {rid: Position(x + d * math.cos(a), y + d * math.sin(a))
+                 for rid, (x, y, d, a) in robots.items()}
+        self.check(current, final)
+
+    @given(edge_moves())
+    @example(({1: (0.0, -0.0), 2: (1.0, 2.0), 3: (3.0, 4.0), 4: (0.0, 0.0)},
+              {1: (-0.0, 0.0), 2: (math.nextafter(1.0, 2.0), 2.0), 3: (3.0, 4.0),
+               4: (5e-324, 0.0)}))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_measured_definition_at_float_edges(self, moves):
+        current, final = ({rid: Position(x, y) for rid, (x, y) in points.items()}
+                          for points in moves)
+        self.check(current, final)
 
 
 #: low-battery runs in which a robot dies paying for a conflict cluster's

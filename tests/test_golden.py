@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from swarmplan.engine import Engine, EventKind, run
 from swarmplan.sweep import CSV_COLUMNS, SweepSpec, rows_to_csv, run_sweep
 from swarmplan.world import euclidean
-from helpers import ALL_LAWS, TEMPLATE, low_battery, suite_scenario
+from helpers import ALL_LAWS, TEMPLATE, dense_scenario, low_battery, suite_scenario
 
 #: One trial of every law on R20+T3 static, base seed 0: the rows CSV.
 SWEEP_CSV_SHA256 = "9d45d310a13e4325ce44593390463c8d9e91bbb2b3199118daa95f1e17587789"
@@ -26,10 +26,19 @@ SWEEP_CSV_SHA256 = "9d45d310a13e4325ce44593390463c8d9e91bbb2b3199118daa95f1e1758
 TRACE_SHA256 = "19ae5ddd6ebc5d2c53509910d324c3696f071549391003346ebea4ad1f66dd89"
 #: The low-battery runs of ``death_runs``: each run's metrics and trace.
 DEATH_RUNS_SHA256 = "994c26623d3d211139c7977959c9fb0feec810d59fc8b2a525b9b354fd25fe56"
+#: t_low_e R80+T12 on the ring of ``dense_scenario``, seed 1: metrics and
+#: trace. Routing's stall counts and cluster relaxations run here far more
+#: than in the R20 runs above.
+DENSE_RUN_SHA256 = "20ff60dfc8f87be0e0e17954503031c745ccec86c93ae6a96247a813f030342f"
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_text(metrics, events) -> str:
+    """A run's metrics and then its trace, one JSON event per line."""
+    return repr(metrics) + "\n" + "".join(e.to_json() + "\n" for e in events)
 
 
 def sweep_csv() -> str:
@@ -81,6 +90,9 @@ def test_live_robots_keep_clear_of_bodies(death_runs):
 
 
 def test_death_runs_digest(death_runs):
-    text = "".join(repr(metrics) + "\n" + "".join(e.to_json() + "\n" for e in events)
-                   for _, _, metrics, events in death_runs)
+    text = "".join(run_text(metrics, events) for _, _, metrics, events in death_runs)
     assert sha256(text) == DEATH_RUNS_SHA256
+
+
+def test_dense_run_digest():
+    assert sha256(run_text(*run(dense_scenario(1)))) == DENSE_RUN_SHA256

@@ -8,7 +8,7 @@ from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geo
                                _segment_distance, cluster_conflicts,
                                detect_conflicts, detours, enforce_separation,
                                next_step, settle_cluster, settle_clusters,
-                               track_progress, travelled, yield_step, yield_steps)
+                               track_progress, yield_step, yield_steps)
 from swarmplan.world import Position, euclidean
 from helpers import make_robot
 
@@ -783,76 +783,3 @@ class TestTrackProgress:
         mark, stall = track_progress(mark, stall, Position(1, 0), goal)
         assert stall == 0
         assert track_progress(mark, 5, Position(1, 0), None) == (None, 0)
-
-
-def ref_travelled(current, final):
-    """Reference: the engine's former charge loop, which split the robots of
-    ``final``, ascending ids, into movers (with their distance) and idlers."""
-    movers = {}
-    for rid in sorted(final):
-        moved = euclidean(current[rid], final[rid])
-        if moved > 0.0:
-            movers[rid] = moved
-    return movers
-
-
-def placed(positions):
-    return {rid: make_robot(rid, x, y) for rid, (x, y) in positions.items()}
-
-
-#: Finite coordinates from subnormal to 1e300, both signed zeros among them.
-EDGE_COORDINATES = (st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
-                    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
-
-
-@st.composite
-def edge_moves(draw):
-    """Positions and final positions by id: each final coordinate is the
-    position's own, its zero of the other sign, a float neighbour or any."""
-    def partner(c):
-        how = draw(st.sampled_from(["same", "signed zero", "up", "down", "any"]))
-        if how == "any":
-            return draw(EDGE_COORDINATES)
-        return {"same": c, "signed zero": -c if c == 0.0 else c,
-                "up": math.nextafter(c, math.inf),
-                "down": math.nextafter(c, -math.inf)}[how]
-    current = draw(st.dictionaries(st.integers(0, 30),
-                                   st.tuples(EDGE_COORDINATES, EDGE_COORDINATES),
-                                   max_size=8))
-    return current, {rid: (partner(x), partner(y)) for rid, (x, y) in current.items()}
-
-
-class TestTravelled:
-    def test_movers_with_their_distance_in_id_order(self):
-        robots = placed({3: (0, 0), 1: (5, 5), 2: (1, 1)})
-        final = {3: Position(3, 4), 1: Position(5, 5), 2: Position(1, 2)}
-        moved = travelled(robots, final)
-        assert list(moved.items()) == [(2, 1.0), (3, 5.0)]
-
-    def test_robots_outside_final_are_not_counted(self):
-        # a body stands among ``robots`` but routing places only the living
-        robots = placed({1: (0, 0), 2: (4, 4)})
-        assert travelled(robots, {1: Position(0, 1)}) == {1: 1.0}
-
-    @given(st.dictionaries(st.integers(0, 30),
-                           st.tuples(st.floats(0, 30), st.floats(0, 30),
-                                     st.sampled_from([0.0, 1e-300, 0.5, 2.0]),
-                                     st.floats(0, 6.3)), max_size=8))
-    @settings(deadline=None, max_examples=200)
-    def test_matches_reference(self, robots):
-        current = {rid: Position(x, y) for rid, (x, y, _, _) in robots.items()}
-        final = {rid: Position(x + d * math.cos(a), y + d * math.sin(a))
-                 for rid, (x, y, d, a) in robots.items()}
-        moved = travelled(placed(current), final)
-        assert list(moved.items()) == list(ref_travelled(current, final).items())
-
-    @given(edge_moves())
-    @example(({1: (0.0, -0.0), 2: (1.0, 2.0), 3: (3.0, 4.0), 4: (0.0, 0.0)},
-              {1: (-0.0, 0.0), 2: (math.nextafter(1.0, 2.0), 2.0), 3: (3.0, 4.0),
-               4: (5e-324, 0.0)}))
-    @settings(deadline=None, max_examples=200)
-    def test_matches_measured_definition_at_float_edges(self, moves):
-        current, final = ({rid: Position(x, y) for rid, (x, y) in points.items()}
-                          for points in moves)
-        moved = travelled(placed(current), final)
-        assert list(moved.items()) == list(ref_travelled(current, final).items())
