@@ -16,8 +16,7 @@ from typing import Mapping, Sequence
 
 from .priority import PriorityLaw, compile_law, sort_queue
 from .selection import SelectionPlan, alive_team
-from .routing import _segment_distance
-from .world import Position, RobotState, Task, euclidean
+from .world import Position, RobotState, Task, euclidean, segment_distance
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ def collision_penalty(robot_i: RobotState, robot_j: RobotState,
                       goal_i: Position, goal_j: Position,
                       safety_radius: float = 0.5) -> int:
     """1 when the two straight robot->goal segments pass too close."""
-    d = _segment_distance(robot_i.pos, goal_i, robot_j.pos, goal_j)
+    d = segment_distance(robot_i.pos, goal_i, robot_j.pos, goal_j)
     return 1 if d < 2.0 * safety_radius else 0
 
 

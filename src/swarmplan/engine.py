@@ -31,7 +31,7 @@ from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
 from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
-                      enforce_separation, next_step, settle_clusters, track_progress,
+                      enforce_separation, next_step, settle_cluster, track_progress,
                       yield_steps)
 from .scenario import Scenario
 from .selection import SelectionPlan, open_tasks, select
@@ -336,10 +336,12 @@ class Engine:
             moves = {rid: moves[rid]
                      for rid in sort_queue(moves, self._context(moves), self._order)}
         goals = {r.id: r.goal for r in alive if r.goal is not None}
-        # losers, and members that died paying for their cluster, stand still
+        # losers, and members that died paying for their cluster, stand still;
+        # a replay touches none of settle_cluster's inputs
         halted: set[int] = set()
-        for decision in settle_clusters(current, moves, clusters, goals,
-                                        self._stall, self.geometry):
+        for cluster in clusters:
+            decision = settle_cluster(cluster, current, moves, goals, self._stall,
+                                      self.geometry)
             halted.update(decision.losers, self._replay_cluster(decision))
         final, stopped = enforce_separation(
             current, {rid: step for rid, step in moves.items() if rid not in halted},

@@ -14,9 +14,9 @@ routing reads. One predicate, ``_crowds``, answers every clearance
 question of yielding, cluster settling and separation; ``yield_step``
 alone states the two yield radii; one generator, ``_turns``, rotates,
 clamps and skips every candidate step of yields and detours. These are
-pure functions of plain data: ``settle_clusters`` returns each cluster's
-decision, and the engine turns them into events and energy charges
-before it calls ``enforce_separation``.
+pure functions of plain data: ``settle_cluster`` returns one cluster's
+decision, which the engine turns into events and energy charges; every
+cluster is settled before the engine calls ``enforce_separation``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .comms import components
-from .world import Position, RobotState, euclidean
+from .world import Position, RobotState, euclidean, segment_distance
 
 #: Ticks without progress toward a goal before a robot escalates its
 #: conflict avoidance (full-circle detours, cluster relaxation).
@@ -66,43 +66,6 @@ def next_step(robot: RobotState, goal: Position, step_length: float) -> Position
                     robot.pos.y + f * (goal.y - robot.pos.y))
 
 
-def _segment_distance(p1: Position, p2: Position,
-                      q1: Position, q2: Position) -> float:
-    """Minimum distance between segments p1-p2 and q1-q2."""
-    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = p1, p2, q1, q2
-    d1x, d1y = p2x - p1x, p2y - p1y
-    d2x, d2y = q2x - q1x, q2y - q1y
-    rx, ry = q1x - p1x, q1y - p1y
-    denom = d1x * d2y - d1y * d2x
-    if denom != 0.0:
-        t = (rx * d2y - ry * d2x) / denom
-        u = (rx * d1y - ry * d1x) / denom
-        # near-parallel segments turn t and u into rounding noise; a real
-        # crossing also needs the bounding boxes to meet, which is exact
-        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0 and (
-                max(p1x, p2x) >= min(q1x, q2x) and max(q1x, q2x) >= min(p1x, p2x)
-                and max(p1y, p2y) >= min(q1y, q2y) and max(q1y, q2y) >= min(p1y, p2y)):
-            return 0.0  # proper intersection
-    return min(
-        _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y),
-        _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y),
-        _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y),
-        _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y),
-    )
-
-
-def _point_segment_distance(px: float, py: float, ax: float, ay: float,
-                            bx: float, by: float) -> float:
-    """Distance from point (px, py) to segment (ax, ay)-(bx, by)."""
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / length_sq
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
 def detect_conflicts(
     current: Mapping[int, Position],
     proposed: Mapping[int, Position],
@@ -138,7 +101,7 @@ def detect_conflicts(
             if by0 - ay1 >= reach or ay0 - by1 >= reach:
                 continue
             i, j = (ai, bi) if ai < bi else (bi, ai)
-            if euclidean(proposed[i], proposed[j]) < limit or _segment_distance(
+            if euclidean(proposed[i], proposed[j]) < limit or segment_distance(
                     current[i], proposed[i], current[j], proposed[j]) < limit:
                 pairs.add((i, j))
     return pairs
@@ -292,11 +255,14 @@ def yield_step(rid: int, current: Mapping[int, Position],
         default=math.inf))
 
 
-def settle_cluster(members: Sequence[int], current: Mapping[int, Position],
+def settle_cluster(cluster: Collection[int], current: Mapping[int, Position],
                    moves: Mapping[int, Position], goals: Mapping[int, Position],
                    stall: Mapping[int, int], geometry: Geometry) -> ClusterDecision:
     """Let one mover of a conflict cluster step; the other movers stop.
 
+    ``cluster`` holds the members in any order (a :func:`cluster_conflicts`
+    component); ``goals`` and ``stall`` hold each robot's formation goal and
+    ticks without progress.
     ``moves`` maps each mover to its intended step, highest priority first;
     the members not in it stand still. The winner is the first mover neither
     blocked (its step crowds a member) nor pinned (a member holds its goal,
@@ -306,9 +272,10 @@ def settle_cluster(members: Sequence[int], current: Mapping[int, Position],
     all movers; separation enforcement still keeps the executed positions
     apart.
     """
-    moving = [rid for rid in moves if rid in members]
+    members = tuple(sorted(cluster))
+    moving = [rid for rid in moves if rid in cluster]
     if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
-        return ClusterDecision(tuple(members), (), True)
+        return ClusterDecision(members, (), True)
     limit = geometry.limit
 
     def blocked(rid: int) -> bool:
@@ -331,8 +298,8 @@ def settle_cluster(members: Sequence[int], current: Mapping[int, Position],
         # a winner who can neither step nor detour freezes the cluster
         winner = next((rid for rid in moving if can_step(rid)),
                       moving[0] if moving else None)
-    return ClusterDecision(tuple(members),
-                           tuple(rid for rid in moving if rid != winner), False)
+    return ClusterDecision(members, tuple(rid for rid in moving if rid != winner),
+                           False)
 
 
 def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Position],
@@ -363,20 +330,6 @@ def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Posi
             step = min(chain([step], clear), key=lambda p: euclidean(p, goal))
         final[rid] = step
     return final, stopped
-
-
-def settle_clusters(current: Mapping[int, Position], moves: Mapping[int, Position],
-                    clusters: Sequence[frozenset[int]], goals: Mapping[int, Position],
-                    stall: Mapping[int, int], geometry: Geometry) -> list[ClusterDecision]:
-    """Each cluster's :func:`settle_cluster` decision, in cluster order.
-
-    ``current`` holds every robot's position and ``moves`` each mover's
-    intended step, highest priority first. ``goals`` holds each formation
-    goal and ``stall`` the ticks each robot has made no progress. Clusters
-    share no robot, so no decision depends on another's losers.
-    """
-    return [settle_cluster(sorted(cluster), current, moves, goals, stall, geometry)
-            for cluster in clusters]
 
 
 def track_progress(mark: tuple[Position, float] | None, stall: int,

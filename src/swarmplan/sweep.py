@@ -234,8 +234,11 @@ def _sample_sd(values: list[float]) -> float:
 
 
 def check_columns(rows: list[dict], columns: list[str]) -> None:
-    """Raise ``ValueError`` unless every one of ``rows`` carries ``columns``."""
-    missing = [c for c in columns if any(c not in row for row in rows)]
+    """Raise ``ValueError`` unless every one of ``rows`` carries ``columns``.
+
+    A field that ``csv.DictReader`` fills with None, because its line is
+    shorter than the header, counts as missing."""
+    missing = [c for c in columns if any(row.get(c) is None for row in rows)]
     if missing:
         raise ValueError(f"rows lack column(s) {', '.join(missing)}")
 

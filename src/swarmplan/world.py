@@ -1,4 +1,5 @@
-"""Core domain records: positions, robots, tasks, and the energy ledger.
+"""Core domain records: positions, robots, tasks, the plane's geometry and
+the energy ledger.
 
 Everything downstream (gossip, planning, the tick loop) works in terms of
 these value types. A :class:`Position` is an immutable ``(x, y)`` named
@@ -64,6 +65,43 @@ def polygon_vertices(center: Position, n: int, radius: float) -> list[Position]:
         out.append(Position(center.x + radius * math.cos(theta),
                             center.y + radius * math.sin(theta)))
     return out
+
+
+def segment_distance(p1: Position, p2: Position,
+                     q1: Position, q2: Position) -> float:
+    """Minimum distance between segments p1-p2 and q1-q2."""
+    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = p1, p2, q1, q2
+    d1x, d1y = p2x - p1x, p2y - p1y
+    d2x, d2y = q2x - q1x, q2y - q1y
+    rx, ry = q1x - p1x, q1y - p1y
+    denom = d1x * d2y - d1y * d2x
+    if denom != 0.0:
+        t = (rx * d2y - ry * d2x) / denom
+        u = (rx * d1y - ry * d1x) / denom
+        # near-parallel segments turn t and u into rounding noise; a real
+        # crossing also needs the bounding boxes to meet, which is exact
+        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0 and (
+                max(p1x, p2x) >= min(q1x, q2x) and max(q1x, q2x) >= min(p1x, p2x)
+                and max(p1y, p2y) >= min(q1y, q2y) and max(q1y, q2y) >= min(p1y, p2y)):
+            return 0.0  # proper intersection
+    return min(
+        _point_segment_distance(p1x, p1y, q1x, q1y, q2x, q2y),
+        _point_segment_distance(p2x, p2y, q1x, q1y, q2x, q2y),
+        _point_segment_distance(q1x, q1y, p1x, p1y, p2x, p2y),
+        _point_segment_distance(q2x, q2y, p1x, p1y, p2x, p2y),
+    )
+
+
+def _point_segment_distance(px: float, py: float, ax: float, ay: float,
+                            bx: float, by: float) -> float:
+    """Distance from point (px, py) to segment (ax, ay)-(bx, by)."""
+    dx, dy = bx - ax, by - ay
+    length_sq = dx * dx + dy * dy
+    if length_sq == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / length_sq
+    t = max(0.0, min(1.0, t))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 @dataclass(slots=True)

@@ -280,6 +280,25 @@ class TestSweepAndSummarize:
         assert err.count("\n") == 1
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("short", ["rows.csv", "per_task_rows.csv"])
+    def test_summarize_short_row_exits_2(self, tmp_path, capsys, short):
+        # csv.DictReader fills the fields past a short line's end with None
+        row = {c: "1.0" for c in CSV_COLUMNS}
+        row.update(law="low_e", scale="R5+T1", style="static", error="")
+        rows, per_task = tmp_path / "rows.csv", tmp_path / "per_task_rows.csv"
+        rows.write_text(",".join(CSV_COLUMNS) + "\n"
+                        + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+        per_task.write_text(",".join(PER_TASK_COLUMNS) + "\n"
+                            + "low_e,R5+T1,static,0,0,1,0.5\n")
+        header = (tmp_path / short).read_text().splitlines()[0]
+        (tmp_path / short).write_text(header + "\nlow_e,R5+T1,static,0,0\n")
+        assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
+                     "--out", str(tmp_path / "summary")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / short}: ") and "lack" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "summary").exists()
+
     def test_summarize_foreign_columns_exits_2(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         rows.write_text("a,b\n1,2\n")

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geometry,
-                               _segment_distance, cluster_conflicts,
-                               detect_conflicts, detours, enforce_separation,
-                               next_step, settle_cluster, settle_clusters,
+                               cluster_conflicts, detect_conflicts, detours,
+                               enforce_separation, next_step, settle_cluster,
                                track_progress, yield_step, yield_steps)
-from swarmplan.world import Position, euclidean
+from swarmplan.world import Position, euclidean, segment_distance
 from helpers import make_robot
 
 #: Two nearly collinear segments about 4.7 m apart along their common line;
@@ -37,34 +36,34 @@ class TestNextStep:
 
 class TestSegmentDistance:
     def test_crossing_is_zero(self):
-        assert _segment_distance(Position(0, 0), Position(2, 2),
-                                 Position(0, 2), Position(2, 0)) == 0.0
+        assert segment_distance(Position(0, 0), Position(2, 2),
+                                Position(0, 2), Position(2, 0)) == 0.0
 
     def test_parallel_offset(self):
-        d = _segment_distance(Position(0, 0), Position(10, 0),
-                              Position(0, 3), Position(10, 3))
+        d = segment_distance(Position(0, 0), Position(10, 0),
+                             Position(0, 3), Position(10, 3))
         assert d == pytest.approx(3.0)
 
     def test_degenerate_points(self):
-        d = _segment_distance(Position(0, 0), Position(0, 0),
-                              Position(3, 4), Position(3, 4))
+        d = segment_distance(Position(0, 0), Position(0, 0),
+                             Position(3, 4), Position(3, 4))
         assert d == pytest.approx(5.0)
 
     def test_near_collinear_apart_is_not_a_crossing(self):
         p1, p2, q1, q2 = NEAR_COLLINEAR
-        assert _segment_distance(p1, p2, q1, q2) == pytest.approx(euclidean(p2, q1))
+        assert segment_distance(p1, p2, q1, q2) == pytest.approx(euclidean(p2, q1))
 
     def test_symmetry(self):
         rng = random.Random(1)
         for _ in range(50):
             p = [Position(rng.uniform(0, 10), rng.uniform(0, 10))
                  for _ in range(4)]
-            assert _segment_distance(p[0], p[1], p[2], p[3]) == pytest.approx(
-                _segment_distance(p[2], p[3], p[0], p[1]))
+            assert segment_distance(p[0], p[1], p[2], p[3]) == pytest.approx(
+                segment_distance(p[2], p[3], p[0], p[1]))
 
 
 def ref_segment_distance(p1, p2, q1, q2):
-    """``_segment_distance`` as it was written on ``Position`` objects,
+    """``segment_distance`` as it was written on ``Position`` objects,
     with the ``hypot`` distance it used; the float version must match it
     bit for bit."""
     def sub(a, b):
@@ -151,9 +150,9 @@ class TestSegmentDistanceExact:
         """Drawn and example segments give the same bits as the
         ``Position`` version, in both segment orders."""
         p1, p2, q1, q2 = points
-        assert (_segment_distance(p1, p2, q1, q2).hex()
+        assert (segment_distance(p1, p2, q1, q2).hex()
                 == ref_segment_distance(p1, p2, q1, q2).hex())
-        assert (_segment_distance(q1, q2, p1, p2).hex()
+        assert (segment_distance(q1, q2, p1, p2).hex()
                 == ref_segment_distance(q1, q2, p1, p2).hex())
 
 
@@ -163,7 +162,7 @@ def all_pairs(current, proposed, safety_radius):
     ids = sorted(proposed)
     return {(i, j) for a, i in enumerate(ids) for j in ids[a + 1:]
             if euclidean(proposed[i], proposed[j]) < limit
-            or _segment_distance(current[i], proposed[i], current[j], proposed[j]) < limit}
+            or segment_distance(current[i], proposed[i], current[j], proposed[j]) < limit}
 
 
 @st.composite
@@ -317,7 +316,8 @@ def resolve_recorded(current, moves, clusters, priority, goals, stall, geometry,
     in ``dead`` (died paying for its negotiation) stand still; the other
     movers pass through :func:`enforce_separation`."""
     moves = {rid: moves[rid] for rid in priority if rid in moves}
-    decisions = settle_clusters(current, moves, clusters, goals, stall, geometry)
+    decisions = [settle_cluster(cluster, current, moves, goals, stall, geometry)
+                 for cluster in clusters]
     halted = {rid for d in decisions
               for rid in (*d.losers, *(m for m in d.members if m in dead))}
     final, stopped = enforce_separation(
@@ -352,6 +352,18 @@ class TestClusterResolution:
         goals = {1: Position(12, 15), 2: Position(10, 10.5)}
         decision = settle_cluster([1, 2, 3], current, moves, goals, {}, GEO)
         assert decision == ClusterDecision((1, 2, 3), (2,), False)
+
+    def test_frozenset_cluster_settles_as_its_sorted_list(self):
+        # the pinned case with robot 3 renumbered 8, so that the frozenset
+        # cluster_conflicts returns iterates out of id order
+        current = {1: Position(12, 12), 2: Position(7, 10), 8: Position(10, 10)}
+        moves = {2: Position(8, 10), 1: Position(12, 13)}
+        goals = {1: Position(12, 15), 2: Position(10, 10.5)}
+        cluster = frozenset([1, 2, 8])
+        assert list(cluster) != sorted(cluster)
+        decision = settle_cluster(cluster, current, moves, goals, {}, GEO)
+        assert decision == ClusterDecision((1, 2, 8), (2,), False)
+        assert decision == settle_cluster(sorted(cluster), current, moves, goals, {}, GEO)
 
     def test_stalled_cluster_relaxes_to_all_movers(self):
         current, intents, goals = head_on()
@@ -723,9 +735,10 @@ class TestMatchesAllScan:
         priority = sorted(moves)
         rng.shuffle(priority)
         moves = {rid: moves[rid] for rid in priority}
-        forward = settle_clusters(current, moves, clusters, goals, stall, geometry)
-        backward = settle_clusters(current, moves, clusters[::-1], goals, stall,
-                                   geometry)
+        forward = [settle_cluster(cluster, current, moves, goals, stall, geometry)
+                   for cluster in clusters]
+        backward = [settle_cluster(cluster, current, moves, goals, stall, geometry)
+                    for cluster in clusters[::-1]]
         assert backward == forward[::-1]
 
 
