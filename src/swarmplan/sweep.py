@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -211,28 +210,6 @@ PLOT_FAMILIES = {
 }
 
 
-def _sample_sd(values: list[float]) -> float:
-    """Sample standard deviation (ddof=1; zero for one value), the same bits
-    on every Python: the square root of the exact rational variance,
-    correctly rounded, as ``statistics.stdev`` computes it from CPython 3.11
-    on (3.10 rounds the variance to a float first)."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    xs = [Fraction(v) for v in values]
-    total = sum(xs)
-    var = (n * sum(x * x for x in xs) - total * total) / (n * (n - 1))
-    num, den = var.numerator, var.denominator
-    # scale so the integer root has at least 54 bits, more than a float's
-    # 53; round-to-odd marks an inexact root in its last bit, so the one
-    # rounding to float below is the correct one
-    q = (num.bit_length() - den.bit_length() - 109) // 2
-    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
-    root = math.isqrt(num // den)
-    root |= root * root * den != num
-    return float(root << q) if q >= 0 else root / (1 << -q)
-
-
 def check_columns(rows: list[dict], columns: list[str]) -> None:
     """Raise ``ValueError`` unless every one of ``rows`` carries ``columns``.
 
@@ -271,7 +248,7 @@ def summarize(rows: list[dict], task_rows: list[dict] | None = None) -> dict[str
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite {name} in a {'/'.join(key)} row")
             agg[f"{name}_mean"] = repr(statistics.fmean(values))
-            agg[f"{name}_sd"] = repr(_sample_sd(values))
+            agg[f"{name}_sd"] = repr(statistics.stdev(values) if len(values) > 1 else 0.0)
         summary_rows.append(agg)
 
     columns = ["law", "scale", "style", "n_trials"]

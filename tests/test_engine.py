@@ -441,6 +441,27 @@ class TestRoutingResult:
             (EventKind.CONFLICT_DETECTED, (1, 2))]
         assert ranked == [[2]]
 
+    def test_idle_robots_yield_in_scenario_order(self, monkeypatch):
+        # the one place where the listed order of the robots is an input:
+        # every other phase reads ascending ids
+        s = scenario([RobotSpec(9, 3.0, 3.0, 90.0), RobotSpec(3, 27.0, 3.0, 80.0),
+                      RobotSpec(6, 3.0, 27.0, 70.0), RobotSpec(1, 27.0, 27.0, 60.0)],
+                     [task(1, 15.0, 15.0, required=1)])
+        engine = Engine(s)
+        idle_lists = []
+        yield_steps = swarmplan.engine.yield_steps
+
+        def recording(current, moves, idle, vertices, geometry):
+            idle_lists.append(list(idle))
+            return yield_steps(current, moves, idle, vertices, geometry)
+
+        monkeypatch.setattr(swarmplan.engine, "yield_steps", recording)
+        engine.tick()
+        [idle] = idle_lists
+        assert len(idle) == 3
+        assert idle == [r.id for r in s.robots if engine.robots[r.id].group is None]
+        assert idle != sorted(idle)
+
 
 def ref_travelled(current, final):
     """Reference: the engine's former charge loop, which split the robots of

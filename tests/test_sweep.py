@@ -13,8 +13,9 @@ from swarmplan.sweep import (_AGGREGATE_FIELDS, CSV_COLUMNS, PER_TASK_COLUMNS,
                              scale_template, summarize, write_files)
 from helpers import ALL_LAWS, TEMPLATE
 
-#: sha256 of ``test_summarize_digest``'s summary files; CPython 3.10's
-#: ``statistics.stdev`` changes 9 of their 36 ``_sd`` cells
+#: sha256 of ``test_summarize_digest``'s summary files; from CPython 3.11 on
+#: ``statistics.stdev`` is the correctly rounded root of the exact variance,
+#: a unique float, so every supported interpreter writes the same ``_sd`` cells
 DIGEST = "a7cd0dca552377fb430d72e7135b6a3d14f112ca0ea4b87e3f8952ae1cd4a535"
 
 
@@ -199,8 +200,9 @@ class TestCsvAndSummaries:
                               "residual_battery.csv", "per_task_comm.csv"}
 
     def test_summarize_digest(self):
-        """Every summary byte, ``_sd`` digits included, is pinned; CPython
-        3.10's ``statistics.stdev`` rounds differently from 3.11+."""
+        """Every summary byte, ``_sd`` digits included, is pinned: ``fmean``
+        divides the correctly rounded ``fsum`` by n, and ``stdev`` rounds the
+        root of the exact variance once, so CPython 3.11+ agree bit for bit."""
         rng = random.Random(2020)
         rows = []
         for law in ("low_e", "t_low_e"):
