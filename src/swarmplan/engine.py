@@ -10,10 +10,11 @@ of the alive robots, in ascending ids. Each phase's decision is a pure
 function of plain data in the module that owns its rule; the engine only
 applies it: it moves robots, sets groups (keeping each task's alive
 members), slots and goals, charges the ledger and emits events. Routing
-ranks the movers alone, passes their steps highest priority first, and
-emits and charges every cluster's decision before separation runs on the
-movers left. Runs are pure functions of the scenario: identical inputs
-give byte-identical metrics and traces.
+ranks the movers alone, passes their steps highest priority first, stops
+every mover of a cluster but the one that ``settle_cluster`` lets step,
+and emits and charges each cluster before separation runs on the movers
+left. Runs are pure functions of the scenario: identical inputs give
+byte-identical metrics and traces.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .formation import (DistanceMatrix, formation_assign, slot_requests,
 from .negotiation import Phase, negotiate
 from .priority import (LOW_BATTERY_WITHDRAWAL, PriorityLaw, compile_law,
                        sort_queue)
-from .routing import (ClusterDecision, Geometry, cluster_conflicts, detect_conflicts,
-                      enforce_separation, next_step, settle_cluster, track_progress,
-                      yield_steps)
+from .routing import (Geometry, cluster_conflicts, detect_conflicts, enforce_separation,
+                      next_step, settle_cluster, track_progress, yield_steps)
 from .scenario import Scenario
 from .selection import SelectionPlan, open_tasks, select
 from .trace import EventKind, RunMetrics, TraceEvent
@@ -340,9 +340,11 @@ class Engine:
         # a replay touches none of settle_cluster's inputs
         halted: set[int] = set()
         for cluster in clusters:
-            decision = settle_cluster(cluster, current, moves, goals, self._stall,
-                                      self.geometry)
-            halted.update(decision.losers, self._replay_cluster(decision))
+            winner = settle_cluster(cluster, current, moves, goals, self._stall,
+                                    self.geometry)
+            losers = [] if winner is None else [
+                rid for rid in moves if rid in cluster and rid != winner]
+            halted.update(losers, self._replay_cluster(tuple(sorted(cluster)), losers))
         final, stopped = enforce_separation(
             current, {rid: step for rid, step in moves.items() if rid not in halted},
             goals, self._stall, self.geometry)
@@ -350,14 +352,15 @@ class Engine:
             self._emit(EventKind.STOP, (rid,), "separation")
         return {rid: final[rid] for rid in moves}
 
-    def _replay_cluster(self, decision: ClusterDecision) -> list[int]:
-        """Emit a settled cluster's events and charge its negotiation;
+    def _replay_cluster(self, members: tuple[int, ...], losers: list[int]) -> list[int]:
+        """Emit the events of a cluster of ``members`` (ascending ids) whose
+        ``losers`` (in priority order) stop, and charge its negotiation;
         returns the members that died paying, which must not move."""
-        self._emit(EventKind.CONFLICT_DETECTED, decision.members)
-        for rid in decision.losers:
+        self._emit(EventKind.CONFLICT_DETECTED, members)
+        for rid in losers:
             self._emit(EventKind.STOP, (rid,), "conflict")
-        task_of = {rid: self.robots[rid].group for rid in decision.members}
-        return self._charge_comm([self.robots[rid] for rid in decision.members],
+        task_of = {rid: self.robots[rid].group for rid in members}
+        return self._charge_comm([self.robots[rid] for rid in members],
                                  _CLUSTER_COMM_ROUNDS, task_of)
 
     # phase 6: execute motion to ``final`` and charge energy; one walk of the

@@ -14,9 +14,11 @@ routing reads. One predicate, ``_crowds``, answers every clearance
 question of yielding, cluster settling and separation; ``yield_step``
 alone states the two yield radii; one generator, ``_turns``, rotates,
 clamps and skips every candidate step of yields and detours. These are
-pure functions of plain data: ``settle_cluster`` returns one cluster's
-decision, which the engine turns into events and energy charges; every
-cluster is settled before the engine calls ``enforce_separation``.
+pure functions of plain data: ``settle_cluster`` returns the one mover
+of a cluster that steps, or None when the cluster relaxes and every mover
+may step; the engine stops the others and turns the cluster into events
+and energy charges. Every cluster is settled before the engine calls
+``enforce_separation``.
 """
 
 from __future__ import annotations
@@ -115,17 +117,6 @@ def cluster_conflicts(pairs: Iterable[tuple[int, int]]) -> list[frozenset[int]]:
         adjacency.setdefault(i, set()).add(j)
         adjacency.setdefault(j, set()).add(i)
     return components(adjacency)
-
-
-@dataclass(frozen=True)
-class ClusterDecision:
-    """One resolved conflict cluster: its members, the movers told to stop
-    (in priority order), and whether a stalled mover relaxed it so that
-    every mover may step."""
-
-    members: tuple[int, ...]
-    losers: tuple[int, ...]
-    relaxed: bool
 
 
 def _turns(pos: Position, dx: float, dy: float, length: float,
@@ -257,8 +248,9 @@ def yield_step(rid: int, current: Mapping[int, Position],
 
 def settle_cluster(cluster: Collection[int], current: Mapping[int, Position],
                    moves: Mapping[int, Position], goals: Mapping[int, Position],
-                   stall: Mapping[int, int], geometry: Geometry) -> ClusterDecision:
-    """Let one mover of a conflict cluster step; the other movers stop.
+                   stall: Mapping[int, int], geometry: Geometry) -> int | None:
+    """The one mover of a conflict cluster that steps, or None when every
+    mover may step; the caller stops the cluster's other movers.
 
     ``cluster`` holds the members in any order (a :func:`cluster_conflicts`
     component); ``goals`` and ``stall`` hold each robot's formation goal and
@@ -269,21 +261,20 @@ def settle_cluster(cluster: Collection[int], current: Mapping[int, Position],
     so it could only orbit); failing that, the first unpinned mover with a
     clear step or detour, then the first mover with one. A cluster holding
     a stalled mover cannot advance one robot at a time, so it relaxes to
-    all movers; separation enforcement still keeps the executed positions
-    apart.
+    all movers (None, as for a cluster without movers); separation
+    enforcement still keeps the executed positions apart.
     """
-    members = tuple(sorted(cluster))
     moving = [rid for rid in moves if rid in cluster]
     if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
-        return ClusterDecision(members, (), True)
+        return None
     limit = geometry.limit
 
     def blocked(rid: int) -> bool:
-        return _crowds(moves[rid], rid, members, current, limit)
+        return _crowds(moves[rid], rid, cluster, current, limit)
 
     def pinned(rid: int) -> bool:
         goal = goals.get(rid)
-        return goal is not None and _crowds(goal, rid, members, current, limit)
+        return goal is not None and _crowds(goal, rid, cluster, current, limit)
 
     def can_step(rid: int) -> bool:
         return any(not _crowds(p, rid, current, current, limit)
@@ -298,8 +289,7 @@ def settle_cluster(cluster: Collection[int], current: Mapping[int, Position],
         # a winner who can neither step nor detour freezes the cluster
         winner = next((rid for rid in moving if can_step(rid)),
                       moving[0] if moving else None)
-    return ClusterDecision(members, tuple(rid for rid in moving if rid != winner),
-                           False)
+    return winner
 
 
 def enforce_separation(current: Mapping[int, Position], moves: Mapping[int, Position],

@@ -225,8 +225,9 @@ def summarize(rows: list[dict], task_rows: list[dict] | None = None) -> dict[str
 
     The spread estimator is the sample standard deviation (ddof=1; zero
     for a single row). Raises ``ValueError`` on a column missing from a row
-    or a task row, or on a value that is not finite. Returns a mapping of
-    file name to CSV text: ``summary.csv`` plus one file per figure family.
+    or a task row, on a value that is not finite, or on a group whose mean
+    or spread overflows a float. Returns a mapping of file name to CSV
+    text: ``summary.csv`` plus one file per figure family.
     """
     if not rows:
         raise ValueError("no rows to summarize")
@@ -247,8 +248,12 @@ def summarize(rows: list[dict], task_rows: list[dict] | None = None) -> dict[str
             values = [float(r[name]) for r in groups[key]]
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"non-finite {name} in a {'/'.join(key)} row")
-            agg[f"{name}_mean"] = repr(statistics.fmean(values))
-            agg[f"{name}_sd"] = repr(statistics.stdev(values) if len(values) > 1 else 0.0)
+            try:  # finite values may still be too large to sum or square
+                mean = statistics.fmean(values)
+                sd = statistics.stdev(values) if len(values) > 1 else 0.0
+            except OverflowError as exc:
+                raise ValueError(f"{name} overflows in the {'/'.join(key)} rows") from exc
+            agg[f"{name}_mean"], agg[f"{name}_sd"] = repr(mean), repr(sd)
         summary_rows.append(agg)
 
     columns = ["law", "scale", "style", "n_trials"]

@@ -48,6 +48,20 @@ class TestGenerate:
               "--law", "cata_u", "--out", str(out)])
         assert Scenario.load(out).law.value == "cata_u"
 
+    def test_without_out_writes_stdout(self, template_file, scenario_file, capsys):
+        assert main(["generate", "--template", str(template_file), "--seed", "3"]) == 0
+        assert capsys.readouterr().out == scenario_file.read_text()
+
+    def test_unplaceable_team_exits_2(self, tmp_path, capsys):
+        # two robots 2 m apart cannot both stand in a 1 m world
+        template = tmp_path / "crowded.json"
+        template.write_text(json.dumps({"world_size": 1.0, "n_robots": 2,
+                                        "safety_radius": 1.0, "formation_radius": 0.4,
+                                        "tasks": []}))
+        assert main(["generate", "--template", str(template)]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not place robots with required separation\n")
+
     def test_missing_template_exits_2(self, tmp_path):
         assert main(["generate", "--template", str(tmp_path / "nope.json")]) == 2
 
@@ -345,6 +359,23 @@ class TestSweepAndSummarize:
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite energy_moving" in err
+        assert not (tmp_path / "summary").exists()
+
+    @pytest.mark.parametrize("values", [("-1.7e308", "1.7e308"), ("1.7e308", "1.7e308")])
+    def test_summarize_overflow_exits_2(self, tmp_path, capsys, values):
+        # finite values whose spread (first) or sum (second) overflows a float
+        rows = tmp_path / "rows.csv"
+        lines = [",".join(CSV_COLUMNS)]
+        for value in values:
+            row = {c: "1.0" for c in CSV_COLUMNS}
+            row.update(law="low_e", scale="R5+T1", style="static", error="",
+                       energy_moving=value)
+            lines.append(",".join(row[c] for c in CSV_COLUMNS))
+        rows.write_text("\n".join(lines) + "\n")
+        assert main(["summarize", "--rows", str(rows),
+                     "--out", str(tmp_path / "summary")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {rows}: energy_moving overflows in the low_e/R5+T1/static rows\n")
         assert not (tmp_path / "summary").exists()
 
     def test_failing_rows_exit_1(self, tmp_path):

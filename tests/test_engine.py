@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -13,7 +14,7 @@ from swarmplan.scenario import RobotSpec, Scenario
 from swarmplan.selection import SelectionPlan
 from swarmplan.world import (EnergyModel, Position, Task, euclidean, left_sum,
                              polygon_vertices)
-from helpers import is_quiet, lockstep, low_battery, suite_scenario
+from helpers import is_quiet, lockstep, low_battery, suite_scenario, tick_state
 
 
 def scenario(robots, tasks, **overrides):
@@ -205,6 +206,19 @@ class TestTermination:
         metrics, _ = run(s)
         assert metrics.ticks_elapsed < 100
         assert metrics.residual_max == 0.0
+
+    def test_tick_on_a_dead_team_changes_only_the_tick(self):
+        # run stops once the team is dead; a tick called after that finds
+        # no robot to gossip with, plan for, move or charge
+        s = scenario([RobotSpec(1, 5.0, 5.0, 0.01)], [task(1, 20.0, 20.0)])
+        engine = Engine(s)
+        engine.tick()
+        assert engine.finished() and engine.active
+        before = copy.deepcopy(tick_state(engine))
+        engine.tick()
+        after = tick_state(engine)
+        assert after[0] == before[0] + 1
+        assert after[1:] == before[1:]
 
 
 class TestInvariants:
@@ -440,6 +454,35 @@ class TestRoutingResult:
         assert [(e.kind, e.subjects) for e in engine.events[start:]] == [
             (EventKind.CONFLICT_DETECTED, (1, 2))]
         assert ranked == [[2]]
+
+    def test_cluster_events_list_ids_and_priority(self, monkeypatch):
+        # robot 8 steps east toward robot 2, which steps west into it, and
+        # robot 1 steps south across robot 2's path: one cluster, whose
+        # frozenset iterates 8 first. Under low_e, 8 ranks first and steps
+        # clear, so 2 and then 1 stop
+        s = scenario([RobotSpec(1, 12.2, 11.3, 90.0), RobotSpec(2, 12.2, 10.0, 60.0),
+                      RobotSpec(8, 10.0, 10.0, 30.0)], [], law=PriorityLaw.LOW_E)
+        engine = Engine(s)
+        for rid, goal in [(1, Position(12.2, 0.0)), (2, Position(0.0, 10.0)),
+                          (8, Position(20.0, 10.0))]:
+            engine.robots[rid].goal = goal
+        clusters = []
+        cluster_conflicts = swarmplan.engine.cluster_conflicts
+
+        def recording(pairs):
+            clusters.extend(cluster_conflicts(pairs))
+            return clusters
+
+        monkeypatch.setattr(swarmplan.engine, "cluster_conflicts", recording)
+        final = engine._phase_routing()
+        [cluster] = clusters
+        assert cluster == {1, 2, 8} and list(cluster) != sorted(cluster)
+        assert [(e.kind, e.subjects, e.detail) for e in engine.events] == [
+            (EventKind.CONFLICT_DETECTED, (1, 2, 8), ""),
+            (EventKind.STOP, (2,), "conflict"),
+            (EventKind.STOP, (1,), "conflict")]
+        assert final == {8: Position(11.0, 10.0), 2: Position(12.2, 10.0),
+                         1: Position(12.2, 11.3)}
 
     def test_idle_robots_yield_in_scenario_order(self, monkeypatch):
         # the one place where the listed order of the robots is an input:

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, ClusterDecision, Geometry,
-                               cluster_conflicts, detect_conflicts, detours,
-                               enforce_separation, next_step, settle_cluster,
-                               track_progress, yield_step, yield_steps)
+from swarmplan.routing import (_YIELD_ANGLES, STALL_ESCAPE, Geometry, cluster_conflicts,
+                               detect_conflicts, detours, enforce_separation,
+                               next_step, settle_cluster, track_progress, yield_step,
+                               yield_steps)
 from swarmplan.world import Position, euclidean, segment_distance
 from helpers import make_robot
 
@@ -310,20 +310,21 @@ GEO = Geometry(safety_radius=0.5, step_length=1.0, world_size=20.0)
 
 def resolve_recorded(current, moves, clusters, priority, goals, stall, geometry,
                      dead=()):
-    """A tick's final positions, its cluster decisions in order and the
+    """A tick's final positions, its cluster winners in order and the
     robots separation stopped, applied as the engine applies them: ``moves``
-    is re-keyed in ``priority`` order; each cluster's losers and its members
-    in ``dead`` (died paying for its negotiation) stand still; the other
-    movers pass through :func:`enforce_separation`."""
+    is re-keyed in ``priority`` order; each cluster's movers but its winner
+    (none if it relaxed) and its members in ``dead`` (died paying for its
+    negotiation) stand still; the other movers pass through
+    :func:`enforce_separation`."""
     moves = {rid: moves[rid] for rid in priority if rid in moves}
-    decisions = [settle_cluster(cluster, current, moves, goals, stall, geometry)
-                 for cluster in clusters]
-    halted = {rid for d in decisions
-              for rid in (*d.losers, *(m for m in d.members if m in dead))}
+    winners = [settle_cluster(cluster, current, moves, goals, stall, geometry)
+               for cluster in clusters]
+    halted = {rid for cluster, winner in zip(clusters, winners) for rid in cluster
+              if rid in dead or winner not in (None, rid)}
     final, stopped = enforce_separation(
         current, {rid: step for rid, step in moves.items() if rid not in halted},
         goals, stall, geometry)
-    return final, decisions, stopped
+    return final, winners, stopped
 
 
 def head_on():
@@ -338,9 +339,9 @@ class TestClusterResolution:
     def test_head_on_higher_priority_moves(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        final, decisions, stopped = resolve_recorded(current, intents,
-                                                     clusters, [2, 1], goals, {}, GEO)
-        assert decisions == [ClusterDecision((1, 2), (1,), False)]
+        final, winners, stopped = resolve_recorded(current, intents,
+                                                   clusters, [2, 1], goals, {}, GEO)
+        assert winners == [2]
         assert stopped == []
         assert final == {1: current[1], 2: intents[2]}
 
@@ -350,27 +351,35 @@ class TestClusterResolution:
         current = {1: Position(12, 12), 2: Position(7, 10), 3: Position(10, 10)}
         moves = {2: Position(8, 10), 1: Position(12, 13)}
         goals = {1: Position(12, 15), 2: Position(10, 10.5)}
-        decision = settle_cluster([1, 2, 3], current, moves, goals, {}, GEO)
-        assert decision == ClusterDecision((1, 2, 3), (2,), False)
+        assert settle_cluster([1, 2, 3], current, moves, goals, {}, GEO) == 1
 
     def test_frozenset_cluster_settles_as_its_sorted_list(self):
         # the pinned case with robot 3 renumbered 8, so that the frozenset
-        # cluster_conflicts returns iterates out of id order
+        # cluster_conflicts returns iterates out of id order; the engine
+        # lists the members in id order itself (see test_engine's
+        # TestRoutingResult.test_cluster_events_list_ids_and_priority)
         current = {1: Position(12, 12), 2: Position(7, 10), 8: Position(10, 10)}
         moves = {2: Position(8, 10), 1: Position(12, 13)}
         goals = {1: Position(12, 15), 2: Position(10, 10.5)}
         cluster = frozenset([1, 2, 8])
         assert list(cluster) != sorted(cluster)
-        decision = settle_cluster(cluster, current, moves, goals, {}, GEO)
-        assert decision == ClusterDecision((1, 2, 8), (2,), False)
-        assert decision == settle_cluster(sorted(cluster), current, moves, goals, {}, GEO)
+        winner = settle_cluster(cluster, current, moves, goals, {}, GEO)
+        assert winner == 1
+        assert winner == settle_cluster(sorted(cluster), current, moves, goals, {}, GEO)
+
+    @pytest.mark.parametrize("stall, winner", [(STALL_ESCAPE - 1, 4), (STALL_ESCAPE, None)])
+    def test_lone_mover_steps_unless_stalled(self, stall, winner):
+        # robot 4 steps onto robot 5's spot: blocked, yet the only mover
+        current = {4: Position(5, 5), 5: Position(6, 5)}
+        moves = {4: Position(6, 5)}
+        assert settle_cluster({4, 5}, current, moves, {}, {4: stall}, GEO) == winner
 
     def test_stalled_cluster_relaxes_to_all_movers(self):
         current, intents, goals = head_on()
         clusters = cluster_conflicts(detect_conflicts(current, intents, 0.5))
-        _, decisions, _ = resolve_recorded(current, intents, clusters,
-                                           [2, 1], goals, {1: STALL_ESCAPE}, GEO)
-        assert decisions == [ClusterDecision((1, 2), (), True)]
+        _, winners, _ = resolve_recorded(current, intents, clusters,
+                                         [2, 1], goals, {1: STALL_ESCAPE}, GEO)
+        assert winners == [None]
 
     def test_replayed_death_stands_still_before_separation(self):
         # a relaxed cluster lets both followers step; robot 1 dies paying
@@ -385,9 +394,9 @@ class TestClusterResolution:
                                        goals, stall, GEO)
         assert final == intents
         assert euclidean(final[2], current[1]) < GEO.limit
-        final, decisions, _ = resolve_recorded(current, intents, clusters,
-                                               [1, 2], goals, stall, GEO, dead=(1,))
-        assert decisions == [ClusterDecision((1, 2), (), True)]
+        final, winners, _ = resolve_recorded(current, intents, clusters,
+                                             [1, 2], goals, stall, GEO, dead=(1,))
+        assert winners == [None]
         assert final[1] == current[1]
         assert final[2] != current[2]
         assert euclidean(final[2], current[1]) >= GEO.limit
@@ -405,9 +414,9 @@ class TestSeparation:
 
     def test_no_safe_step_or_detour_stops(self):
         current, moves, goals = self.boxed_in([0, 90, 150])
-        final, decisions, stopped = resolve_recorded(current, moves, [],
-                                                     [1, 2, 3, 4], goals, {}, GEO)
-        assert (decisions, stopped) == ([], [1])
+        final, winners, stopped = resolve_recorded(current, moves, [],
+                                                   [1, 2, 3, 4], goals, {}, GEO)
+        assert (winners, stopped) == ([], [1])
         assert final[1] == current[1]
 
     def test_blocked_step_takes_first_counterclockwise_detour(self):
@@ -561,7 +570,7 @@ def ref_yield_step(rid, current, moves, vertices, geometry):
 def ref_settle_cluster(members, moving, current, intents, goals, stall, geometry):
     """Reference: ``intents`` holds every robot's intended position."""
     if moving and max(stall.get(rid, 0) for rid in moving) >= STALL_ESCAPE:
-        return ClusterDecision(tuple(members), (), True)
+        return None
     limit = geometry.limit
 
     def blocked(rid):
@@ -584,8 +593,7 @@ def ref_settle_cluster(members, moving, current, intents, goals, stall, geometry
     if winner is None:
         winner = next((rid for rid in moving if can_step(rid)),
                       moving[0] if moving else None)
-    return ClusterDecision(tuple(members),
-                           tuple(rid for rid in moving if rid != winner), False)
+    return winner
 
 
 def ref_enforce_separation(current, intents, movers, goals, stall, geometry):
@@ -625,22 +633,23 @@ def ref_resolve(current, intents, movers, clusters, priority, goals, stall,
     """Reference: ``intents`` for every robot plus the ``movers`` set; the
     clusters settle one after another, each seeing the earlier ones'
     losers and its members in ``dead`` stand still. Returns the final
-    positions, the decisions and the robots separation stopped."""
+    positions, the winners and the robots separation stopped."""
     intents = dict(intents)
     movers = set(movers)
-    decisions = []
+    winners = []
     for cluster in clusters:
         moving = [rid for rid in priority if rid in cluster and rid in movers]
-        decision = ref_settle_cluster(sorted(cluster), moving, current,
-                                      intents, goals, stall, geometry)
-        decisions.append(decision)
-        for rid in [*decision.losers, *(m for m in decision.members if m in dead)]:
+        winner = ref_settle_cluster(sorted(cluster), moving, current,
+                                    intents, goals, stall, geometry)
+        winners.append(winner)
+        losers = [] if winner is None else [rid for rid in moving if rid != winner]
+        for rid in [*losers, *(m for m in cluster if m in dead)]:
             intents[rid] = current[rid]
             movers.discard(rid)
     final, stopped = ref_enforce_separation(
         current, intents, [rid for rid in priority if rid in movers],
         goals, stall, geometry)
-    return final, decisions, stopped
+    return final, winners, stopped
 
 
 @st.composite
@@ -715,19 +724,19 @@ class TestMatchesAllScan:
             current, {**current, **moves}, geometry.safety_radius))
         priority = sorted(set(moves).union(*clusters))
         rng.shuffle(priority)
-        final, decisions, stopped = resolve_recorded(
+        final, winners, stopped = resolve_recorded(
             current, moves, clusters, priority, goals, stall, geometry, dead=dead)
-        ref_final, ref_decisions, ref_stopped = ref_resolve(
+        ref_final, ref_winners, ref_stopped = ref_resolve(
             current, {rid: moves.get(rid, pos) for rid, pos in current.items()},
             moves, clusters, priority, goals, stall, geometry, dead)
-        assert decisions == ref_decisions
+        assert winners == ref_winners
         assert stopped == ref_stopped
         assert list(final.items()) == list(ref_final.items())
 
     @given(ticks(), st.randoms(use_true_random=False))
     @settings(deadline=None, max_examples=300)
     def test_cluster_order_does_not_change_decisions(self, tick, rng):
-        # clusters share no robot, so each decision stands on its own
+        # clusters share no robot, so each winner stands on its own
         geometry, current, moves, goals, stall, idle, vertices, _ = tick
         moves = yield_steps(current, moves, idle, vertices, geometry)
         clusters = cluster_conflicts(detect_conflicts(

@@ -113,6 +113,12 @@ class TestValidation:
         with pytest.raises(InvalidScenarioError, match="duplicate ids"):
             s.validate()
 
+    def test_duplicate_task_ids(self):
+        again = Task(id=1, center=Position(5, 5), required=1, duration=2, timeout=50)
+        s = self._scenario(tasks=[*self._scenario().tasks, again])
+        with pytest.raises(InvalidScenarioError, match="tasks: duplicate ids"):
+            s.validate()
+
     def test_out_of_bounds_position(self):
         s = self._scenario(robots=[RobotSpec(1, 25.0, 1.0, 90)])
         with pytest.raises(InvalidScenarioError, match="outside world bounds"):

@@ -268,6 +268,12 @@ class TestEnergyLedger:
         assert self._state(ledger, robot) == before
         assert ledger.spent(1) == 0.0
 
+    def test_unknown_kind_raises(self):
+        ledger, robot = self._ledger_robot(50.0)
+        with pytest.raises(ValueError, match="unknown charge kind 'sensing'"):
+            ledger.charge_many([robot], "sensing")
+        assert robot.battery == 50.0
+
     def test_negotiation_and_task_attribution(self):
         ledger, robot = self._ledger_robot(50.0)
         ledger.charge_many([robot], ChargeKind.COMM_ROUND)
