@@ -23,6 +23,7 @@ from .engine import run
 from .priority import PriorityLaw
 from .scenario import (FIELD_ERRORS, InvalidTemplateError, _number, generate,
                        parse_template)
+from .world import Position, polygon_vertices
 
 #: The run metrics a sweep row carries and ``summarize`` aggregates.
 _AGGREGATE_FIELDS = [
@@ -49,7 +50,7 @@ SCALES = {
 
 #: Task arrival styles: how many tasks appear at each stage.
 STYLES = {
-    "static": None,      # all tasks at tick 0
+    "static": None,      # all tasks at tick 0: one stage
     "1+1+1": (1, 1, 1),
     "2+1": (2, 1),
     "1+2": (1, 2),
@@ -104,12 +105,16 @@ class SweepSpec:
 def scale_template(template: dict, scale: str, style: str) -> dict:
     """Concretize a base template for one scale and arrival style.
 
-    Task centers sit on a ring around the world center (first task due
-    North, clockwise); required counts default to 4/5 of the team split
-    evenly. Dynamic styles stagger arrival ticks by ``stage_gap``.
+    Task centers are the vertices of ``polygon_vertices`` around the world
+    center, radius 0.3 of the world (first task due North, clockwise);
+    required counts default to 4/5 of the team split evenly. Each stage of
+    the style arrives ``stage_gap`` ticks after the one before; the static
+    style is one stage.
     """
     n_robots, n_tasks = SCALES[scale]
     world = _number(template.get("world_size", 30.0))
+    if not 0 < world < math.inf:
+        raise InvalidTemplateError("world_size: must be positive and finite")
     gap = _number(template.get("stage_gap", 60), int)
     if gap < 0:
         raise ValueError("stage_gap: must be >= 0")
@@ -118,31 +123,15 @@ def scale_template(template: dict, scale: str, style: str) -> dict:
     required = _number(template.get("required_per_task",
                                     max(1, (4 * n_robots) // (5 * n_tasks))), int)
 
-    stages = STYLES[style]
-    if stages is None:
-        arrival_of = [0] * n_tasks
-    else:
-        if sum(stages) != n_tasks:
-            raise InvalidTemplateError(
-                f"style {style} describes {sum(stages)} tasks, scale has {n_tasks}")
-        arrival_of = []
-        for stage, count in enumerate(stages):
-            arrival_of.extend([stage * gap] * count)
-
-    cx = cy = world / 2.0
-    ring = 0.3 * world
-    tasks = []
-    for k in range(n_tasks):
-        theta = math.pi / 2.0 - 2.0 * math.pi * k / max(n_tasks, 1)
-        tasks.append({
-            "id": k + 1,
-            "x": cx + ring * math.cos(theta),
-            "y": cy + ring * math.sin(theta),
-            "required": required,
-            "duration": duration,
-            "timeout": timeout,
-            "arrival_tick": arrival_of[k],
-        })
+    stages = STYLES[style] or (n_tasks,)
+    if sum(stages) != n_tasks:
+        raise InvalidTemplateError(
+            f"style {style} describes {sum(stages)} tasks, scale has {n_tasks}")
+    arrivals = [stage * gap for stage, count in enumerate(stages) for _ in range(count)]
+    centers = polygon_vertices(Position(world / 2.0, world / 2.0), n_tasks, 0.3 * world)
+    tasks = [{"id": k + 1, "x": c.x, "y": c.y, "required": required,
+              "duration": duration, "timeout": timeout, "arrival_tick": tick}
+             for k, (c, tick) in enumerate(zip(centers, arrivals))]
 
     out = dict(template)
     out["world_size"] = world

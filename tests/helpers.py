@@ -11,7 +11,7 @@ from swarmplan.comms import CommGraph
 from swarmplan.engine import Engine
 from swarmplan.scenario import generate
 from swarmplan.sweep import scale_template
-from swarmplan.world import Position, RobotState
+from swarmplan.world import Position, RobotState, polygon_vertices
 
 #: Base template shared by the whole suite: a 24 m world, 1 m safety
 #: radius, 4 m formation polygons, and a 400-tick task deadline.
@@ -43,16 +43,13 @@ def dense_scenario(seed: int):
     suite's 24 m grown by sqrt(80/20)): the tasks sit on a ring of radius
     0.3 of the world around its centre, the first due North and the rest
     clockwise, each needing 5 robots (4/5 of the team split evenly) for 5
-    ticks. The benchmark's dense_team workload lays out the same ring."""
+    ticks. The ring is the formation polygon's (``polygon_vertices``); the
+    benchmark's dense_team workload lays out the same ring."""
     world = TEMPLATE["world_size"] * math.sqrt(80 / 20)
-    centre, ring = world / 2.0, 0.3 * world
-    tasks = []
-    for k in range(12):
-        theta = math.pi / 2.0 - 2.0 * math.pi * k / 12
-        tasks.append({"id": k + 1, "x": centre + ring * math.cos(theta),
-                      "y": centre + ring * math.sin(theta), "required": 5,
-                      "duration": 5, "timeout": TEMPLATE["task_timeout"],
-                      "arrival_tick": 0})
+    ring = polygon_vertices(Position(world / 2.0, world / 2.0), 12, 0.3 * world)
+    tasks = [{"id": k + 1, "x": c.x, "y": c.y, "required": 5, "duration": 5,
+              "timeout": TEMPLATE["task_timeout"], "arrival_tick": 0}
+             for k, c in enumerate(ring)]
     return generate({**TEMPLATE, "world_size": world, "n_robots": 80,
                      "tasks": tasks, "law": "t_low_e"}, seed)
 

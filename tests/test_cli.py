@@ -378,6 +378,22 @@ class TestSweepAndSummarize:
             f"error: {rows}: energy_moving overflows in the low_e/R5+T1/static rows\n")
         assert not (tmp_path / "summary").exists()
 
+    @pytest.mark.parametrize("literal", ["1e309", "NaN", "0", "-5"])
+    def test_sweep_world_size_not_positive_and_finite_exits_2(self, tmp_path, capsys,
+                                                               literal):
+        # Python's json module reads 1e309 as infinity; the sweep checks the
+        # world size before it lays out the task ring
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "template": {**TEMPLATE, "world_size": "@value@"},
+            "laws": ["t_low_e"],
+            "scales": ["R5+T1"],
+        }).replace('"@value@"', literal))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: world_size: must be positive and finite\n"
+        assert not out.exists()
+
     def test_failing_rows_exit_1(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

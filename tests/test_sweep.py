@@ -11,6 +11,7 @@ from swarmplan.scenario import InvalidTemplateError
 from swarmplan.sweep import (_AGGREGATE_FIELDS, CSV_COLUMNS, PER_TASK_COLUMNS,
                              SCALES, STYLES, SweepSpec, rows_to_csv, run_sweep,
                              scale_template, summarize, write_files)
+from swarmplan.world import Position, polygon_vertices
 from helpers import ALL_LAWS, TEMPLATE
 
 #: sha256 of ``test_summarize_digest``'s summary files; from CPython 3.11 on
@@ -117,6 +118,30 @@ class TestScaleTemplate:
         assert [task["arrival_tick"] for task in t["tasks"]] == [0, 60, 120]
         t = scale_template(dict(TEMPLATE), "R15+T3", "2+1")
         assert [task["arrival_tick"] for task in t["tasks"]] == [0, 0, 60]
+
+    def test_centers_are_the_polygon_and_stages_arrive_in_order(self):
+        # 200 world sizes drawn log-uniformly from 1e-3 to 1e300, each with
+        # a stage gap of at least 1 so that every stage has its own tick
+        rng = random.Random(0)
+        for _ in range(200):
+            world = 10.0 ** rng.uniform(-3, 300)
+            gap = rng.randrange(1, 200)
+            for scale, (_, n_tasks) in SCALES.items():
+                ring = polygon_vertices(Position(world / 2.0, world / 2.0),
+                                        n_tasks, 0.3 * world)
+                for style, stages in STYLES.items():
+                    stages = stages or (n_tasks,)  # static: one stage at tick 0
+                    base = {**TEMPLATE, "world_size": world, "stage_gap": gap}
+                    if sum(stages) != n_tasks:
+                        with pytest.raises(InvalidTemplateError, match="describes"):
+                            scale_template(base, scale, style)
+                        continue
+                    tasks = scale_template(base, scale, style)["tasks"]
+                    assert [Position(t["x"], t["y"]) for t in tasks] == ring
+                    ticks = [t["arrival_tick"] for t in tasks]
+                    assert ticks == sorted(ticks)
+                    assert [ticks.count(stage * gap)
+                            for stage in range(len(stages))] == list(stages)
 
     @pytest.mark.parametrize("style", sorted(STYLES))
     def test_rejects_negative_stage_gap(self, style):
