@@ -20,9 +20,8 @@ byte-identical metrics and traces.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from functools import cache
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import cata as cata_mod
 from .comms import COMPLETE, CommGraph, build_graph, gossip, reveal
@@ -70,7 +69,9 @@ class Engine:
             t.id: polygon_vertices(t.center, t.required, scenario.formation_radius)
             for t in scenario.tasks
         }
-        self.known_tasks: dict[int, frozenset[int]] = dict.fromkeys(self.robots, frozenset())
+        # the ids of the tasks that have arrived: gossip leaves every alive
+        # robot knowing them all in the tick they arrive, so one set serves
+        self.known: frozenset[int] = frozenset()
         self.geometry = Geometry(scenario.safety_radius, scenario.step_length,
                                  scenario.world_size)
         self.ledger = EnergyLedger(scenario.energy, self.robots.values())
@@ -125,7 +126,8 @@ class Engine:
         call only while a robot is alive."""
         if self._comm_view is None:
             graph = build_graph(self._team()[0], self.scenario.comm_range)
-            _, rounds = gossip(self.known_tasks, graph, frozenset(graph.adjacency))
+            _, rounds = gossip(dict.fromkeys(graph.adjacency, self.known), graph,
+                               frozenset(graph.adjacency))
             self._comm_view = graph, rounds
         return self._comm_view
 
@@ -156,55 +158,43 @@ class Engine:
         robot.group = robot.slot = robot.goal = None
 
     def _negotiate(self, phase: Phase, group: Sequence[int], graph: CommGraph,
-                   plan_for: Callable[[frozenset], Any],
-                   task_of: Callable[[Any], dict[int, int | None]],
-                   detail: str) -> Any:
-        """Negotiate one plan over ``group`` (ascending ids), charge its
-        rounds to the tasks ``task_of(plan)`` names and return the plan;
-        ``detail`` opens the NEGOTIATE event's detail.
+                   plan: Any, task_of: dict[int, int | None], detail: str) -> None:
+        """Negotiate ``plan`` over ``group`` (ascending ids) and charge its
+        rounds to the tasks ``task_of`` names; ``detail`` opens the
+        NEGOTIATE event's detail.
 
-        ``plan_for(knowledge)`` sees neither the member nor the criterion
-        depth, so members that know the same tasks share one computation
-        and propose the same plan object. A lone robot agrees with itself in
-        one iteration and zero rounds: it pays nothing and emits no event.
+        Every member knows every arrived task, so every member proposes
+        ``plan`` itself and the group agrees in one iteration. A lone robot
+        agrees with itself in zero rounds: it pays nothing and emits no
+        event.
         """
-        plan_once = cache(plan_for)
         result = negotiate(phase, frozenset(group), graph, self._order,
-                           lambda member, knowledge, depth: plan_once(knowledge),
-                           self.known_tasks)
+                           lambda member, knowledge, depth: plan,
+                           dict.fromkeys(group, self.known))
         if result.comm_rounds:
             self._charge_comm([self.robots[rid] for rid in group], result.comm_rounds,
-                              task_of(result.payload))
+                              task_of)
             self._emit(EventKind.NEGOTIATE, tuple(group),
                        f"{detail} iterations={result.iterations}")
         self.max_negotiation_iterations = max(self.max_negotiation_iterations,
                                               result.iterations)
-        return result.payload
 
-    def _selection_planner(self, chosen: list[Task],
-                           free: list[int]) -> Callable[[frozenset], SelectionPlan]:
-        """Selection's ``plan_for``: the plan of free robots ``free`` (ascending
-        ids) for the tasks of ``chosen`` that a knowledge names."""
+    def _selection_plan(self, chosen: list[Task], free: list[int]) -> SelectionPlan:
+        """The plan of free robots ``free`` (ascending ids) for ``chosen``."""
         scenario = self.scenario
         robots = [self.robots[rid] for rid in free]
         context = self._context(free)
-
-        def plan_for(knowledge: frozenset) -> SelectionPlan:
-            known = [t for t in chosen if t.id in knowledge]
-            if not known:
-                return SelectionPlan(assignment=dict.fromkeys(free))
-            if scenario.law is PriorityLaw.CATA_U:
-                return cata_mod.cata_select(robots, known, context,
-                                            weights=scenario.cata,
-                                            safety_radius=scenario.safety_radius)
-            return select(robots, known, scenario.law, scenario.energy, context,
-                          step_length=scenario.step_length)
-        return plan_for
+        if scenario.law is PriorityLaw.CATA_U:
+            return cata_mod.cata_select(robots, chosen, context, weights=scenario.cata,
+                                        safety_radius=scenario.safety_radius)
+        return select(robots, chosen, scenario.law, scenario.energy, context,
+                      step_length=scenario.step_length)
 
     # ------------------------------------------------------------------ tick
 
     def tick(self) -> None:
-        graph = self._phase_gossip(self._phase_arrivals())
+        self._phase_arrivals()
+        graph = self._phase_gossip()
         final: dict[int, Position] = {}
         # with no task active no robot has a group or a goal, and standing
         # robots keep their separation: there is nothing to plan or route
@@ -216,11 +206,10 @@ class Engine:
         self._phase_tasks()
         self.tick_no += 1
 
-    # phase 1: new tasks reach the nearest alive robot only; returns whether
-    # a task arrived
-    def _phase_arrivals(self) -> bool:
+    # phase 1: new tasks reach the nearest alive robot only
+    def _phase_arrivals(self) -> None:
         if not self.pending or self.pending[0].arrival_tick > self.tick_no:
-            return False
+            return
         due = bisect_right(self.pending, self.tick_no, key=attrgetter("arrival_tick"))
         arrived = sorted(t.id for t in self.pending[:due])
         del self.pending[:due]
@@ -228,27 +217,22 @@ class Engine:
         alive = self._team()[0]
         centers = {tid: self.tasks[tid].center for tid in arrived}
         for tid, rid in reveal(centers, {r.id: r.pos for r in alive}).items():
-            self.known_tasks[rid] |= {tid}
+            self.known |= {tid}
             self._emit(EventKind.TASK_ARRIVED, (tid,), f"revealed_to={rid}")
         # new work arrived: everyone not standing on its slot re-selects
         for r in alive:
             if r.pos != r.goal and r.group is not None:
                 self._release(r.id)
-        return True
 
     # phase 2: gossip all robot state to equilibrium over the full graph
-    def _phase_gossip(self, arrived: bool) -> CommGraph | None:
+    def _phase_gossip(self) -> CommGraph | None:
         """The tick's comm graph, or None when no robot is alive. At
-        equilibrium every alive robot holds the same knowledge, new only when
-        a task ``arrived``; only the round count needs the graph (see ``_comm``)."""
+        equilibrium every alive robot knows every task of ``known``; only
+        the round count needs the graph (see ``_comm``)."""
         team, ids = self._team()
         if not team:
             return None
         graph, rounds = self._comm()
-        if arrived:
-            union = frozenset().union(*(self.known_tasks[rid] for rid in ids))
-            for rid in ids:
-                self.known_tasks[rid] = union
         if rounds:
             self._charge_comm(team, rounds)
             self._emit(EventKind.GOSSIP, ids, f"rounds={rounds}")
@@ -263,10 +247,10 @@ class Engine:
         chosen = open_tasks(ranked, self.members_of, len(free)) if free else []
         if not chosen:
             return
-        plan = self._negotiate(
-            Phase.SELECTION, members, graph, self._selection_planner(chosen, free),
-            lambda plan: {rid: plan.assignment.get(rid) for rid in members},
-            "phase=selection")
+        plan = self._selection_plan(chosen, free)
+        self._negotiate(Phase.SELECTION, members, graph, plan,
+                        {rid: plan.assignment.get(rid) for rid in members},
+                        "phase=selection")
         # a robot that died negotiating takes no task
         assigned = [rid for rid in free
                     if plan.assignment.get(rid) is not None and self.robots[rid].alive]
@@ -283,12 +267,11 @@ class Engine:
             verts = self.vertices[tid]
             matrix = DistanceMatrix.build([self.robots[rid] for rid in free],
                                           [verts[v] for v in vacant])
-            queue = sort_queue(free, self._context(free), self._order)
+            plan = formation_assign(sort_queue(free, self._context(free), self._order),
+                                    matrix)
             detail = f"phase=formation task={tid}"
-            plan = self._negotiate(
-                Phase.FORMATION, free, graph,
-                lambda knowledge: formation_assign(queue, matrix),
-                lambda plan: dict.fromkeys(free, tid), detail)
+            self._negotiate(Phase.FORMATION, free, graph, plan,
+                            dict.fromkeys(free, tid), detail)
             # a robot that died negotiating takes no slot
             agreed = tuple(rid for rid in free if self.robots[rid].alive)
             for rid in agreed:

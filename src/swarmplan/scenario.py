@@ -95,9 +95,10 @@ class Scenario:
                              " the safety radius" for o in self.robots[:k]
                              if math.hypot(r.x - o.x, r.y - o.y) < 2.0 * self.safety_radius]
         for t in self.tasks:
+            # the count first: the polygon has ``required`` vertices
             if t.required > len(self.robots):
                 problems.append(f"task {t.id}: requires more robots than exist")
-            if settings_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
+            elif settings_valid and not all(inside(v.x, v.y) for v in polygon_vertices(
                     t.center, t.required, self.formation_radius)):
                 problems.append(f"task {t.id}: formation vertex outside world bounds")
         arrivals = [t.arrival_tick for t in self.tasks]
@@ -251,14 +252,20 @@ def generate(template: dict, seed: int) -> Scenario:
     with conflict negotiation on, ``validate`` holds listed ones to it too.
     """
     fields, n_robots, (mean, sd), positions = parse_template(template)
+    # both team checks come before the draws, which number n_robots
+    r = fields["safety_radius"]
+    if positions is not None and len(positions) != n_robots:
+        raise InvalidTemplateError("positions length != n_robots")
+    # disks of radius r around points 2r apart in [0, world]² are disjoint
+    # inside [-r, world + r]², so no more of them than its area holds fit
+    side = (fields["world_size"] + 2.0 * r) / r  # in radii
+    if positions is None and n_robots > side * side / math.pi:
+        raise InvalidTemplateError("could not place robots with required separation")
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]
 
     if positions is None:
-        positions = _sample_positions(rng, n_robots, fields["world_size"],
-                                      2.0 * fields["safety_radius"])
-    elif len(positions) != n_robots:
-        raise InvalidTemplateError("positions length != n_robots")
+        positions = _sample_positions(rng, n_robots, fields["world_size"], 2.0 * r)
 
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import signal
+import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import replace
 
 from swarmplan.comms import CommGraph
@@ -71,6 +74,29 @@ def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False,
     return s
 
 
+class Hung(BaseException):
+    """Raised by :func:`prompt` in a block that runs on; no ``except
+    Exception`` of the code under test can swallow it."""
+
+
+@contextmanager
+def prompt(seconds: float):
+    """Assert that the block ends within ``seconds``; one that would run on
+    is stopped by ``SIGALRM`` after a second, so a hang fails instead."""
+    def stop(signum, frame):
+        raise Hung("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
+
+
 def random_connected_graph(rng: random.Random, n: int) -> CommGraph:
     """Random connected graph over ids 0..n-1: spanning tree + extra edges."""
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -116,16 +142,15 @@ def tick_state(engine: Engine) -> tuple:
     stall counts, tasks, teams, the ledger's accounts and the trace length."""
     return (engine.tick_no, [(r.id, r.pos, r.battery, r.group, r.slot, r.goal)
                              for r in engine.robots.values()],
-            engine.known_tasks, engine._goal_mark, engine._stall, engine.pending,
+            engine.known, engine._goal_mark, engine._stall, engine.pending,
             engine.active, engine.members_of, vars(engine.ledger), len(engine.events))
 
 
 def full_tick(engine: Engine) -> None:
-    """One tick of ``engine`` through all seven phases, with the knowledge
-    union forced: the reference that ``Engine.tick`` must match, however
-    little a tick has to plan."""
+    """One tick of ``engine`` through all seven phases: the reference that
+    ``Engine.tick`` must match, however little a tick has to plan."""
     engine._phase_arrivals()
-    graph = engine._phase_gossip(True)
+    graph = engine._phase_gossip()
     engine._phase_selection(graph)
     engine._phase_formation(graph)
     engine._phase_charge(engine._phase_routing())

@@ -5,7 +5,7 @@ import pytest
 from swarmplan.cli import main
 from swarmplan.scenario import Scenario
 from swarmplan.sweep import CSV_COLUMNS, PER_TASK_COLUMNS
-from helpers import TEMPLATE, suite_scenario
+from helpers import TEMPLATE, prompt, suite_scenario
 
 
 @pytest.fixture
@@ -59,6 +59,16 @@ class TestGenerate:
                                         "safety_radius": 1.0, "formation_radius": 0.4,
                                         "tasks": []}))
         assert main(["generate", "--template", str(template)]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not place robots with required separation\n")
+
+    def test_huge_team_exits_2_promptly(self, tmp_path, template_file, capsys):
+        template = json.loads(template_file.read_text())
+        template["n_robots"] = 1e19
+        template_file.write_text(json.dumps(template))
+        with prompt(0.1):
+            assert main(["generate", "--template", str(template_file),
+                         "--out", str(tmp_path / "huge.json")]) == 2
         assert capsys.readouterr().err == (
             "error: could not place robots with required separation\n")
 
@@ -121,6 +131,16 @@ class TestRun:
         assert metrics["residual_min"] > 0.0
         assert (out / "trace.jsonl").read_text() == ""
         assert "ticks=0" in capsys.readouterr().out
+
+    def test_huge_required_exits_2_promptly(self, tmp_path, scenario_file, capsys):
+        doc = json.loads(scenario_file.read_text())
+        doc["tasks"][0]["required"] = 1e308
+        scenario_file.write_text(json.dumps(doc))
+        with prompt(0.1):
+            assert main(["run", "--scenario", str(scenario_file),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: task 1: requires more robots than exist\n")
 
     def test_directory_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", "--scenario", str(tmp_path)]) == 2

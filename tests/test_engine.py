@@ -9,9 +9,9 @@ import swarmplan.cata
 import swarmplan.engine
 from swarmplan.comms import DisconnectedGraphError, GossipStalledError
 from swarmplan.engine import Engine, EventKind, run
+from swarmplan.negotiation import Phase
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import RobotSpec, Scenario
-from swarmplan.selection import SelectionPlan
 from swarmplan.world import (EnergyModel, Position, Task, euclidean, left_sum,
                              polygon_vertices)
 from helpers import is_quiet, lockstep, low_battery, suite_scenario, tick_state
@@ -96,15 +96,15 @@ class TestDynamics:
         engine = Engine(s)
         for _ in range(3):
             engine.tick()
-        assert engine.known_tasks[1] == frozenset()
-        assert engine.known_tasks[2] == frozenset()
+        assert engine.known == frozenset()
         engine.tick()
         arrived = [e for e in engine.events if e.kind is EventKind.TASK_ARRIVED]
         assert len(arrived) == 1
         assert arrived[0].tick == 3
         assert arrived[0].detail == "revealed_to=2"   # nearest robot only
         # gossip inside the same tick spreads it to everyone
-        assert engine.known_tasks[1] == engine.known_tasks[2] == frozenset({1})
+        assert (3, EventKind.GOSSIP, (1, 2), "rounds=1") in engine.events
+        assert engine.known == frozenset({1})
 
     def test_tasks_listed_out_of_id_order_arrive_on_time(self):
         # the scenario lists tasks in arrival order, not in id order; tasks
@@ -265,99 +265,55 @@ class TestInvariants:
         assert metrics.energy_comm_negotiation < metrics.energy_comm
 
 
-class TestSelectionPlans:
-    """The selection planner computes one plan per distinct known-task set."""
+class TestOnePlanPerNegotiation:
+    """Gossip leaves every member knowing every arrived task, so selection
+    and formation each compute one plan right before they negotiate it,
+    and every member proposes that plan."""
 
     @pytest.mark.parametrize("law, module, name", [
         ("t_low_e", swarmplan.engine, "select"),
         ("cata_u", swarmplan.cata, "cata_select"),
-    ])
-    def test_one_plan_per_known_task_set(self, monkeypatch, law, module, name):
-        # each task is revealed to its nearest robot only and selection runs
-        # before gossip spreads it, so members plan from different knowledge
-        engine = Engine(suite_scenario(law, "R20+T3", "static", 0))
-        engine._phase_arrivals()
-        original = getattr(module, name)
-        computed = {}  # known task ids -> (args, kwargs) of the one computation
+    ], ids=["t_low_e", "cata_u"])
+    def test_one_plan_per_negotiation(self, monkeypatch, law, module, name):
+        plans = []  # (phase, plan) of every plan computed, in order
 
-        def counted(robots, tasks, *args, **kwargs):
-            key = frozenset(t.id for t in tasks)
-            assert key not in computed
-            computed[key] = (robots, tasks, *args), kwargs
-            return original(robots, tasks, *args, **kwargs)
+        def counting(phase, plan):
+            def counted(*args, **kwargs):
+                plans.append((phase, plan(*args, **kwargs)))
+                return plans[-1][1]
+            return counted
 
-        proposals = []
+        negotiations = []  # (phase, plans computed by then, proposals, result)
         negotiate = swarmplan.engine.negotiate
 
         def recording(phase, group, graph, order, planner, knowledge):
+            proposals = []
+
             def recorded(member, know, depth):
-                plan = planner(member, know, depth)
-                proposals.append((member, know, plan))
-                return plan
-            return negotiate(phase, group, graph, order, recorded, knowledge)
+                proposals.append(planner(member, know, depth))
+                return proposals[-1]
+            result = negotiate(phase, group, graph, order, recorded, knowledge)
+            negotiations.append((phase, len(plans), proposals, result))
+            return result
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counting(Phase.SELECTION, getattr(module, name)))
+        monkeypatch.setattr(swarmplan.engine, "formation_assign",
+                            counting(Phase.FORMATION, swarmplan.engine.formation_assign))
         monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
-        engine._phase_selection(engine._comm()[0])
+        run(suite_scenario(law, "R20+T3", "static", 0))
 
-        known_sets = {frozenset(know) & set(engine.tasks) for _, know, _ in proposals}
-        assert len(proposals) == 2 * len(engine.robots)  # two iterations
-        assert set(computed) == known_sets - {frozenset()}
-        for _, know, plan in proposals:
-            key = frozenset(know) & set(engine.tasks)
-            if key:
-                args, kwargs = computed[key]
-                fresh = original(*args, **kwargs)
-            else:
-                fresh = SelectionPlan(assignment={rid: None for rid in engine.robots})
-            assert plan == fresh
+        assert {phase for phase, *_ in negotiations} == {Phase.SELECTION, Phase.FORMATION}
+        assert len(plans) == len(negotiations)
+        for k, (phase, made, proposals, result) in enumerate(negotiations):
+            # the k-th plan, of the negotiation's phase, computed right before it
+            assert made == k + 1
+            assert plans[k][0] is phase
+            assert result.iterations == 1
+            assert proposals and all(plan is plans[k][1] for plan in proposals)
+            assert result.payload is plans[k][1]
 
 
 class TestFormationPlans:
-    """The formation planner computes one plan per distinct knowledge."""
-
-    def test_one_assignment_per_distinct_knowledge(self, monkeypatch):
-        engine = Engine(suite_scenario("t_low_e", "R20+T3", "static", 0))
-        graph = engine._phase_gossip(engine._phase_arrivals())
-        engine._phase_selection(graph)
-        # formation ignores knowledge, but members that know different
-        # tasks still plan separately: every other robot forgets them all
-        for rid in engine._ids[::2]:
-            engine.known_tasks[rid] = frozenset()
-        # each task's group, the robots its plans assign
-        groups = {frozenset(engine.members_of[tid]): tid for tid in engine.tasks}
-        original = swarmplan.engine.formation_assign
-        computed = {}  # robots -> (args, kwargs) of each computation
-
-        def counted(*args, **kwargs):
-            computed.setdefault(frozenset(args[0]), []).append((args, kwargs))
-            return original(*args, **kwargs)
-
-        proposals = {}  # robots -> (member, knowledge, plan) of each proposal
-        negotiate = swarmplan.engine.negotiate
-
-        def recording(phase, group, graph, order, planner, knowledge):
-            def recorded(member, know, depth):
-                plan = planner(member, know, depth)
-                proposals.setdefault(frozenset(plan.slot_of), []).append(
-                    (member, know, plan))
-                return plan
-            return negotiate(phase, group, graph, order, recorded, knowledge)
-
-        monkeypatch.setattr(swarmplan.engine, "formation_assign", counted)
-        monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
-        engine._phase_formation(graph)
-
-        assert set(proposals) == set(computed) == set(groups)
-        for robots, made in proposals.items():
-            distinct = {know for _, know, _ in made}
-            assert len(distinct) == 2
-            assert len(made) == engine.tasks[groups[robots]].required  # one iteration
-            assert len(computed[robots]) == len(distinct)
-            args, kwargs = computed[robots][0]  # the same inputs every time
-            for _, _, plan in made:
-                assert plan == original(*args, **kwargs)
-
     def test_robot_killed_negotiating_formation_is_not_in_agree(self):
         """Robot 2 pays for the formation negotiation with its last energy:
         the negotiation names it, its agreement does not, and it takes no
@@ -419,7 +375,8 @@ class TestRoutingResult:
                      [task(1, 10.0, 10.0, required=2)],
                      conflict_negotiation=negotiation)
         engine = Engine(s)
-        graph = engine._phase_gossip(engine._phase_arrivals())
+        engine._phase_arrivals()
+        graph = engine._phase_gossip()
         engine._phase_selection(graph)
         engine._phase_formation(graph)
         robots = engine.robots
@@ -437,7 +394,8 @@ class TestRoutingResult:
                       RobotSpec(3, 28.0, 28.0, 90.0)],
                      [task(1, 10.0, 10.0, required=2)])
         engine = Engine(s)
-        graph = engine._phase_gossip(engine._phase_arrivals())
+        engine._phase_arrivals()
+        graph = engine._phase_gossip()
         engine._phase_selection(graph)
         engine._phase_formation(graph)
         assert engine.robots[1].pos == engine.robots[1].goal

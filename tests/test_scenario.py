@@ -11,6 +11,7 @@ from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import (InvalidScenarioError, InvalidTemplateError,
                                 RobotSpec, Scenario, generate)
 from swarmplan.world import EnergyModel, Position, Task
+from helpers import prompt
 
 
 #: Every optional scenario field and its default, read off the dataclass.
@@ -71,6 +72,17 @@ class TestGenerate:
         with pytest.raises(InvalidTemplateError):
             generate(template(positions=[[1, 1]]), seed=0)
 
+    def test_huge_team_rejected_before_any_draw(self):
+        # 10**19 disks of radius 0.5 cannot fit in the 21 m square around a
+        # 20 m world; sampling would first draw one battery per robot
+        with prompt(0.1), pytest.raises(InvalidTemplateError) as info:
+            generate(template(n_robots=10**19), seed=0)
+        assert str(info.value) == "could not place robots with required separation"
+        # listed positions are counted against the team first too
+        with prompt(0.1), pytest.raises(InvalidTemplateError) as info:
+            generate(template(n_robots=10**19, positions=[[1, 1]]), seed=0)
+        assert str(info.value) == "positions length != n_robots"
+
     def test_bad_template(self):
         with pytest.raises(InvalidTemplateError):
             generate({"n_robots": 3}, seed=0)
@@ -130,10 +142,15 @@ class TestValidation:
             s.validate()
 
     def test_required_exceeds_robots(self):
-        s = self._scenario(tasks=[Task(id=1, center=Position(5, 5), required=3,
-                                       duration=1, timeout=10)])
-        with pytest.raises(InvalidScenarioError, match="requires more robots"):
-            s.validate()
+        # the count is the task's one problem: three vertices 5 m around
+        # (10, 18) would also leave the 20 m world, and a polygon of 10**308
+        # vertices would never be built
+        for x, y, required in [(5, 5, 3), (10, 18, 3), (10, 10, int(1e308))]:
+            s = self._scenario(tasks=[Task(id=1, center=Position(x, y), required=required,
+                                           duration=1, timeout=10)])
+            with prompt(0.1), pytest.raises(InvalidScenarioError) as info:
+                s.validate()
+            assert str(info.value) == "task 1: requires more robots than exist"
 
     def test_arrival_order(self):
         s = self._scenario(tasks=[
