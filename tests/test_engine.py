@@ -265,55 +265,70 @@ class TestInvariants:
         assert metrics.energy_comm_negotiation < metrics.energy_comm
 
 
-class TestOnePlanPerNegotiation:
-    """Gossip leaves every member knowing every arrived task, so selection
-    and formation each compute one plan right before they negotiate it,
-    and every member proposes that plan."""
+def record_plans(monkeypatch, law, phase, module, name):
+    """Run R20+T3 static seed 0 under ``law``, recording every plan that
+    ``module.name`` computes and every negotiation of ``phase``: its plans
+    computed by then, its members' proposals and its result."""
+    plans, negotiations = [], []
+    plan, negotiate = getattr(module, name), swarmplan.engine.negotiate
+
+    def counted(*args, **kwargs):
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
+
+    def recording(at, group, graph, order, planner, knowledge):
+        proposals = []
+
+        def recorded(member, know, depth):
+            proposals.append(planner(member, know, depth))
+            return proposals[-1]
+        result = negotiate(at, group, graph, order, recorded, knowledge)
+        if at is phase:
+            negotiations.append((len(plans), proposals, result))
+        return result
+
+    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
+    run(suite_scenario(law, "R20+T3", "static", 0))
+    return plans, negotiations
+
+
+def assert_one_plan_per_negotiation(plans, negotiations):
+    """The k-th plan is computed right before the k-th negotiation, every
+    member proposes it and the negotiation agrees on it in one iteration."""
+    assert negotiations
+    assert len(plans) == len(negotiations)
+    for k, (made, proposals, result) in enumerate(negotiations):
+        assert made == k + 1
+        assert result.iterations == 1
+        assert proposals and all(plan is plans[k] for plan in proposals)
+        assert result.payload is plans[k]
+
+
+class TestSelectionPlans:
+    """Gossip leaves every member knowing every arrived task, so the engine
+    keeps one known-task set and selection computes one plan for it right
+    before each negotiation."""
 
     @pytest.mark.parametrize("law, module, name", [
         ("t_low_e", swarmplan.engine, "select"),
         ("cata_u", swarmplan.cata, "cata_select"),
-    ], ids=["t_low_e", "cata_u"])
-    def test_one_plan_per_negotiation(self, monkeypatch, law, module, name):
-        plans = []  # (phase, plan) of every plan computed, in order
-
-        def counting(phase, plan):
-            def counted(*args, **kwargs):
-                plans.append((phase, plan(*args, **kwargs)))
-                return plans[-1][1]
-            return counted
-
-        negotiations = []  # (phase, plans computed by then, proposals, result)
-        negotiate = swarmplan.engine.negotiate
-
-        def recording(phase, group, graph, order, planner, knowledge):
-            proposals = []
-
-            def recorded(member, know, depth):
-                proposals.append(planner(member, know, depth))
-                return proposals[-1]
-            result = negotiate(phase, group, graph, order, recorded, knowledge)
-            negotiations.append((phase, len(plans), proposals, result))
-            return result
-
-        monkeypatch.setattr(module, name, counting(Phase.SELECTION, getattr(module, name)))
-        monkeypatch.setattr(swarmplan.engine, "formation_assign",
-                            counting(Phase.FORMATION, swarmplan.engine.formation_assign))
-        monkeypatch.setattr(swarmplan.engine, "negotiate", recording)
-        run(suite_scenario(law, "R20+T3", "static", 0))
-
-        assert {phase for phase, *_ in negotiations} == {Phase.SELECTION, Phase.FORMATION}
-        assert len(plans) == len(negotiations)
-        for k, (phase, made, proposals, result) in enumerate(negotiations):
-            # the k-th plan, of the negotiation's phase, computed right before it
-            assert made == k + 1
-            assert plans[k][0] is phase
-            assert result.iterations == 1
-            assert proposals and all(plan is plans[k][1] for plan in proposals)
-            assert result.payload is plans[k][1]
+    ])
+    def test_one_plan_per_known_task_set(self, monkeypatch, law, module, name):
+        assert_one_plan_per_negotiation(
+            *record_plans(monkeypatch, law, Phase.SELECTION, module, name))
 
 
 class TestFormationPlans:
+    def test_one_assignment_per_distinct_knowledge(self, monkeypatch):
+        """With one knowledge set, each formation group computes one
+        assignment of its own robots, which every member proposes."""
+        plans, negotiations = record_plans(monkeypatch, "t_low_e", Phase.FORMATION,
+                                           swarmplan.engine, "formation_assign")
+        assert_one_plan_per_negotiation(plans, negotiations)
+        for plan, (_, proposals, _) in zip(plans, negotiations):
+            assert len(proposals) == len(plan.slot_of)  # each member, one iteration
+
     def test_robot_killed_negotiating_formation_is_not_in_agree(self):
         """Robot 2 pays for the formation negotiation with its last energy:
         the negotiation names it, its agreement does not, and it takes no
