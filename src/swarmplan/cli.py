@@ -1,9 +1,10 @@
 """Command-line front end: generate, run, sweep, summarize, replay.
 
-Exit codes: 0 on success, 1 when a run failed (any sweep row recorded an
-error, or a finite comm range split the team or stalled its gossip), 2 on
-invalid input (bad scenario, template, spec, rows or trace files, a file
-that is not UTF-8 text among them).
+The documents are the whole input. Exit codes, a failure's one ``error:``
+line printed by :func:`main` alone: 0 on success, 1 when a run failed (any
+sweep row recorded an error, or a finite comm range split the team or
+stalled its gossip), 2 on invalid input (bad scenario, template, spec, rows
+or trace files, a file that is not UTF-8 text among them).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .comms import DisconnectedGraphError, GossipStalledError
@@ -23,12 +23,19 @@ from .sweep import (CSV_COLUMNS, PER_TASK_COLUMNS, SweepSpec, check_columns,
                     rows_to_csv, run_sweep, summarize, write_files)
 
 
+class BadFileError(Exception):
+    """A rows or trace file that is not what its command reads."""
+
+
+FAILED_RUN = (DisconnectedGraphError, GossipStalledError)
+BAD_INPUT = (BadFileError, InvalidScenarioError, InvalidTemplateError, OSError,
+             json.JSONDecodeError, UnicodeDecodeError)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     template = json.loads(Path(args.template).read_text())
     if not isinstance(template, dict):
         raise InvalidTemplateError(f"{args.template}: template must be a JSON object")
-    if args.law:
-        template["law"] = args.law
     scenario = generate(template, args.seed)
     text = scenario.to_json() + "\n"
     if args.out:
@@ -40,11 +47,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.load(args.scenario)
-    try:
-        metrics, events = run_scenario(scenario)
-    except (DisconnectedGraphError, GossipStalledError) as exc:  # a failed run
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    metrics, events = run_scenario(scenario)
     doc = dict(vars(metrics))
     doc["per_task_comm"] = {str(k): v for k, v in metrics.per_task_comm.items()}
     files = {"metrics.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
@@ -58,10 +61,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec.from_json(Path(args.spec).read_text())
-    overrides = {"trials": args.trials, "base_seed": args.seed,
-                 "laws": [args.law] if args.law else None}
-    # replace() validates the overridden spec again
-    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     rows, task_rows = run_sweep(spec)
     files = {"rows.csv": rows_to_csv(rows, CSV_COLUMNS),
              "per_task_rows.csv": rows_to_csv(task_rows, PER_TASK_COLUMNS)}
@@ -84,14 +83,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                 tables.append(list(csv.DictReader(fh)))
                 check_columns(tables[-1], columns)
             except (csv.Error, ValueError) as exc:  # an oversized field, a missing column
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                return 2
+                raise BadFileError(f"{path}: {exc}") from exc
     rows, *task_rows = tables
     try:
         files = summarize(rows, *task_rows)
     except ValueError as exc:  # no rows, missing columns, non-numeric fields
-        print(f"error: {args.rows}: {exc}", file=sys.stderr)
-        return 2
+        raise BadFileError(f"{args.rows}: {exc}") from exc
     out_dir = Path(args.out or ".")
     write_files(files, out_dir)
     print(f"wrote {', '.join(sorted(files))} to {out_dir}")
@@ -106,9 +103,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 subjects = ",".join(str(s) for s in event["subjects"])
                 head = f"[{event['tick']:>5}] {event['kind']:<18}"
             except (KeyError, TypeError, ValueError) as exc:
-                print(f"error: {args.trace}:{number}: not a trace event: {exc!r}",
-                      file=sys.stderr)
-                return 2
+                raise BadFileError(
+                    f"{args.trace}:{number}: not a trace event: {exc!r}") from exc
             detail = f"  {event['detail']}" if event.get("detail") else ""
             print(f"{head} {subjects}{detail}")
     return 0
@@ -122,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build a concrete scenario from a template")
     p.add_argument("--template", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--law", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)
 
@@ -135,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a batch of trials to CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--law", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("summarize", help="aggregate sweep rows and emit plot data")
@@ -153,14 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidScenarioError, InvalidTemplateError, OSError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except FAILED_RUN + BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, FAILED_RUN) else 2
 
 
 if __name__ == "__main__":

@@ -210,7 +210,10 @@ def _settings(doc: dict) -> dict:
 def _block(doc: dict, name: str) -> dict:
     """The fields of a document's ``energy`` or ``cata`` block, each number
     kept as written (an int stays an int in the written scenario)."""
-    return {key: _number(value, None) for key, value in dict(doc.get(name, {})).items()}
+    block = doc.get(name, {})
+    if type(block) is not dict:
+        raise TypeError(f"{name}: {json.dumps(block)} is not an object")
+    return {key: _number(value, None) for key, value in block.items()}
 
 
 def parse_template(template: dict) -> tuple[dict, int, tuple[float, float], list | None]:

@@ -95,11 +95,17 @@ class SweepSpec:
             count = partial(_number, kind=int)
             # an absent key keeps the dataclass default
             optional = {name: parse(doc[name]) for name, parse in
-                        (("scales", list), ("styles", list), ("trials", count),
+                        (("scales", _array), ("styles", _array), ("trials", count),
                          ("base_seed", count)) if name in doc}
-            return cls(template=doc["template"], laws=list(doc["laws"]), **optional)
+            return cls(template=doc["template"], laws=_array(doc["laws"]), **optional)
         except FIELD_ERRORS as exc:  # JSONDecodeError is a ValueError
             raise InvalidTemplateError(f"bad sweep spec: {exc}") from exc
+
+
+def _array(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"{json.dumps(value)} is not a list")
+    return value
 
 
 def scale_template(template: dict, scale: str, style: str) -> dict:

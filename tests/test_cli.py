@@ -8,6 +8,11 @@ from swarmplan.sweep import CSV_COLUMNS, PER_TASK_COLUMNS
 from helpers import TEMPLATE, prompt, suite_scenario
 
 
+def one_error_line(err: str) -> bool:
+    """Whether a command's stderr is the one ``error:`` line ``main`` prints."""
+    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 @pytest.fixture
 def template_file(tmp_path):
     template = dict(TEMPLATE)
@@ -42,10 +47,13 @@ class TestGenerate:
                   "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_law_flag(self, tmp_path, template_file):
+    def test_template_law(self, tmp_path, template_file):
+        template = json.loads(template_file.read_text())
+        template["law"] = "cata_u"
+        template_file.write_text(json.dumps(template))
         out = tmp_path / "c.json"
-        main(["generate", "--template", str(template_file),
-              "--law", "cata_u", "--out", str(out)])
+        assert main(["generate", "--template", str(template_file),
+                     "--out", str(out)]) == 0
         assert Scenario.load(out).law.value == "cata_u"
 
     def test_without_out_writes_stdout(self, template_file, scenario_file, capsys):
@@ -76,15 +84,16 @@ class TestGenerate:
         assert main(["generate", "--template", str(tmp_path / "nope.json")]) == 2
 
     def test_bad_law_exits_2(self, template_file, capsys):
-        assert main(["generate", "--template", str(template_file),
-                     "--law", "bogus"]) == 2
+        template = json.loads(template_file.read_text())
+        template["law"] = "bogus"
+        template_file.write_text(json.dumps(template))
+        assert main(["generate", "--template", str(template_file)]) == 2
         assert "bogus" in capsys.readouterr().err
 
     def test_non_object_template_exits_2(self, tmp_path, capsys):
         template = tmp_path / "list.json"
         template.write_text("[1, 2]")
-        assert main(["generate", "--template", str(template),
-                     "--law", "t_low_e"]) == 2
+        assert main(["generate", "--template", str(template)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("order", [5, [1, "a"]])
@@ -190,6 +199,16 @@ class TestRun:
         assert main(["generate", "--template", str(template)]) == 2
         assert "error: world_size: must be positive" in capsys.readouterr().err
 
+    def test_energy_not_an_object_exits_2(self, tmp_path, scenario_file, capsys):
+        # a list of pairs is not an energy block, though dict() would read it
+        doc = json.loads(scenario_file.read_text())
+        doc["energy"] = [["move_cost", 0.2]]
+        scenario_file.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            'error: bad scenario field: energy: [["move_cost", 0.2]] is not an object\n')
+
     @pytest.mark.parametrize("scenario, message", [
         (Scenario.from_json(json.dumps({
             "world_size": 24.0, "comm_range": 1.0,
@@ -209,8 +228,8 @@ class TestRun:
         out = tmp_path / "run"
         assert main(["run", "--scenario", str(path), "--out", str(out), "--trace"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err and not out.exists()
+        assert one_error_line(err) and message in err
+        assert not out.exists()
 
 
 class TestSweepAndSummarize:
@@ -244,6 +263,17 @@ class TestSweepAndSummarize:
         out = tmp_path / "o"
         assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_laws_not_a_list_exits_2(self, tmp_path, capsys):
+        # an object's keys are not a list of laws, nor a string's letters
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"template": dict(TEMPLATE),
+                                         "laws": {"t_low_e": 1}, "scales": ["R5+T1"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            'error: bad sweep spec: {"t_low_e": 1} is not a list\n')
         assert not out.exists()
 
     def test_non_object_template_exits_2(self, tmp_path, capsys):
@@ -281,20 +311,12 @@ class TestSweepAndSummarize:
         assert capsys.readouterr().err.startswith("error: bad template field: ")
         assert not out.exists()
 
-    def test_unknown_law_flag_exits_2(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"template": dict(TEMPLATE),
-                                         "laws": ["t_low_e"], "scales": ["R5+T1"]}))
-        assert main(["sweep", "--spec", str(spec_path), "--law", "bogus",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "bogus" in capsys.readouterr().err
-
     def test_summarize_header_only_exits_2(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
         rows.write_text(",".join(CSV_COLUMNS) + "\n")
         assert main(["summarize", "--rows", str(rows),
                      "--out", str(tmp_path / "summary")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert one_error_line(capsys.readouterr().err)
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("oversized", ["rows.csv", "per_task_rows.csv"])
@@ -310,8 +332,7 @@ class TestSweepAndSummarize:
         assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / oversized}: ")
-        assert err.count("\n") == 1
+        assert one_error_line(err) and err.startswith(f"error: {tmp_path / oversized}: ")
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("short", ["rows.csv", "per_task_rows.csv"])
@@ -330,7 +351,7 @@ class TestSweepAndSummarize:
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / short}: ") and "lack" in err
-        assert err.count("\n") == 1
+        assert one_error_line(err)
         assert not (tmp_path / "summary").exists()
 
     def test_summarize_foreign_columns_exits_2(self, tmp_path, capsys):
@@ -339,7 +360,7 @@ class TestSweepAndSummarize:
         assert main(["summarize", "--rows", str(rows),
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "law, scale, style" in err
+        assert one_error_line(err) and "law, scale, style" in err
         assert not (tmp_path / "summary").exists()
 
     def test_summarize_foreign_per_task_columns_exits_2(self, tmp_path, capsys):
@@ -353,6 +374,7 @@ class TestSweepAndSummarize:
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {per_task}: ") and "law, scale, style" in err
+        assert one_error_line(err)
         assert not (tmp_path / "summary").exists()
 
     def test_summarize_missing_per_task_exits_2(self, tmp_path, capsys):
@@ -364,7 +386,7 @@ class TestSweepAndSummarize:
         assert main(["summarize", "--rows", str(rows), "--per-task", str(per_task),
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(per_task) in err
+        assert one_error_line(err) and str(per_task) in err
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -378,7 +400,7 @@ class TestSweepAndSummarize:
         assert main(["summarize", "--rows", str(rows),
                      "--out", str(tmp_path / "summary")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "non-finite energy_moving" in err
+        assert one_error_line(err) and "non-finite energy_moving" in err
         assert not (tmp_path / "summary").exists()
 
     @pytest.mark.parametrize("values", [("-1.7e308", "1.7e308"), ("1.7e308", "1.7e308")])
@@ -509,6 +531,23 @@ BAD_INPUTS = [
     ("sweep", ("template", "task_duration"), "0"),
     # later stages arrive after earlier ones
     ("sweep", ("template", "stage_gap"), "-5"),
+    ("sweep", ("template", "required_per_task"), "0"),
+    # a spec's laws, scales and styles are arrays, not an object's keys or
+    # a string's letters
+    ("sweep", ("laws",), '{"t_low_e": 1}'),
+    ("sweep", ("laws",), '"t_low_e"'),
+    ("sweep", ("scales",), '{"R5+T1": 1}'),
+    ("sweep", ("scales",), '"R5+T1"'),
+    ("sweep", ("styles",), '{"static": 1}'),
+    ("sweep", ("styles",), '"static"'),
+    # an energy or cata block is an object, not a list of pairs or empty
+    ("run", ("energy",), '[["move_cost", 0.2]]'),
+    ("run", ("cata",), '""'),
+    ("run", ("cata",), "[]"),
+    ("generate", ("energy",), '[["move_cost", 0.2]]'),
+    ("generate", ("cata",), "[]"),
+    ("sweep", ("template", "energy"), '[["move_cost", 0.2]]'),
+    ("sweep", ("template", "cata"), '""'),
 ]
 
 
@@ -542,7 +581,19 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command, flag):
     bad.write_bytes(b"\xff\xfe")
     assert main([command, flag, str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize("command, flag, option, value", [
+    ("generate", "--template", "--law", "t_low_e"), ("sweep", "--spec", "--trials", "2"),
+    ("sweep", "--spec", "--law", "t_low_e"), ("sweep", "--spec", "--seed", "1")])
+def test_document_field_is_no_option(tmp_path, capsys, command, flag, option, value):
+    """A template names its law, a spec its laws, trials and base seed: the
+    parser refuses an option for them before any file is read."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, str(tmp_path / "nope.json"), option, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -564,5 +615,5 @@ class TestReplay:
         trace.write_text(f"{good}\n{line}\n{good}\n")
         assert main(["replay", "--trace", str(trace)]) == 2
         out = capsys.readouterr()
-        assert out.err.startswith(f"error: {trace}:2: ")
+        assert one_error_line(out.err) and out.err.startswith(f"error: {trace}:2: ")
         assert len(out.out.splitlines()) == 1
