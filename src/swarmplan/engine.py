@@ -39,7 +39,6 @@ from .world import (ChargeKind, EnergyLedger, Position, RobotState, Task,
                     euclidean, polygon_vertices)
 
 _ARRIVAL_TOLERANCE = 0.1
-_UNRANKED = 1_000_000  # task-rank sentinel for robots without a task
 # per conflict cluster, each member shares the priority queue (one gossip
 # round over the cluster) and then exchanges proposals once per agreement
 # iteration (at most two with asymmetric knowledge)
@@ -80,9 +79,8 @@ class Engine:
         self._goal_mark: dict[int, tuple[Position, float] | None] = dict.fromkeys(self.robots)
         self.total_distance = 0.0
         self.max_negotiation_iterations = 0
-        # task id -> rank, built in rank order, which selection iterates
-        self._rank = {tid: k for k, tid in
-                      enumerate(scenario.task_priority_order or sorted(self.tasks))}
+        # task id -> rank: lower ids rank first
+        self._rank = {tid: k for k, tid in enumerate(sorted(self.tasks))}
         # the tick view every phase reads: the ids and the law never change,
         # the team only when a robot dies (see ``_bury``), the comm graph and
         # the team's gossip rounds also when a robot moves at a finite range
@@ -114,7 +112,8 @@ class Engine:
             r = self.robots[rid]
             keys = {"battery": r.battery}
             if "task_rank" in self._keys:
-                keys["task_rank"] = float(self._rank.get(r.group, _UNRANKED))
+                # a robot without a task ranks after every task
+                keys["task_rank"] = float(self._rank.get(r.group, len(self._rank)))
             if "utility" in self._keys:
                 keys["utility"] = (0.0 if r.group is None else cata_mod.utility(
                     r, self.tasks[r.group], (), self.scenario.cata))
@@ -243,7 +242,8 @@ class Engine:
         team, members = self._team()
         free = [r.id for r in team
                 if r.group is None and r.battery >= LOW_BATTERY_WITHDRAWAL]
-        ranked = [self.tasks[tid] for tid in self._rank if tid in self.active]
+        # ``active`` ascends in ids, which is rank order
+        ranked = [self.tasks[tid] for tid in self.active]
         chosen = open_tasks(ranked, self.members_of, len(free)) if free else []
         if not chosen:
             return

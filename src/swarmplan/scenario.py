@@ -57,7 +57,6 @@ class Scenario:
     robots: list[RobotSpec]
     tasks: list[Task]
     law: PriorityLaw = PriorityLaw.T_LOW_E
-    task_priority_order: list[int] | None = None
     comm_range: float | str = COMPLETE
     energy: EnergyModel = field(default_factory=EnergyModel)
     step_length: float = 1.0
@@ -104,9 +103,6 @@ class Scenario:
         arrivals = [t.arrival_tick for t in self.tasks]
         if arrivals != sorted(arrivals):
             problems.append("tasks: arrival ticks must be non-decreasing")
-        if self.task_priority_order is not None and \
-                sorted(self.task_priority_order) != sorted(tids):
-            problems.append("task_priority_order: not a permutation of task ids")
         if problems:
             raise InvalidScenarioError("; ".join(problems))
 
@@ -164,11 +160,14 @@ def _setting_problems(settings: dict) -> list[str]:
 def _number(value, kind=float):
     """A document's number as ``kind``, or as written when ``kind`` is None.
     Only a JSON number is one: Python counts ``true`` as the int 1, and an
-    ``int`` field refuses a fraction rather than truncate it."""
+    ``int`` field refuses a fraction rather than truncate it. One kept as
+    written must still convert to ``float``, as a run's arithmetic does."""
     if type(value) not in (int, float):
         raise TypeError(f"{json.dumps(value)} is not a number")
     if kind is int and value != int(value):
         raise ValueError(f"{value!r} is not an integer")
+    if kind is None:
+        float(value)
     return value if kind is None else kind(value)
 
 
@@ -188,16 +187,11 @@ def _settings(doc: dict) -> dict:
         return doc.get(name, getattr(Scenario, name))
 
     comm_range = get("comm_range")
-    order = get("task_priority_order")
-    if order is not None and not (isinstance(order, list)
-                                  and all(type(tid) is int for tid in order)):
-        raise ValueError("task_priority_order: must be null or a list of task ids")
     negotiation = get("conflict_negotiation")
     if type(negotiation) is not bool:
         raise ValueError("conflict_negotiation: must be true or false")
     return {
         "law": PriorityLaw(get("law")),
-        "task_priority_order": order,
         "comm_range": comm_range if comm_range == COMPLETE else _number(comm_range),
         "energy": EnergyModel(**_block(doc, "energy")),
         **{name: _number(get(name)) for name in _LENGTHS},
@@ -209,7 +203,8 @@ def _settings(doc: dict) -> dict:
 
 def _block(doc: dict, name: str) -> dict:
     """The fields of a document's ``energy`` or ``cata`` block, each number
-    kept as written (an int stays an int in the written scenario)."""
+    kept as written (an int stays an int in the written scenario) if it
+    converts to ``float``."""
     block = doc.get(name, {})
     if type(block) is not dict:
         raise TypeError(f"{name}: {json.dumps(block)} is not an object")

@@ -129,8 +129,7 @@ class RobotState:
 class Task:
     """A task to be served by ``required`` robots holding formation.
 
-    The task id doubles as its default priority rank (lower id = higher
-    priority) unless the scenario supplies an explicit priority order.
+    The task id doubles as its priority rank (lower id = higher priority).
     ``duration`` (at least 1) is the number of consecutive ticks the full
     formation must hold at the vertices; ``timeout`` is the abandonment
     deadline measured from ``arrival_tick``.

@@ -28,6 +28,11 @@ TEMPLATE = {
 ALL_LAWS = ["high_e", "low_e", "t_high_e", "t_low_e", "cata_u"]
 
 
+def one_error_line(err: str) -> bool:
+    """Whether a command's stderr is the one ``error:`` line ``main`` prints."""
+    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 def make_robot(rid: int, x: float = 0.0, y: float = 0.0,
                battery: float = 100.0) -> RobotState:
     return RobotState(id=rid, pos=Position(x, y), battery=battery)

@@ -5,12 +5,7 @@ import pytest
 from swarmplan.cli import main
 from swarmplan.scenario import Scenario
 from swarmplan.sweep import CSV_COLUMNS, PER_TASK_COLUMNS
-from helpers import TEMPLATE, prompt, suite_scenario
-
-
-def one_error_line(err: str) -> bool:
-    """Whether a command's stderr is the one ``error:`` line ``main`` prints."""
-    return err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+from helpers import TEMPLATE, one_error_line, prompt, suite_scenario
 
 
 @pytest.fixture
@@ -96,14 +91,6 @@ class TestGenerate:
         assert main(["generate", "--template", str(template)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order", [5, [1, "a"]])
-    def test_bad_task_priority_order_exits_2(self, template_file, order, capsys):
-        template = json.loads(template_file.read_text())
-        template["task_priority_order"] = order
-        template_file.write_text(json.dumps(template))
-        assert main(["generate", "--template", str(template_file)]) == 2
-        assert "task_priority_order" in capsys.readouterr().err
-
     @pytest.mark.parametrize("positions", [[[1], [2, 3]], [[1, "a"], [2, 3]],
                                            [[1, 2], [2, 3], [3, 4], [4]]])
     def test_bad_positions_exit_2(self, template_file, positions, capsys):
@@ -167,16 +154,18 @@ class TestRun:
         assert "at least one robot" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
-    @pytest.mark.parametrize("order", [5, [1, "a"]])
-    def test_bad_task_priority_order_exits_2(self, tmp_path, scenario_file, order,
-                                             capsys):
+    def test_null_task_priority_order_key_changes_nothing(self, tmp_path, scenario_file):
+        # older documents carry the key; no scenario field reads it
         doc = json.loads(scenario_file.read_text())
-        doc["task_priority_order"] = order
-        scenario_file.write_text(json.dumps(doc))
-        assert main(["run", "--scenario", str(scenario_file),
-                     "--out", str(tmp_path / "run")]) == 2
-        assert "task_priority_order" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps({**doc, "task_priority_order": None}))
+        outputs = []
+        for path in (scenario_file, keyed):
+            out = tmp_path / path.stem
+            assert main(["run", "--scenario", str(path), "--out", str(out), "--trace"]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.json", "trace.jsonl")])
+        assert outputs[0] == outputs[1]
 
     def test_zero_world_exits_2(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"
@@ -285,7 +274,7 @@ class TestSweepAndSummarize:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("world_size", "abc"),
-                                              ("task_priority_order", 5),
+                                              ("comm_range", "far"),
                                               ("stage_gap", "soon"),
                                               ("energy", {"comm": 1.0})])
     def test_bad_template_value_exits_2(self, tmp_path, capsys, field, value):
@@ -463,6 +452,10 @@ class TestSweepAndSummarize:
                      "--out", str(tmp_path / "summary")]) == 0
 
 
+#: A JSON integer past float range: Python reads it exactly, as an int that
+#: any float arithmetic on it overflows.
+HUGE_INT = str(10**400)
+
 #: Inputs that used to crash or run nonsense, and must exit 2: the command,
 #: the path of the field in its document, and the value as a raw JSON literal
 #: (Python's json module reads NaN and Infinity, and 1e309 as infinity; it
@@ -548,13 +541,17 @@ BAD_INPUTS = [
     ("generate", ("cata",), "[]"),
     ("sweep", ("template", "energy"), '[["move_cost", 0.2]]'),
     ("sweep", ("template", "cata"), '""'),
+    # an energy or cata number kept as written still converts to float
+    ("run", ("energy", "move_cost"), HUGE_INT),
+    ("run", ("cata", "w_d"), HUGE_INT),
+    ("generate", ("energy",), f'{{"move_cost": {HUGE_INT}}}'),
+    ("sweep", ("template", "energy"), f'{{"idle_cost": {HUGE_INT}}}'),
 ]
 
 
-@pytest.mark.parametrize("command, path, literal", BAD_INPUTS,
-                         ids=[f"{c}-{'.'.join(map(str, p))}-{v}" for c, p, v in BAD_INPUTS])
-def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
-                           command, path, literal):
+def write_bad(tmp_path, template_file, scenario_file, command, path, literal):
+    """``command``'s document with the field at ``path`` set to ``literal``,
+    written to a file; returns the command's input flag and the file."""
     doc, flag = {
         "run": (json.loads(scenario_file.read_text()), "--scenario"),
         "generate": (json.loads(template_file.read_text()), "--template"),
@@ -567,10 +564,33 @@ def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
     inner[path[-1]] = "@value@"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace('"@value@"', literal))
+    return flag, bad
+
+
+@pytest.mark.parametrize("command, path, literal", BAD_INPUTS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}-{v.replace(HUGE_INT, '10**400')}"
+                              for c, p, v in BAD_INPUTS])
+def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
+                           command, path, literal):
+    flag, bad = write_bad(tmp_path, template_file, scenario_file, command, path, literal)
     out = tmp_path / "out"
     assert main([command, flag, str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, path, literal, document", [
+    ("run", ("cata", "w_d"), HUGE_INT, "scenario"),
+    ("sweep", ("template", "energy"), f'{{"idle_cost": {HUGE_INT}}}', "template")],
+    ids=["run-cata", "sweep-energy"])
+def test_int_past_float_range_is_named(tmp_path, capsys, template_file, scenario_file,
+                                       command, path, literal, document):
+    flag, bad = write_bad(tmp_path, template_file, scenario_file, command, path, literal)
+    if command == "run":  # the law that reads the cata weights
+        bad.write_text(bad.read_text().replace('"t_low_e"', '"cata_u"'))
+    assert main([command, flag, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad {document} field: int too large to convert to float\n")
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -144,6 +144,17 @@ class TestDynamics:
             engine.tick()
         assert engine.metrics().tasks_completed == 2
 
+    def test_lower_task_id_is_served_first(self):
+        # listed 5 then 2, both at tick 0, with robots for one of them and
+        # task 5 the nearer: the task ids alone rank the tasks
+        s = scenario([RobotSpec(1, 2.0, 2.0, 90.0),
+                      RobotSpec(2, 4.0, 2.0, 80.0)],
+                     [task(5, 8.0, 8.0, required=2, timeout=300),
+                      task(2, 22.0, 22.0, required=2, timeout=300)])
+        engine = Engine(s)
+        engine.tick()
+        assert {rid: r.group for rid, r in engine.robots.items()} == {1: 2, 2: 2}
+
     def test_later_arrival_with_lower_id_keeps_id_order(self):
         # task 2 arrives first; task 1 arrives at tick 4 and preempts, so
         # both tasks form again in that tick: task 1 must come first

@@ -12,18 +12,30 @@ conflict among the standing robots, and a run leaves the same state after
 every tick as one whose ticks are all forced through the seven phases.
 Under any comm cost, no event names a robot after its death but the
 gossip or negotiation whose charge killed it.
+And every input document, valid or not, makes the CLI exit 0, 1 or 2
+promptly, with one ``error:`` line for exit 2. That property lives here
+rather than in ``test_cli.py``, which must run without hypothesis.
 """
 
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from swarmplan.cli import main
 from swarmplan.engine import Engine, EventKind, run
 from swarmplan.routing import detect_conflicts
-from swarmplan.scenario import generate
+from swarmplan.scenario import Scenario, generate
+from swarmplan.sweep import SweepSpec
 from swarmplan.world import EnergyModel, euclidean
-from helpers import ALL_LAWS, is_quiet, lockstep
+from helpers import (ALL_LAWS, TEMPLATE, Hung, is_quiet, lockstep, one_error_line,
+                     prompt)
 
 #: Slack on the step length for the rounding of a step's own endpoint.
 _STEP_SLACK = 1e-9
@@ -38,9 +50,9 @@ def scenarios(draw):
     The world is 8-32 m, the safety radius 0.25-1.5 m, the step 0.3-2.5 m
     and the formation radius up to a quarter of the world. The team is at
     most as dense as one robot per (4 * safety radius)², so that
-    ``generate`` always places it. Optionally a task priority order,
-    conflict negotiation off, and low batteries (U(0.5, 6), as
-    ``helpers.low_battery`` sets them) so that robots die mid-run.
+    ``generate`` always places it. Optionally conflict negotiation off,
+    and low batteries (U(0.5, 6), as ``helpers.low_battery`` sets them) so
+    that robots die mid-run.
 
     Team size and task count are listed largest first: Hypothesis tries
     (and shrinks toward) the first entries, so its early examples are the
@@ -73,8 +85,6 @@ def scenarios(draw):
                 "step_length": draw(st.floats(0.3, 2.5)),
                 "conflict_negotiation": draw(st.booleans()),
                 "max_ticks": 500}
-    if ids and draw(st.booleans()):
-        template["task_priority_order"] = draw(st.permutations(ids))
     scenario = generate(template, draw(st.integers(0, 2**16)))
     if draw(st.booleans()):
         scenario.robots = [replace(r, battery=draw(st.floats(0.5, 6.0)))
@@ -149,3 +159,123 @@ def test_no_event_names_a_robot_after_its_death(scenario, comm_cost):
         elif event.kind is not EventKind.TASK_ARRIVED:  # whose subject is a task
             assert dead.isdisjoint(event.subjects), event
         paying.clear()
+
+
+#: The values a document mutation writes, as raw JSON literals: overflowing
+#: and huge numbers (``1e309`` reads as infinity, the two integers exactly),
+#: edge numbers, and every other JSON kind.
+_LITERALS = ["1e309", "NaN", "-1", "0", "1e308", str(10**400), str(2**63),
+             '"x"', "null", "true", "[]", "{}"]
+
+_BLOCKS = {"energy": {"move_cost": 0.1, "comm_cost": 0.01, "idle_cost": 0.04},
+           "cata": {"base": 100.0, "w_d": 1.0, "w_c": 10.0}}
+_TEMPLATE = {**TEMPLATE, **_BLOCKS, "n_robots": 4, "max_ticks": 60, "law": "t_low_e",
+             "battery_mean": 90.0, "battery_sd": 10.0,
+             "tasks": [{"id": 1, "x": 12.0, "y": 16.0, "required": 2,
+                        "duration": 2, "timeout": 50},
+                       {"id": 2, "x": 8.0, "y": 8.0, "required": 1,
+                        "duration": 2, "timeout": 50, "arrival_tick": 5}]}
+
+#: Each command's input flag and small base document: a template, the
+#: scenario it generates, and a one-cell sweep spec; ``max_ticks`` 60, at
+#: most 6 robots, one trial.
+_DOCS = {
+    "generate": ("--template", _TEMPLATE),
+    "run": ("--scenario", json.loads(generate(_TEMPLATE, 3).to_json())),
+    "sweep": ("--spec", {"template": {**TEMPLATE, **_BLOCKS, "max_ticks": 60,
+                                      "stage_gap": 10, "task_duration": 2},
+                         "laws": ["t_low_e"], "scales": ["R5+T1"],
+                         "styles": ["static"], "trials": 1, "base_seed": 0}),
+}
+
+
+def _paths(node, path=()):
+    """The path of every dict value and list item under ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+#: The keys a mutation adds: every key of the base documents, and more.
+_KEYS = sorted({p[-1] for _, doc in _DOCS.values() for p in _paths(doc)
+                if isinstance(p[-1], str)} | {"positions", "seed", "unknown"})
+
+
+@st.composite
+def cli_documents(draw):
+    """A command and its base document after one or two mutations: a value
+    (leaf or container) set to one of ``_LITERALS``, a key or item deleted,
+    or a key added to an object."""
+    command = draw(st.sampled_from(sorted(_DOCS)))
+    doc = copy.deepcopy(_DOCS[command][1])
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(["set", "delete", "add"]))
+        if action == "add":
+            objects = [()] + [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]
+            parent = _at(doc, draw(st.sampled_from(objects)))
+            key = draw(st.sampled_from(_KEYS))
+        else:
+            path = draw(st.sampled_from(list(_paths(doc))))
+            parent, key = _at(doc, path[:-1]), path[-1]
+        if action == "delete":
+            del parent[key]
+        else:
+            parent[key] = json.loads(draw(st.sampled_from(_LITERALS)))
+    return command, doc
+
+
+def _mutated(command, *changes):
+    """``command`` and its base document with each (path, literal) set."""
+    doc = copy.deepcopy(_DOCS[command][1])
+    for path, literal in changes:
+        _at(doc, path[:-1])[path[-1]] = json.loads(literal)
+    return command, doc
+
+
+def _call(command, path, out):
+    """``main``'s exit code and stderr for ``command`` on the document at
+    ``path``; the code is None when the guard stopped the call."""
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), prompt(1.0):
+            code = main([command, _DOCS[command][0], str(path), "--out", str(out)])
+    except Hung:
+        code = None
+    return code, err.getvalue()
+
+
+@given(cli_documents())
+# an energy or cata number past float range, in a scenario, a template
+# (whose scenario run reads) and a sweep's template
+@example(_mutated("run", (("energy", "move_cost"), str(10**400))))
+@example(_mutated("run", (("law",), '"cata_u"'), (("cata", "w_d"), str(10**400))))
+@example(_mutated("generate", (("energy", "move_cost"), str(10**400))))
+@example(_mutated("sweep", (("template", "energy", "idle_cost"), str(10**400))))
+# a legal long request, which the guard stops
+@example(_mutated("sweep", (("trials",), "1e308")))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_every_document_exits_0_1_or_2(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "doc.json"), Path(tmp, "out")
+        path.write_text(json.dumps(doc))
+        code, err = _call(command, path, out)
+        if code is None:
+            # only a valid document may ask for a run that long
+            assert command != "generate"
+            with prompt(1.0):
+                (Scenario if command == "run" else SweepSpec).from_json(path.read_text())
+            return
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert one_error_line(err), err
+        if command == "generate" and code == 0:
+            # what generate writes, run reads
+            assert _call("run", out, Path(tmp, "run"))[0] in (0, 1, None)

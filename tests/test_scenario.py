@@ -161,11 +161,6 @@ class TestValidation:
         with pytest.raises(InvalidScenarioError, match="non-decreasing"):
             s.validate()
 
-    def test_task_priority_order_permutation(self):
-        s = self._scenario(task_priority_order=[1, 7])
-        with pytest.raises(InvalidScenarioError, match="permutation"):
-            s.validate()
-
     def test_bad_comm_range(self):
         s = self._scenario(comm_range=-1.0)
         with pytest.raises(InvalidScenarioError, match="comm_range"):
@@ -257,7 +252,7 @@ class TestSerialization:
             world_size=10.0, robots=[RobotSpec(1, 1.0, 1.0, 50.0)],
             tasks=[Task(id=1, center=Position(5.0, 5.0), required=1, duration=2, timeout=9),
                    Task(id=2, center=Position(3.0, 2.0), required=1, duration=2, timeout=9)],
-            law=PriorityLaw.CATA_U, task_priority_order=[2, 1], comm_range=7.5,
+            law=PriorityLaw.CATA_U, comm_range=7.5,
             energy=EnergyModel(move_cost=0.2, comm_cost=0.03, idle_cost=0.05),
             step_length=0.5, safety_radius=0.25, formation_radius=2.0, seed=3,
             max_ticks=77, cata=CataWeights(base=50.0, w_d=2.0, w_c=3.0),
@@ -286,12 +281,12 @@ class TestSerialization:
 
 #: A non-default value for every optional scenario field but ``seed``.
 _PINNED_SETTINGS = {
-    "law": "cata_u", "task_priority_order": [2, 1], "comm_range": 14.0,
+    "law": "cata_u", "comm_range": 14.0,
     "energy": {"move_cost": 0.2, "comm_cost": 0.03, "idle_cost": 0.05},
     "step_length": 0.5, "safety_radius": 0.75, "formation_radius": 3.0,
     "max_ticks": 77, "cata": {"base": 50.0, "w_d": 2.0, "w_c": 3.0},
     "conflict_negotiation": False,
 }
 
-#: sha256 of ``test_document_bytes_are_pinned``'s 48 scenario documents.
-DOCUMENT_SHA256 = "3f175c8c30ffbcc74763994c6356843d54361f11b30d5a18c88318602d633c35"
+#: sha256 of ``test_document_bytes_are_pinned``'s 44 scenario documents.
+DOCUMENT_SHA256 = "2be534d70136f11ca06c6de55ab4fc14937b8e2795757f9b2eeda91df6c458c7"

@@ -44,7 +44,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("field, value", [("world_size", "abc"),
                                               ("required_per_task", "two"),
-                                              ("task_priority_order", 5),
+                                              ("comm_range", "far"),
                                               ("cata", {"weight": 1.0})])
     def test_rejects_bad_template_value(self, field, value):
         with pytest.raises(InvalidTemplateError, match="bad template field"):
