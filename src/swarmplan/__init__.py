@@ -18,7 +18,7 @@ from .formation import DistanceMatrix, FormationPlan, formation_assign
 from .routing import next_step, detect_conflicts, cluster_conflicts
 from .negotiation import (Phase, Proposal, AgreementOutcome, agreement,
                           negotiate, NegotiationResult, ExhaustedCriteriaError)
-from .cata import CataWeights, collision_penalty, utility, cata_select
+from .cata import collision_penalty, utility, cata_select
 from .scenario import Scenario, RobotSpec, generate, InvalidScenarioError
 from .engine import Engine, RunMetrics, TraceEvent, run
 from .sweep import SweepSpec, run_sweep, summarize, CSV_COLUMNS

@@ -10,8 +10,6 @@ the native planner.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .priority import PriorityLaw, compile_law, sort_queue
@@ -19,17 +17,9 @@ from .selection import SelectionPlan, alive_team
 from .world import Position, RobotState, Task, euclidean, segment_distance
 
 
-@dataclass(frozen=True)
-class CataWeights:
-    """Surrogate reward weights, configurable per scenario."""
-
-    base: float = 100.0
-    w_d: float = 1.0   # per meter of distance
-    w_c: float = 10.0  # per conflicting peer
-
-    def __post_init__(self) -> None:
-        if not all(0 < w < math.inf for w in (self.base, self.w_d, self.w_c)):
-            raise ValueError("weights must be positive and finite")
+#: The surrogate reward: a base, less W_D per meter of distance and W_C per
+#: conflicting peer.
+BASE, W_D, W_C = 100.0, 1.0, 10.0
 
 
 def collision_penalty(robot_i: RobotState, robot_j: RobotState,
@@ -42,20 +32,17 @@ def collision_penalty(robot_i: RobotState, robot_j: RobotState,
 
 def utility(robot: RobotState, task: Task,
             others: Sequence[tuple[RobotState, Position]],
-            weights: CataWeights, safety_radius: float = 0.5) -> float:
+            safety_radius: float = 0.5) -> float:
     """Reward of ``task`` for ``robot`` given peers already bound to goals."""
     penalty = sum(collision_penalty(robot, peer, task.center, goal, safety_radius)
                   for peer, goal in others)
-    return (weights.base
-            - weights.w_d * euclidean(robot.pos, task.center)
-            - weights.w_c * penalty)
+    return BASE - W_D * euclidean(robot.pos, task.center) - W_C * penalty
 
 
 def cata_select(
     robots: Sequence[RobotState],
     tasks: Sequence[Task],
     context: Mapping[int, Mapping[str, float]],
-    weights: CataWeights = CataWeights(),
     safety_radius: float = 0.5,
 ) -> SelectionPlan:
     """Greedy max-utility claims in low-energy priority order.
@@ -81,7 +68,7 @@ def cata_select(
         robot = by_id[rid]
         best = max(open_ids,
                    key=lambda tid: (utility(robot, by_task[tid], committed,
-                                            weights, safety_radius), -tid))
+                                            safety_radius), -tid))
         assignment[rid] = best
         open_slots[best] -= 1
         committed.append((robot, by_task[best].center))

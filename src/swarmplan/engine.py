@@ -116,7 +116,7 @@ class Engine:
                 keys["task_rank"] = float(self._rank.get(r.group, len(self._rank)))
             if "utility" in self._keys:
                 keys["utility"] = (0.0 if r.group is None else cata_mod.utility(
-                    r, self.tasks[r.group], (), self.scenario.cata))
+                    r, self.tasks[r.group], ()))
             ctx[rid] = keys
         return ctx
 
@@ -184,7 +184,7 @@ class Engine:
         robots = [self.robots[rid] for rid in free]
         context = self._context(free)
         if scenario.law is PriorityLaw.CATA_U:
-            return cata_mod.cata_select(robots, chosen, context, weights=scenario.cata,
+            return cata_mod.cata_select(robots, chosen, context,
                                         safety_radius=scenario.safety_radius)
         return select(robots, chosen, scenario.law, scenario.energy, context,
                       step_length=scenario.step_length)

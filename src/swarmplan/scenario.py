@@ -15,7 +15,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .cata import CataWeights
 from .comms import COMPLETE
 from .priority import PriorityLaw
 from .world import EnergyModel, Position, Task, polygon_vertices
@@ -64,7 +63,6 @@ class Scenario:
     formation_radius: float = 5.0
     seed: int = 0
     max_ticks: int = 10_000
-    cata: CataWeights = field(default_factory=CataWeights)
     conflict_negotiation: bool = True
 
     def validate(self) -> None:
@@ -193,28 +191,28 @@ def _settings(doc: dict) -> dict:
     return {
         "law": PriorityLaw(get("law")),
         "comm_range": comm_range if comm_range == COMPLETE else _number(comm_range),
-        "energy": EnergyModel(**_block(doc, "energy")),
+        "energy": EnergyModel(**_energy(doc)),
         **{name: _number(get(name)) for name in _LENGTHS},
         "max_ticks": _number(get("max_ticks"), int),
-        "cata": CataWeights(**_block(doc, "cata")),
         "conflict_negotiation": negotiation,
     }
 
 
-def _block(doc: dict, name: str) -> dict:
-    """The fields of a document's ``energy`` or ``cata`` block, each number
-    kept as written (an int stays an int in the written scenario) if it
-    converts to ``float``."""
-    block = doc.get(name, {})
+def _energy(doc: dict) -> dict:
+    """The fields of a document's ``energy`` block, each number kept as
+    written (an int stays an int in the written scenario) if it converts to
+    ``float``."""
+    block = doc.get("energy", {})
     if type(block) is not dict:
-        raise TypeError(f"{name}: {json.dumps(block)} is not an object")
+        raise TypeError(f"energy: {json.dumps(block)} is not an object")
     return {key: _number(value, None) for key, value in block.items()}
 
 
-def parse_template(template: dict) -> tuple[dict, int, tuple[float, float], list | None]:
+def parse_template(template: dict) -> tuple[dict, int, tuple[float, float]]:
     """A template held to every rule that needs no sampling: the
-    :class:`Scenario` fields but ``robots`` and ``seed``, the team size, the
-    battery mean and sd, and the listed positions (None to sample them)."""
+    :class:`Scenario` fields but ``robots`` and ``seed``, the team size, and
+    the battery mean and sd. Keys it does not read, among them an older
+    template's ``positions``, are ignored."""
     try:
         world = _number(template["world_size"])
         n_robots = _number(template["n_robots"], int)
@@ -224,8 +222,6 @@ def parse_template(template: dict) -> tuple[dict, int, tuple[float, float], list
             raise ValueError("battery_mean/battery_sd: must be finite")
         fields = {"world_size": world, "tasks": [_task(t) for t in template["tasks"]],
                   **_settings(template)}
-        positions = ([(_number(x), _number(y)) for x, y in template["positions"]]
-                     if "positions" in template else None)
     except FIELD_ERRORS as exc:
         raise InvalidTemplateError(f"bad template field: {exc}") from exc
     if n_robots < 1:
@@ -235,7 +231,7 @@ def parse_template(template: dict) -> tuple[dict, int, tuple[float, float], list
     problems = _setting_problems(fields)
     if problems:
         raise InvalidTemplateError("; ".join(problems))
-    return fields, n_robots, battery, positions
+    return fields, n_robots, battery
 
 
 def generate(template: dict, seed: int) -> Scenario:
@@ -244,27 +240,21 @@ def generate(template: dict, seed: int) -> Scenario:
     Template fields: ``world_size``, ``n_robots``, ``battery_mean``,
     ``battery_sd`` (clamped Gaussian, [50, 100]), ``tasks`` (as in the
     scenario schema), plus any scenario field to pass through. Robot
-    positions are sampled uniformly unless ``positions`` lists them
-    explicitly; sampling rejects placements closer than twice the safety
-    radius so the starting configuration already satisfies separation, and
-    with conflict negotiation on, ``validate`` holds listed ones to it too.
+    positions are always sampled uniformly, rejecting placements closer than
+    twice the safety radius so the starting configuration already satisfies
+    separation; to place robots by hand, write a scenario document.
     """
-    fields, n_robots, (mean, sd), positions = parse_template(template)
-    # both team checks come before the draws, which number n_robots
+    fields, n_robots, (mean, sd) = parse_template(template)
     r = fields["safety_radius"]
-    if positions is not None and len(positions) != n_robots:
-        raise InvalidTemplateError("positions length != n_robots")
     # disks of radius r around points 2r apart in [0, world]² are disjoint
-    # inside [-r, world + r]², so no more of them than its area holds fit
+    # inside [-r, world + r]², so no more of them than its area holds fit;
+    # checked before the draws, which number n_robots
     side = (fields["world_size"] + 2.0 * r) / r  # in radii
-    if positions is None and n_robots > side * side / math.pi:
+    if n_robots > side * side / math.pi:
         raise InvalidTemplateError("could not place robots with required separation")
     rng = random.Random(seed)
     batteries = [min(100.0, max(50.0, rng.gauss(mean, sd))) for _ in range(n_robots)]
-
-    if positions is None:
-        positions = _sample_positions(rng, n_robots, fields["world_size"], 2.0 * r)
-
+    positions = _sample_positions(rng, n_robots, fields["world_size"], 2.0 * r)
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]
     scenario = Scenario(robots=robots, seed=seed, **fields)

@@ -107,22 +107,25 @@ def _min_cost_cut(cost: list[list[float]], sizes: list[int]) -> list[range]:
     are skipped (left unassigned). Returns one index range per task.
     """
     m, k = len(cost), len(sizes)
-    inf = float("inf")
-    # f[i][j]: min cost using the first i robots with the first j blocks placed.
-    f = [[inf] * (k + 1) for _ in range(m + 1)]
+    # f[i][j]: min cost using the first i robots with the first j blocks
+    # placed; set only where i covers those blocks, since a cost, or a sum
+    # of costs, may itself be infinite
+    f = [[math.inf] * (k + 1) for _ in range(m + 1)]
     choice = [[False] * (k + 1) for _ in range(m + 1)]  # block j ends at robot i
     for i in range(m + 1):
         f[i][0] = 0.0
+    need = 0  # robots the first j blocks take
     for j in range(1, k + 1):
         s = sizes[j - 1]
-        for i in range(m + 1):
-            if i >= 1 and f[i - 1][j] < f[i][j]:
+        need += s
+        for i in range(need, m + 1):
+            if i > need:  # skip robot i - 1
                 f[i][j] = f[i - 1][j]
-            if i >= s and f[i - s][j - 1] < inf:
-                c = f[i - s][j - 1] + left_sum(cost[x][j - 1] for x in range(i - s, i))
-                if c < f[i][j]:
-                    f[i][j] = c
-                    choice[i][j] = True
+            c = f[i - s][j - 1] + left_sum(cost[x][j - 1] for x in range(i - s, i))
+            # with no robot to skip, block j must end here
+            if i == need or c < f[i][j]:
+                f[i][j] = c
+                choice[i][j] = True
     blocks: list[range] = []
     i, j = m, k
     while j > 0:

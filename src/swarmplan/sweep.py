@@ -46,6 +46,9 @@ SCALES = {
     "R15+T3": (15, 3),
     "R20+T3": (20, 3),
     "R20+T4": (20, 4),
+    "R40+T6": (40, 6),
+    "R60+T9": (60, 9),
+    "R80+T12": (80, 12),
 }
 
 #: Task arrival styles: how many tasks appear at each stage.

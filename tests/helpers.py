@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import signal
 import time
@@ -14,7 +13,7 @@ from swarmplan.comms import CommGraph
 from swarmplan.engine import Engine
 from swarmplan.scenario import generate
 from swarmplan.sweep import scale_template
-from swarmplan.world import Position, RobotState, polygon_vertices
+from swarmplan.world import Position, RobotState
 
 #: Base template shared by the whole suite: a 24 m world, 1 m safety
 #: radius, 4 m formation polygons, and a 400-tick task deadline.
@@ -48,18 +47,9 @@ def suite_scenario(law: str, scale: str, style: str, seed: int,
 
 def dense_scenario(seed: int):
     """R80+T12 under t_low_e, every task static, in a 48 m world (the
-    suite's 24 m grown by sqrt(80/20)): the tasks sit on a ring of radius
-    0.3 of the world around its centre, the first due North and the rest
-    clockwise, each needing 5 robots (4/5 of the team split evenly) for 5
-    ticks. The ring is the formation polygon's (``polygon_vertices``); the
-    benchmark's dense_team workload lays out the same ring."""
-    world = TEMPLATE["world_size"] * math.sqrt(80 / 20)
-    ring = polygon_vertices(Position(world / 2.0, world / 2.0), 12, 0.3 * world)
-    tasks = [{"id": k + 1, "x": c.x, "y": c.y, "required": 5, "duration": 5,
-              "timeout": TEMPLATE["task_timeout"], "arrival_tick": 0}
-             for k, c in enumerate(ring)]
-    return generate({**TEMPLATE, "world_size": world, "n_robots": 80,
-                     "tasks": tasks, "law": "t_low_e"}, seed)
+    suite's 24 m grown by sqrt(80/20)); the benchmark's dense_team workload
+    lays out the same scenario."""
+    return suite_scenario("t_low_e", "R80+T12", "static", seed, world_size=48.0)
 
 
 def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False,

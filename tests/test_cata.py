@@ -1,9 +1,6 @@
-import math
-
 import pytest
 
-from swarmplan.cata import (CataWeights, cata_select, collision_penalty,
-                            utility)
+from swarmplan.cata import cata_select, collision_penalty, utility
 from swarmplan.selection import InsufficientRobotsError, SelectionPlan
 from swarmplan.world import Position, Task
 from helpers import make_robot
@@ -17,22 +14,6 @@ def task(tid, x, y, required=1):
 def ctx(robots):
     return {r.id: {"battery": r.battery, "task_rank": 0.0, "utility": 0.0}
             for r in robots}
-
-
-class TestCataWeights:
-    def test_defaults(self):
-        w = CataWeights()
-        assert (w.base, w.w_d, w.w_c) == (100.0, 1.0, 10.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            CataWeights(w_d=0.0)
-
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["base", "w_d", "w_c"])
-    def test_rejects_non_finite(self, name, weight):
-        with pytest.raises(ValueError, match="finite"):
-            CataWeights(**{name: weight})
 
 
 class TestCollisionPenalty:
@@ -55,22 +36,21 @@ class TestCollisionPenalty:
 class TestUtility:
     def test_distance_ten_no_conflicts(self):
         robot = make_robot(1, 0, 0)
-        assert utility(robot, task(1, 10, 0), [], CataWeights()) == pytest.approx(90.0)
+        assert utility(robot, task(1, 10, 0), []) == pytest.approx(90.0)
 
     def test_one_conflicting_peer(self):
         robot = make_robot(1, 0, 0)
         peer = make_robot(2, 10, 0)
         others = [(peer, Position(0, 0))]  # head-on opposing segment
-        assert utility(robot, task(1, 10, 0), others,
-                       CataWeights()) == pytest.approx(80.0)
+        assert utility(robot, task(1, 10, 0), others) == pytest.approx(80.0)
 
     def test_distance_zero_is_base(self):
         robot = make_robot(1, 4, 4)
-        assert utility(robot, task(1, 4, 4), [], CataWeights()) == pytest.approx(100.0)
+        assert utility(robot, task(1, 4, 4), []) == pytest.approx(100.0)
 
     def test_monotone_in_distance(self):
         robot = make_robot(1, 0, 0)
-        utils = [utility(robot, task(1, d, 0), [], CataWeights())
+        utils = [utility(robot, task(1, d, 0), [])
                  for d in (1, 5, 9, 13)]
         assert utils == sorted(utils, reverse=True)
 

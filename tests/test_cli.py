@@ -91,15 +91,6 @@ class TestGenerate:
         assert main(["generate", "--template", str(template)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("positions", [[[1], [2, 3]], [[1, "a"], [2, 3]],
-                                           [[1, 2], [2, 3], [3, 4], [4]]])
-    def test_bad_positions_exit_2(self, template_file, positions, capsys):
-        template = json.loads(template_file.read_text())
-        template["positions"] = positions
-        template_file.write_text(json.dumps(template))
-        assert main(["generate", "--template", str(template_file)]) == 2
-        assert capsys.readouterr().err.startswith("error: bad template field: ")
-
 
 class TestRun:
     def test_metrics_and_trace(self, tmp_path, scenario_file, capsys):
@@ -166,6 +157,40 @@ class TestRun:
             outputs.append([(out / name).read_bytes()
                             for name in ("metrics.json", "trace.jsonl")])
         assert outputs[0] == outputs[1]
+
+    def test_old_cata_and_positions_keys_change_nothing(self, tmp_path, template_file):
+        # older documents carry them: the CATA weights are constants now and
+        # generate always samples, so neither key is read
+        plain = {**json.loads(template_file.read_text()), "law": "cata_u"}
+        cata = {"base": 50.0, "w_d": 2.0, "w_c": 3.0}
+        keyed = {**plain, "cata": cata, "positions": [[1, 1], [2, 2], [3, 3], [4, 4]]}
+        outputs = []
+        for name, template in (("plain", plain), ("keyed", keyed)):
+            path, scenario = tmp_path / f"{name}.json", tmp_path / f"{name}_scenario.json"
+            path.write_text(json.dumps(template))
+            assert main(["generate", "--template", str(path), "--seed", "3",
+                         "--out", str(scenario)]) == 0
+            written = scenario.read_bytes()
+            if name == "keyed":
+                scenario.write_text(json.dumps({**json.loads(written), "cata": cata}))
+            out = tmp_path / name
+            assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                         "--trace"]) == 0
+            outputs.append([written] + [(out / file).read_bytes()
+                                        for file in ("metrics.json", "trace.jsonl")])
+        assert outputs[0] == outputs[1]
+
+    def test_infinite_selection_costs_run(self, tmp_path, template_file, capsys):
+        # a move cost of 1e308 makes every robot's estimated cost infinite
+        template = json.loads(template_file.read_text())
+        template["energy"] = {"move_cost": 1e308}
+        template_file.write_text(json.dumps(template))
+        scenario = tmp_path / "costly.json"
+        assert main(["generate", "--template", str(template_file),
+                     "--out", str(scenario)]) == 0
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert "completed=0" in capsys.readouterr().out
 
     def test_zero_world_exits_2(self, tmp_path, capsys):
         flat = tmp_path / "flat.json"
@@ -469,7 +494,6 @@ BAD_INPUTS = [
     ("run", ("energy", "move_cost"), "NaN"),
     ("run", ("safety_radius",), "NaN"),
     ("run", ("energy", "comm_cost"), "Infinity"),
-    ("run", ("cata", "w_d"), "NaN"),
     ("run", ("conflict_negotiation",), '"false"'),
     ("generate", ("max_ticks",), "1e309"),
     ("generate", ("battery_mean",), "NaN"),
@@ -483,7 +507,6 @@ BAD_INPUTS = [
     ("run", ("robots", 0, "battery"), "true"),
     ("run", ("tasks", 0, "required"), "true"),
     ("run", ("energy", "move_cost"), "true"),
-    ("run", ("cata", "w_d"), "true"),
     ("generate", ("battery_sd",), "true"),
     ("sweep", ("trials",), "true"),
     ("sweep", ("template", "stage_gap"), "true"),
@@ -533,17 +556,16 @@ BAD_INPUTS = [
     ("sweep", ("scales",), '"R5+T1"'),
     ("sweep", ("styles",), '{"static": 1}'),
     ("sweep", ("styles",), '"static"'),
-    # an energy or cata block is an object, not a list of pairs or empty
+    # an energy block is an object, not a list of pairs or empty
     ("run", ("energy",), '[["move_cost", 0.2]]'),
-    ("run", ("cata",), '""'),
-    ("run", ("cata",), "[]"),
+    ("run", ("energy",), '""'),
+    ("run", ("energy",), "[]"),
     ("generate", ("energy",), '[["move_cost", 0.2]]'),
-    ("generate", ("cata",), "[]"),
+    ("generate", ("energy",), "[]"),
     ("sweep", ("template", "energy"), '[["move_cost", 0.2]]'),
-    ("sweep", ("template", "cata"), '""'),
-    # an energy or cata number kept as written still converts to float
+    ("sweep", ("template", "energy"), '""'),
+    # an energy number kept as written still converts to float
     ("run", ("energy", "move_cost"), HUGE_INT),
-    ("run", ("cata", "w_d"), HUGE_INT),
     ("generate", ("energy",), f'{{"move_cost": {HUGE_INT}}}'),
     ("sweep", ("template", "energy"), f'{{"idle_cost": {HUGE_INT}}}'),
 ]
@@ -580,14 +602,12 @@ def test_bad_value_exits_2(tmp_path, capsys, template_file, scenario_file,
 
 
 @pytest.mark.parametrize("command, path, literal, document", [
-    ("run", ("cata", "w_d"), HUGE_INT, "scenario"),
+    ("run", ("energy", "move_cost"), HUGE_INT, "scenario"),
     ("sweep", ("template", "energy"), f'{{"idle_cost": {HUGE_INT}}}', "template")],
-    ids=["run-cata", "sweep-energy"])
+    ids=["run-energy", "sweep-energy"])
 def test_int_past_float_range_is_named(tmp_path, capsys, template_file, scenario_file,
                                        command, path, literal, document):
     flag, bad = write_bad(tmp_path, template_file, scenario_file, command, path, literal)
-    if command == "run":  # the law that reads the cata weights
-        bad.write_text(bad.read_text().replace('"t_low_e"', '"cata_u"'))
     assert main([command, flag, str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"error: bad {document} field: int too large to convert to float\n")

@@ -167,10 +167,9 @@ def test_no_event_names_a_robot_after_its_death(scenario, comm_cost):
 _LITERALS = ["1e309", "NaN", "-1", "0", "1e308", str(10**400), str(2**63),
              '"x"', "null", "true", "[]", "{}"]
 
-_BLOCKS = {"energy": {"move_cost": 0.1, "comm_cost": 0.01, "idle_cost": 0.04},
-           "cata": {"base": 100.0, "w_d": 1.0, "w_c": 10.0}}
-_TEMPLATE = {**TEMPLATE, **_BLOCKS, "n_robots": 4, "max_ticks": 60, "law": "t_low_e",
-             "battery_mean": 90.0, "battery_sd": 10.0,
+_ENERGY = {"move_cost": 0.1, "comm_cost": 0.01, "idle_cost": 0.04}
+_TEMPLATE = {**TEMPLATE, "energy": _ENERGY, "n_robots": 4, "max_ticks": 60,
+             "law": "t_low_e", "battery_mean": 90.0, "battery_sd": 10.0,
              "tasks": [{"id": 1, "x": 12.0, "y": 16.0, "required": 2,
                         "duration": 2, "timeout": 50},
                        {"id": 2, "x": 8.0, "y": 8.0, "required": 1,
@@ -182,7 +181,7 @@ _TEMPLATE = {**TEMPLATE, **_BLOCKS, "n_robots": 4, "max_ticks": 60, "law": "t_lo
 _DOCS = {
     "generate": ("--template", _TEMPLATE),
     "run": ("--scenario", json.loads(generate(_TEMPLATE, 3).to_json())),
-    "sweep": ("--spec", {"template": {**TEMPLATE, **_BLOCKS, "max_ticks": 60,
+    "sweep": ("--spec", {"template": {**TEMPLATE, "energy": _ENERGY, "max_ticks": 60,
                                       "stage_gap": 10, "task_duration": 2},
                          "laws": ["t_low_e"], "scales": ["R5+T1"],
                          "styles": ["static"], "trials": 1, "base_seed": 0}),
@@ -252,12 +251,13 @@ def _call(command, path, out):
 
 
 @given(cli_documents())
-# an energy or cata number past float range, in a scenario, a template
-# (whose scenario run reads) and a sweep's template
+# an energy number past float range, in a scenario, a template (whose
+# scenario run reads) and a sweep's template
 @example(_mutated("run", (("energy", "move_cost"), str(10**400))))
-@example(_mutated("run", (("law",), '"cata_u"'), (("cata", "w_d"), str(10**400))))
 @example(_mutated("generate", (("energy", "move_cost"), str(10**400))))
 @example(_mutated("sweep", (("template", "energy", "idle_cost"), str(10**400))))
+# a finite move cost whose every selection cost is infinite
+@example(_mutated("run", (("energy", "move_cost"), "1e308")))
 # a legal long request, which the guard stops
 @example(_mutated("sweep", (("trials",), "1e308")))
 @settings(max_examples=300, derandomize=True, deadline=None)

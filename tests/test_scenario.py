@@ -6,7 +6,6 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from swarmplan.cata import CataWeights
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import (InvalidScenarioError, InvalidTemplateError,
                                 RobotSpec, Scenario, generate)
@@ -62,26 +61,12 @@ class TestGenerate:
                                robots[i].y - robots[j].y)
                 assert d >= 2.0
 
-    def test_explicit_positions(self):
-        scenario = generate(template(positions=[[1, 1], [2, 2], [3, 3], [4, 4]]),
-                            seed=0)
-        assert [(r.x, r.y) for r in scenario.robots] == [
-            (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
-
-    def test_positions_length_mismatch(self):
-        with pytest.raises(InvalidTemplateError):
-            generate(template(positions=[[1, 1]]), seed=0)
-
     def test_huge_team_rejected_before_any_draw(self):
         # 10**19 disks of radius 0.5 cannot fit in the 21 m square around a
         # 20 m world; sampling would first draw one battery per robot
         with prompt(0.1), pytest.raises(InvalidTemplateError) as info:
             generate(template(n_robots=10**19), seed=0)
         assert str(info.value) == "could not place robots with required separation"
-        # listed positions are counted against the team first too
-        with prompt(0.1), pytest.raises(InvalidTemplateError) as info:
-            generate(template(n_robots=10**19, positions=[[1, 1]]), seed=0)
-        assert str(info.value) == "positions length != n_robots"
 
     def test_bad_template(self):
         with pytest.raises(InvalidTemplateError):
@@ -255,8 +240,7 @@ class TestSerialization:
             law=PriorityLaw.CATA_U, comm_range=7.5,
             energy=EnergyModel(move_cost=0.2, comm_cost=0.03, idle_cost=0.05),
             step_length=0.5, safety_radius=0.25, formation_radius=2.0, seed=3,
-            max_ticks=77, cata=CataWeights(base=50.0, w_d=2.0, w_c=3.0),
-            conflict_negotiation=False)
+            max_ticks=77, conflict_negotiation=False)
         for name, default in _DEFAULTS.items():
             assert getattr(scenario, name) != default, name
         assert Scenario.from_json(scenario.to_json()) == scenario
@@ -284,9 +268,8 @@ _PINNED_SETTINGS = {
     "law": "cata_u", "comm_range": 14.0,
     "energy": {"move_cost": 0.2, "comm_cost": 0.03, "idle_cost": 0.05},
     "step_length": 0.5, "safety_radius": 0.75, "formation_radius": 3.0,
-    "max_ticks": 77, "cata": {"base": 50.0, "w_d": 2.0, "w_c": 3.0},
-    "conflict_negotiation": False,
+    "max_ticks": 77, "conflict_negotiation": False,
 }
 
-#: sha256 of ``test_document_bytes_are_pinned``'s 44 scenario documents.
-DOCUMENT_SHA256 = "2be534d70136f11ca06c6de55ab4fc14937b8e2795757f9b2eeda91df6c458c7"
+#: sha256 of ``test_document_bytes_are_pinned``'s 40 scenario documents.
+DOCUMENT_SHA256 = "4158ea7b6d10e6210fff5f190b8f14703042f54b0f655f0d5b03e37a39c1d85e"

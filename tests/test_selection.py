@@ -73,6 +73,14 @@ class TestSelect:
         with pytest.raises(ValueError):
             select(robots, [], PriorityLaw.LOW_E, MODEL, equal_ctx(robots))
 
+    def test_infinite_costs_still_fill_every_task(self):
+        # 1e308 per step: every robot's estimated cost overflows to infinity
+        robots = [make_robot(i + 1, 0.0, 2.0 * i) for i in range(5)]
+        tasks = [task(1, 20, 0, required=2), task(2, 20, 9, required=3)]
+        plan = select(robots, tasks, PriorityLaw.LOW_E, EnergyModel(move_cost=1e308),
+                      equal_ctx(robots))
+        assert [len(plan.group(t.id)) for t in tasks] == [2, 3]
+
     def test_dead_robots_ignored(self):
         robots = [make_robot(1, 0, 0, battery=0.0), make_robot(2, 1, 0)]
         plan = select(robots, [task(1, 0, 0)], PriorityLaw.LOW_E, MODEL,

@@ -45,7 +45,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("field, value", [("world_size", "abc"),
                                               ("required_per_task", "two"),
                                               ("comm_range", "far"),
-                                              ("cata", {"weight": 1.0})])
+                                              ("energy", {"weight": 1.0})])
     def test_rejects_bad_template_value(self, field, value):
         with pytest.raises(InvalidTemplateError, match="bad template field"):
             spec(template={**TEMPLATE, field: value})
