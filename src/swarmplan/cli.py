@@ -29,11 +29,15 @@ class BadFileError(Exception):
 
 FAILED_RUN = (DisconnectedGraphError, GossipStalledError)
 BAD_INPUT = (BadFileError, InvalidScenarioError, InvalidTemplateError, OSError,
-             json.JSONDecodeError, UnicodeDecodeError)
+             UnicodeDecodeError)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    template = json.loads(Path(args.template).read_text())
+    text = Path(args.template).read_text()
+    try:
+        template = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
+        raise InvalidTemplateError(f"{args.template}: not valid JSON: {exc}") from exc
     if not isinstance(template, dict):
         raise InvalidTemplateError(f"{args.template}: template must be a JSON object")
     scenario = generate(template, args.seed)
@@ -46,7 +50,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = Scenario.load(args.scenario)
+    scenario = Scenario.from_json(Path(args.scenario).read_text())
     metrics, events = run_scenario(scenario)
     doc = dict(vars(metrics))
     doc["per_task_comm"] = {str(k): v for k, v in metrics.per_task_comm.items()}
@@ -102,7 +106,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 event = json.loads(line)
                 subjects = ",".join(str(s) for s in event["subjects"])
                 head = f"[{event['tick']:>5}] {event['kind']:<18}"
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise BadFileError(
                     f"{args.trace}:{number}: not a trace event: {exc!r}") from exc
             detail = f"  {event['detail']}" if event.get("detail") else ""

@@ -49,7 +49,6 @@ class Engine:
     """Owns all mutable state for one run; strictly single-threaded."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.tick_no = 0
         self.robots: dict[int, RobotState] = {
@@ -57,7 +56,7 @@ class Engine:
             for r in scenario.robots
         }
         self.tasks: dict[int, Task] = {t.id: t for t in scenario.tasks}
-        # a task is pending (in arrival order, as ``validate`` requires) until
+        # a task is pending (in arrival order, as a ``Scenario`` requires) until
         # its arrival tick, then its id is active (ascending ids, mapped to its
         # consecutive ticks in formation) until it completes or times out
         self.pending: list[Task] = list(scenario.tasks)

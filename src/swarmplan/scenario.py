@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from .comms import COMPLETE
 from .priority import PriorityLaw
@@ -44,17 +43,18 @@ class RobotSpec:
     battery: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One run's inputs. Robots and every task's formation vertices lie in
-    ``[0, world_size]²``. With ``conflict_negotiation`` on, robots start at
-    least twice the safety radius apart; with it off (the paper's
-    no-negotiation ablation) routing neither clusters conflicts nor
-    enforces separation, so robots may start or come closer."""
+    """One run's inputs, checked once, when built. Robots and every task's
+    formation vertices lie in ``[0, world_size]²``. With
+    ``conflict_negotiation`` on, robots start at least twice the safety
+    radius apart; with it off (the paper's no-negotiation ablation) routing
+    neither clusters conflicts nor enforces separation, so robots may start
+    or come closer. Robots and tasks are held as tuples."""
 
     world_size: float
-    robots: list[RobotSpec]
-    tasks: list[Task]
+    robots: tuple[RobotSpec, ...]
+    tasks: tuple[Task, ...]
     law: PriorityLaw = PriorityLaw.T_LOW_E
     comm_range: float | str = COMPLETE
     energy: EnergyModel = field(default_factory=EnergyModel)
@@ -65,7 +65,9 @@ class Scenario:
     max_ticks: int = 10_000
     conflict_negotiation: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "robots", tuple(self.robots))
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         problems = _setting_problems(vars(self))
         settings_valid = not problems
 
@@ -115,10 +117,10 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep
             raise InvalidScenarioError(f"not valid JSON: {exc}") from exc
         try:
-            scenario = cls(
+            return cls(
                 world_size=_number(doc["world_size"]),
                 robots=[RobotSpec(id=_number(r["id"], int), x=_number(r["x"]),
                                   y=_number(r["y"]), battery=_number(r["battery"]))
@@ -129,12 +131,6 @@ class Scenario:
             )
         except FIELD_ERRORS as exc:
             raise InvalidScenarioError(f"bad scenario field: {exc}") from exc
-        scenario.validate()
-        return scenario
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Scenario":
-        return cls.from_json(Path(path).read_text())
 
 
 def _setting_problems(settings: dict) -> list[str]:
@@ -257,9 +253,7 @@ def generate(template: dict, seed: int) -> Scenario:
     positions = _sample_positions(rng, n_robots, fields["world_size"], 2.0 * r)
     robots = [RobotSpec(id=i, x=positions[i][0], y=positions[i][1],
                         battery=batteries[i]) for i in range(n_robots)]
-    scenario = Scenario(robots=robots, seed=seed, **fields)
-    scenario.validate()
-    return scenario
+    return Scenario(robots=robots, seed=seed, **fields)
 
 
 def _sample_positions(rng: random.Random, n: int, world: float,

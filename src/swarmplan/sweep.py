@@ -60,7 +60,7 @@ STYLES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     template: dict
     laws: list[str]
@@ -101,7 +101,7 @@ class SweepSpec:
                         (("scales", _array), ("styles", _array), ("trials", count),
                          ("base_seed", count)) if name in doc}
             return cls(template=doc["template"], laws=_array(doc["laws"]), **optional)
-        except FIELD_ERRORS as exc:  # JSONDecodeError is a ValueError
+        except (*FIELD_ERRORS, RecursionError) as exc:  # RecursionError: nested too deep
             raise InvalidTemplateError(f"bad sweep spec: {exc}") from exc
 
 

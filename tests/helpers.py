@@ -65,8 +65,7 @@ def low_battery(law: str, seed: int, comm_cost: float, shuffle: bool = False,
         ids = rng.sample(range(100), len(robots))
         robots = [replace(r, id=i) for r, i in zip(robots, ids)]
         rng.shuffle(robots)
-    s.robots = robots
-    return s
+    return replace(s, robots=robots)
 
 
 class Hung(BaseException):

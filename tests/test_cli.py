@@ -31,7 +31,7 @@ def scenario_file(tmp_path, template_file):
 
 class TestGenerate:
     def test_writes_valid_scenario(self, scenario_file):
-        scenario = Scenario.load(scenario_file)
+        scenario = Scenario.from_json(scenario_file.read_text())
         assert len(scenario.robots) == 4
         assert scenario.seed == 3
 
@@ -49,7 +49,7 @@ class TestGenerate:
         out = tmp_path / "c.json"
         assert main(["generate", "--template", str(template_file),
                      "--out", str(out)]) == 0
-        assert Scenario.load(out).law.value == "cata_u"
+        assert Scenario.from_json(out.read_text()).law.value == "cata_u"
 
     def test_without_out_writes_stdout(self, template_file, scenario_file, capsys):
         assert main(["generate", "--template", str(template_file), "--seed", "3"]) == 0
@@ -622,6 +622,24 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, command, flag):
     assert main([command, flag, str(bad)]) == 2
     err = capsys.readouterr().err
     assert one_error_line(err)
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"world_size": ' + "9" * 5000 + "}"],
+                         ids=["nested-too-deep", "5000-digit-integer"])
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--template"), ("run", "--scenario"), ("sweep", "--spec"),
+    ("replay", "--trace")])
+def test_unparseable_json_exits_2(tmp_path, capsys, command, flag, text):
+    """JSON that ``json.loads`` cannot read without a ``RecursionError`` or an
+    integer-conversion ``ValueError``, written as raw text: the fuzzed
+    documents round-trip through ``json``, which fails on both."""
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(text)
+    args = [command, flag, str(bad)] + ([] if command == "replay" else ["--out", str(out)])
+    assert main(args) == 2
+    assert one_error_line(capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, option, value", [

@@ -87,8 +87,8 @@ def scenarios(draw):
                 "max_ticks": 500}
     scenario = generate(template, draw(st.integers(0, 2**16)))
     if draw(st.booleans()):
-        scenario.robots = [replace(r, battery=draw(st.floats(0.5, 6.0)))
-                           for r in scenario.robots]
+        robots = [replace(r, battery=draw(st.floats(0.5, 6.0))) for r in scenario.robots]
+        scenario = replace(scenario, robots=robots)
     return scenario
 
 
@@ -142,7 +142,7 @@ def test_quiet_ticks_equal_all_seven_phases(scenario):
 @given(scenarios(), st.sampled_from([0.01, 0.3, 1.0, 3.0]))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_no_event_names_a_robot_after_its_death(scenario, comm_cost):
-    scenario.energy = EnergyModel(comm_cost=comm_cost)
+    scenario = replace(scenario, energy=EnergyModel(comm_cost=comm_cost))
     dead: set[int] = set()
     paying: set[int] = set()  # the deaths since the last other event
     for event in run(scenario)[1]:

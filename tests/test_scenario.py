@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
 from swarmplan.priority import PriorityLaw
 from swarmplan.scenario import (InvalidScenarioError, InvalidTemplateError,
                                 RobotSpec, Scenario, generate)
+from swarmplan.sweep import SweepSpec
 from swarmplan.world import EnergyModel, Position, Task
 from helpers import prompt
 
@@ -91,6 +92,8 @@ class TestGenerate:
 
 
 class TestValidation:
+    """A scenario checks its rules when it is built."""
+
     def _scenario(self, **overrides):
         fields = dict(
             world_size=20.0,
@@ -103,107 +106,124 @@ class TestValidation:
         return Scenario(**fields)
 
     def test_valid_passes(self):
-        self._scenario().validate()
+        self._scenario()
 
     def test_duplicate_robot_ids(self):
-        s = self._scenario(robots=[RobotSpec(1, 1, 1, 90), RobotSpec(1, 2, 2, 80)])
         with pytest.raises(InvalidScenarioError, match="duplicate ids"):
-            s.validate()
+            self._scenario(robots=[RobotSpec(1, 1, 1, 90), RobotSpec(1, 2, 2, 80)])
 
     def test_duplicate_task_ids(self):
         again = Task(id=1, center=Position(5, 5), required=1, duration=2, timeout=50)
-        s = self._scenario(tasks=[*self._scenario().tasks, again])
+        tasks = [*self._scenario().tasks, again]
         with pytest.raises(InvalidScenarioError, match="tasks: duplicate ids"):
-            s.validate()
+            self._scenario(tasks=tasks)
 
     def test_out_of_bounds_position(self):
-        s = self._scenario(robots=[RobotSpec(1, 25.0, 1.0, 90)])
         with pytest.raises(InvalidScenarioError, match="outside world bounds"):
-            s.validate()
+            self._scenario(robots=[RobotSpec(1, 25.0, 1.0, 90)])
 
     def test_battery_range(self):
-        s = self._scenario(robots=[RobotSpec(1, 1, 1, 150.0)])
         with pytest.raises(InvalidScenarioError, match="battery"):
-            s.validate()
+            self._scenario(robots=[RobotSpec(1, 1, 1, 150.0)])
 
     def test_required_exceeds_robots(self):
         # the count is the task's one problem: three vertices 5 m around
         # (10, 18) would also leave the 20 m world, and a polygon of 10**308
         # vertices would never be built
         for x, y, required in [(5, 5, 3), (10, 18, 3), (10, 10, int(1e308))]:
-            s = self._scenario(tasks=[Task(id=1, center=Position(x, y), required=required,
-                                           duration=1, timeout=10)])
             with prompt(0.1), pytest.raises(InvalidScenarioError) as info:
-                s.validate()
+                self._scenario(tasks=[Task(id=1, center=Position(x, y), required=required,
+                                           duration=1, timeout=10)])
             assert str(info.value) == "task 1: requires more robots than exist"
 
     def test_arrival_order(self):
-        s = self._scenario(tasks=[
-            Task(id=1, center=Position(5, 5), required=1, duration=1,
-                 timeout=10, arrival_tick=5),
-            Task(id=2, center=Position(6, 6), required=1, duration=1,
-                 timeout=10, arrival_tick=0)])
         with pytest.raises(InvalidScenarioError, match="non-decreasing"):
-            s.validate()
+            self._scenario(tasks=[
+                Task(id=1, center=Position(5, 5), required=1, duration=1,
+                     timeout=10, arrival_tick=5),
+                Task(id=2, center=Position(6, 6), required=1, duration=1,
+                     timeout=10, arrival_tick=0)])
 
     def test_bad_comm_range(self):
-        s = self._scenario(comm_range=-1.0)
         with pytest.raises(InvalidScenarioError, match="comm_range"):
-            s.validate()
+            self._scenario(comm_range=-1.0)
 
     def test_no_robots(self):
-        s = self._scenario(robots=[], tasks=[])
         with pytest.raises(InvalidScenarioError, match="at least one robot"):
-            s.validate()
+            self._scenario(robots=[], tasks=[])
 
     @pytest.mark.parametrize("x, valid", [(3.0, True), (2.5, False)])
     def test_robots_start_twice_the_safety_radius_apart(self, x, valid):
         # with negotiation on, a closer pair would be a conflict every tick
-        s = self._scenario(robots=[RobotSpec(3, 2.0, 2.0, 90.0),
-                                   RobotSpec(5, 9.0, 9.0, 90.0),
-                                   RobotSpec(8, x, 2.0, 90.0)])
+        robots = [RobotSpec(3, 2.0, 2.0, 90.0), RobotSpec(5, 9.0, 9.0, 90.0),
+                  RobotSpec(8, x, 2.0, 90.0)]
         if valid:
-            s.validate()  # exactly 2 * 0.5 m apart
+            self._scenario(robots=robots)  # exactly 2 * 0.5 m apart
         else:
             with pytest.raises(InvalidScenarioError, match="robots 3 and 8: start "
                                "closer than twice the safety radius"):
-                s.validate()
-        s.conflict_negotiation = False
-        s.validate()  # without negotiation nothing keeps robots apart anyway
+                self._scenario(robots=robots)
+        # without negotiation nothing keeps robots apart anyway
+        self._scenario(robots=robots, conflict_negotiation=False)
 
     def test_every_generated_scenario_starts_apart(self):
+        # generate builds each scenario, so each one has passed its rules
         for seed in range(20):
             s = generate({"world_size": 6.0, "n_robots": 8, "safety_radius": 0.6,
                           "tasks": []}, seed)
             assert s.conflict_negotiation
-            s.validate()
 
     @pytest.mark.parametrize("y, valid", [(15.0, True), (15.5, False)])
     def test_formation_vertex_inside_world(self, y, valid):
         # one robot, so the vertex sits formation_radius (5 m) due north
-        s = self._scenario(tasks=[Task(id=7, center=Position(10, y), required=1,
-                                       duration=1, timeout=10)])
+        tasks = [Task(id=7, center=Position(10, y), required=1, duration=1, timeout=10)]
         if valid:
-            s.validate()  # on the edge
+            self._scenario(tasks=tasks)  # on the edge
         else:
             with pytest.raises(InvalidScenarioError,
                                match="task 7: formation vertex outside world"):
-                s.validate()
+                self._scenario(tasks=tasks)
 
     @pytest.mark.parametrize("size", [0.0, -5.0])
     def test_world_size_not_positive(self, size):
-        s = self._scenario(world_size=size, robots=[RobotSpec(1, 0.0, 0.0, 90.0)],
-                           tasks=[])
         with pytest.raises(InvalidScenarioError, match="world_size"):
-            s.validate()
+            self._scenario(world_size=size, robots=[RobotSpec(1, 0.0, 0.0, 90.0)],
+                           tasks=[])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["world_size", "step_length", "safety_radius",
                                       "formation_radius"])
     def test_non_finite_length(self, name, value):
-        s = self._scenario(**{name: value})
         with pytest.raises(InvalidScenarioError, match=f"{name}.*finite"):
-            s.validate()
+            self._scenario(**{name: value})
+
+    def test_built_scenario_cannot_change(self):
+        scenario = self._scenario()
+        assert type(scenario.robots) is tuple and type(scenario.tasks) is tuple
+        with pytest.raises(FrozenInstanceError):
+            scenario.world_size = -1.0
+        # a variant is built, so it is checked too, with the same message
+        with pytest.raises(InvalidScenarioError) as info:
+            replace(scenario, world_size=-1.0)
+        assert str(info.value) == ("world_size: must be positive and finite; robot 1: "
+                                   "position outside world bounds; robot 2: position "
+                                   "outside world bounds")
+        spec = SweepSpec(template=template(), laws=["t_low_e"])
+        with pytest.raises(FrozenInstanceError):
+            spec.trials = 2
+
+    def test_readme_snippet_lists_build_a_scenario(self):
+        # the README's Library example passes lists; they are held as tuples
+        scenario = Scenario(
+            world_size=24.0,
+            robots=[RobotSpec(id=1, x=3.0, y=3.0, battery=95.0),
+                    RobotSpec(id=2, x=20.0, y=4.0, battery=80.0)],
+            tasks=[Task(id=1, center=Position(12.0, 14.0), required=2,
+                        duration=5, timeout=400)],
+            safety_radius=1.0,
+        )
+        assert [r.id for r in scenario.robots] == [1, 2]
+        assert type(scenario.tasks) is tuple and len(scenario.tasks) == 1
 
 
 class TestSerialization:
@@ -222,7 +242,7 @@ class TestSerialization:
         scenario = generate(template(), seed=1)
         path = tmp_path / "s.json"
         path.write_text(scenario.to_json())
-        assert Scenario.load(path).to_json() == scenario.to_json()
+        assert Scenario.from_json(path.read_text()).to_json() == scenario.to_json()
 
     def test_unset_optional_fields_load_to_the_defaults(self):
         doc = {"world_size": 10.0, "robots": [{"id": 1, "x": 1.0, "y": 1.0,
